@@ -2,18 +2,20 @@
 // (k_src, k_dst) block-size pairs, executed through the redistribution
 // layer on two backends per pair:
 //
-//   inproc  the in-process executors — build the scheduled plan once,
+//   inproc  the in-process executor — build the scheduled plan once,
 //           execute it repeatedly (warm arena), report best-of-R wall time
-//           for both the sequential arena shape (seq_us, the PR 8
-//           baseline) and the fused single-pass pipeline (pipe_us), plus
-//           their ratio (speedup) and the fused bytes/s;
+//           for both local-copy shapes of the one exchange core: staged
+//           through the plan arena (seq_us, what aliased copies run) and
+//           fused straight across (pipe_us, every other in-process copy),
+//           plus their ratio (speedup) and the fused bytes/s;
 //   sim     the discrete-event mesh — replay the plan's wire traffic in
 //           rotation order and report the *predicted* phase time and the
 //           bytes/s the cost model credits the exchange.
 //
 // The perf-smoke CI job gates speedup >= 1.5 on the decorrelated
 // (1,64)/(64,1) rows: those channels are contiguous on exactly one side,
-// so the fused executor halves the four memory passes of pack+unpack.
+// so the fused copy halves the four memory passes of the staged
+// pack+unpack.
 //
 // (The proc backend runs the same schedule; its parity is gated by
 // net_process_test and the CI example diffs rather than timed here.)
@@ -74,10 +76,11 @@ int run_sweep(i64 n, i64 p, bool csv, bool json) {
       const double frac =
           static_cast<double>(plan.remote_elements()) / static_cast<double>(n);
 
-      const double seq_us = time_best_us(
-          repeats, [&] { execute_copy_plan_sequential(plan.comm, src, dst, exec); });
+      const double seq_us = time_best_us(repeats, [&] {
+        cyclick::detail::run_machine(plan.comm, src, dst, exec, {.staged = true});
+      });
       const double pipe_us = time_best_us(
-          repeats, [&] { execute_copy_plan_fused(plan.comm, src, dst, exec); });
+          repeats, [&] { cyclick::detail::run_machine(plan.comm, src, dst, exec, {}); });
 
       // Predicted wire time: one fresh mesh per measurement so endpoint
       // and link clocks start at zero.

@@ -18,10 +18,10 @@
 // then vr+2, vr+4, ...), and allreduce folds as acc = op(acc, child_part)
 // at each step. The association order of a tree fold differs from the
 // linear left fold, so non-associative floating-point reductions can give
-// different (equally valid) roundings than `linear::allreduce`; integer
-// and exact payloads agree bit-for-bit. The pre-existing linear
-// implementations are kept verbatim in namespace `linear` as the
-// differential-testing reference.
+// different (equally valid) roundings than a linear reduce-at-rank-0;
+// integer and exact payloads agree bit-for-bit. tests/collectives_test.cpp
+// keeps the pre-tree linear implementations as the differential-testing
+// reference.
 //
 // Scheduling discipline. All collectives are called SPMD (every rank
 // calls with its own rank id inside one executor phase) and rely on the
@@ -152,7 +152,7 @@ std::vector<T> gather(Transport& tr, i64 rank, i64 root, std::span<const T> mine
 /// rank - 2^j, which folds it as values = op(values, incoming) — so the
 /// association is the fixed binomial-tree order (rank 0 folds 1, then the
 /// 2..3 aggregate, then 4..7, ...). For non-associative ops this rounding
-/// differs from linear::allreduce's left fold; both are deterministic.
+/// differs from a linear left fold; both are deterministic.
 template <typename T, typename Op>
 void allreduce(Transport& tr, i64 rank, std::vector<T>& values, Op&& op) {
   const i64 p = tr.ranks();
@@ -194,84 +194,5 @@ std::vector<std::vector<T>> alltoallv(Transport& tr, i64 rank,
   }
   return incoming;
 }
-
-// ---------------------------------------------------------------------------
-// Linear reference implementations (the pre-tree versions, kept verbatim
-// for differential testing): root-sends-to-all fan-out, rank-order gather,
-// reduce-at-rank-0 with a linear left fold. O(p) rounds at the root.
-// ---------------------------------------------------------------------------
-namespace linear {
-
-template <typename T>
-void bcast(Transport& tr, i64 rank, i64 root, std::vector<T>& values) {
-  const i64 p = tr.ranks();
-  CYCLICK_REQUIRE(root >= 0 && root < p, "broadcast root out of range");
-  if (p > 1) detail::require_collective_schedule(tr, "linear::bcast");
-  if (rank == root) {
-    for (i64 r = 0; r < p; ++r)
-      if (r != root) send_values<T>(tr, root, r, std::span<const T>(values));
-    return;
-  }
-  values = recv_values<T>(tr, rank, root);
-}
-
-template <typename T>
-std::vector<T> gather(Transport& tr, i64 rank, i64 root, std::span<const T> mine) {
-  const i64 p = tr.ranks();
-  CYCLICK_REQUIRE(root >= 0 && root < p, "gather root out of range");
-  if (p > 1) detail::require_collective_schedule(tr, "linear::gather");
-  if (rank != root) {
-    send_values<T>(tr, rank, root, mine);
-    return {};
-  }
-  std::vector<T> all;
-  for (i64 r = 0; r < p; ++r) {
-    if (r == root) {
-      all.insert(all.end(), mine.begin(), mine.end());
-    } else {
-      const std::vector<T> part = recv_values<T>(tr, root, r);
-      all.insert(all.end(), part.begin(), part.end());
-    }
-  }
-  return all;
-}
-
-/// Linear left fold at rank 0 (association order: rank 0, 1, 2, ...).
-template <typename T, typename Op>
-void allreduce(Transport& tr, i64 rank, std::vector<T>& values, Op&& op) {
-  const i64 p = tr.ranks();
-  if (p == 1) return;
-  detail::require_collective_schedule(tr, "linear::allreduce");
-  if (rank == 0) {
-    for (i64 r = 1; r < p; ++r) {
-      const std::vector<T> part = recv_values<T>(tr, 0, r);
-      CYCLICK_REQUIRE(part.size() == values.size(), "allreduce buffer size mismatch");
-      for (std::size_t i = 0; i < values.size(); ++i) values[i] = op(values[i], part[i]);
-    }
-    for (i64 r = 1; r < p; ++r) send_values<T>(tr, 0, r, std::span<const T>(values));
-    return;
-  }
-  send_values<T>(tr, rank, 0, std::span<const T>(values));
-  values = recv_values<T>(tr, rank, 0);
-}
-
-/// Unrotated all-to-all: post every send, then receive in rank order.
-template <typename T>
-std::vector<std::vector<T>> alltoallv(Transport& tr, i64 rank,
-                                      const std::vector<std::vector<T>>& outgoing) {
-  const i64 p = tr.ranks();
-  CYCLICK_REQUIRE(static_cast<i64>(outgoing.size()) == p, "alltoallv arity mismatch");
-  if (p > 1) detail::require_collective_schedule(tr, "linear::alltoallv");
-  for (i64 r = 0; r < p; ++r)
-    if (r != rank)
-      send_values<T>(tr, rank, r, std::span<const T>(outgoing[static_cast<std::size_t>(r)]));
-  std::vector<std::vector<T>> incoming(static_cast<std::size_t>(p));
-  incoming[static_cast<std::size_t>(rank)] = outgoing[static_cast<std::size_t>(rank)];
-  for (i64 r = 0; r < p; ++r)
-    if (r != rank) incoming[static_cast<std::size_t>(r)] = recv_values<T>(tr, rank, r);
-  return incoming;
-}
-
-}  // namespace linear
 
 }  // namespace cyclick

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <string>
 
 namespace cyclick {
 
@@ -35,14 +36,16 @@ struct PipeCostModel {
   }
 };
 
-}  // namespace
-
+/// CYCLICK_REDIST_WINDOW as written: -1 when unset (adaptive), else the
+/// requested depth.
 i64 redist_window_from_env() {
   const char* env = std::getenv("CYCLICK_REDIST_WINDOW");
   if (env == nullptr || *env == '\0') return -1;
   const i64 v = static_cast<i64>(std::atoll(env));
   return v < 0 ? -1 : v;
 }
+
+}  // namespace
 
 i64 adaptive_redist_window(const CommPlan& plan, i64 elem_bytes) {
   // The pipeline hides one phase's wire time behind packing/unpacking
@@ -66,13 +69,23 @@ i64 adaptive_redist_window(const CommPlan& plan, i64 elem_bytes) {
 
 i64 resolve_redist_window(const CommPlan& plan, i64 elem_bytes) {
   const i64 env = redist_window_from_env();
-  if (env == 0 || env == 1) return 1;  // pipelining disabled
-  i64 w = env >= 2 ? env : adaptive_redist_window(plan, elem_bytes);
+  const i64 w = env >= 0 ? env : adaptive_redist_window(plan, elem_bytes);
   // The credit limit is the hard cap: incast protection from the phase
   // rotation assumes a bounded number of pre-posted receives per rank.
-  w = std::min(w, transport_credits_from_env());
-  return std::max<i64>(w, 2);
+  return std::clamp<i64>(w, 1, transport_credits_from_env());
 }
+
+namespace detail {
+
+void throw_payload_size_mismatch(i64 from, i64 to, i64 phase, std::size_t got,
+                                 std::size_t want) {
+  throw precondition_error("received payload size disagrees with the plan on channel " +
+                           std::to_string(from) + "->" + std::to_string(to) + " (phase " +
+                           std::to_string(phase) + "): " + std::to_string(got) +
+                           " bytes, expected " + std::to_string(want));
+}
+
+}  // namespace detail
 
 i64 schedule_phase_count(const CommPlan& plan) {
   const i64 p = plan.ranks;

@@ -21,38 +21,46 @@
 // (in-process, socket mesh, simulated mesh) execute *the same schedule*
 // and produce byte-identical results.
 //
-// Executors (moved here from comm_plan.hpp, all phase-ordered):
-//   execute_copy_plan            backend dispatch: replicated over the
-//                                process mesh when a ProcessContext is
-//                                active, over the provider transport when
-//                                one is installed (sim), else in-process;
-//                                picks the pipelined/fused variant unless
-//                                CYCLICK_REDIST_WINDOW=0|1 or src/dst alias
-//   execute_copy_plan_sequential the strict pack -> barrier -> unpack arena
-//                                shape (also the aliased-copy fallback)
-//   execute_copy_plan_fused      in-process single pass: src local -> dst
-//                                local straight through the joint periodic
-//                                descriptors, no arena round trip
-//   execute_copy_plan_over       whole machine over one Transport
-//   execute_copy_plan_over_pipelined
-//                                same, with receives pre-posted W phases
-//                                ahead on per-rank completion queues
-//   execute_copy_plan_rank       exactly one rank's share (proc backend);
-//                                dispatches to _rank_pipelined by window
-//   execute_copy_plan_replicated the replicated-machine proc shape
-//   execute_copy_plan_replicated_pipelined
-//                                same, with this rank's receives pre-posted
-//                                before the pack phase so payloads land
-//                                while the replica is still packing
+// One executor (detail::Exchange) runs every plan as three per-rank
+// stages, each walking the rotation schedule in phase order:
 //
-// Pipeline window: resolve_redist_window — CYCLICK_REDIST_WINDOW (0/1
-// forces the sequential executors, >= 2 fixes the depth, unset lets the
-// sim cost model size it), clamped by CYCLICK_TRANSPORT_CREDITS.
+//   post     pre-post up to W receives for the rank's incoming wire
+//            channels on its CompletionQueue, tagged by schedule phase
+//   produce  walk redist_peer_to: pack each outgoing wire channel into
+//            its payload and isend it; stage local channels in the plan
+//            arena when src and dst alias
+//   consume  copy (or unstage) every incoming local channel, then unpack
+//            wire completions as they arrive — in any phase order, since
+//            each destination element is written by exactly one channel
+//            — posting the next receive as each one lands
 //
-// They are generic over the array type: anything with local(rank) spans
-// of a trivially copyable element works (DistributedArray, MultiDimArray),
-// so 1-D section copies and N-D region remaps execute through the same
-// four entry points.
+// detail::Endpoints is the per-channel rule for where the bytes go:
+// copied locally (copy_channel straight across, or through the arena when
+// src and dst alias), over a Transport, or — on the replicated proc
+// machine — over the wire only when the channel touches this process's
+// rank. The entry points are policy choices over that rule:
+//
+//   execute_copy_plan       whole machine: replicated over the process
+//                           mesh when a ProcessContext is active, over the
+//                           provider transport when one is installed
+//                           (sim), else in-process
+//   execute_copy_plan_over  whole machine over one given Transport
+//   execute_copy_plan_rank  exactly one rank's share (the calling process
+//                           is that rank); opportunistic drains between
+//                           sends
+//   execute_redistribution  execute_copy_plan plus schedule telemetry
+//
+// Whole-machine entry points run each stage as one exec.run phase, so the
+// barriers order every pack before any unpack; the in-process fused copy
+// needs only the consume phase. W is resolve_redist_window for all of
+// them: CYCLICK_REDIST_WINDOW fixes the depth, unset lets the sim cost
+// model size it, and CYCLICK_TRANSPORT_CREDITS caps it. W = 1 is simply
+// the shallowest window.
+//
+// The executor is generic over the array type: anything with local(rank)
+// spans of a trivially copyable element works (DistributedArray,
+// MultiDimArray), so 1-D section copies and N-D region remaps execute
+// through the same entry points.
 //
 // RedistributionPlan wraps a CommPlan with its schedule metadata (phase
 // count, dimensionality); build_redistribution_plan composes the
@@ -64,6 +72,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <span>
+#include <vector>
 
 #include "cyclick/obs/trace.hpp"
 #include "cyclick/runtime/comm_plan.hpp"
@@ -107,18 +118,15 @@ struct RedistributionPlan {
 /// count once; O(p^2) over the channel grid).
 [[nodiscard]] RedistributionPlan finish_redistribution_plan(CommPlan&& comm, i64 dims);
 
-/// CYCLICK_REDIST_WINDOW as written: -1 when unset (adaptive), 0/1 to
-/// force the sequential executors, >= 2 for a fixed pipeline depth.
-[[nodiscard]] i64 redist_window_from_env();
-
 /// Pipeline depth predicted from the sim cost model for this plan's
 /// dominant per-phase payload: 1 + ceil(wire_time / pack_time), clamped to
 /// [2, 8]. Reads the same CYCLICK_SIM_* knobs the simulated mesh uses.
 [[nodiscard]] i64 adaptive_redist_window(const CommPlan& plan, i64 elem_bytes);
 
-/// The window one plan execution runs with: the env override (0/1 ->
-/// returns 1, sequential) or the adaptive prediction, clamped by the
-/// transport credit limit. >= 2 means the pipelined/fused executors run.
+/// The receive window one plan execution runs with: CYCLICK_REDIST_WINDOW
+/// when set (0 counts as 1), else the adaptive prediction, clamped to
+/// [1, CYCLICK_TRANSPORT_CREDITS] — no rank ever posts more receives than
+/// its completion queue has credits.
 [[nodiscard]] i64 resolve_redist_window(const CommPlan& plan, i64 elem_bytes);
 
 /// Build the scheduled plan for the 1-D copy dst(dsec) = src(ssec).
@@ -137,10 +145,10 @@ namespace detail {
 template <typename Arr>
 using local_element_t = std::remove_cvref_t<decltype(std::declval<Arr&>().local(i64{0})[0])>;
 
-/// True when src's and dst's local spans for `rank` share any bytes. The
-/// fused/pipelined executors write destinations while sources are still
-/// live, so aliased copies (same array, shifted sections) must take the
-/// arena-staged sequential path instead.
+/// True when src's and dst's local spans for `rank` share any bytes. A
+/// direct copy would write destinations while sources are still live, so
+/// aliased copies (same array, shifted sections) stage their local
+/// channels through the plan arena instead.
 template <typename SrcArr, typename DstArr>
 [[nodiscard]] bool rank_locals_alias(const SrcArr& src, DstArr& dst, i64 rank) {
   const auto s = src.local(rank);
@@ -209,854 +217,273 @@ void copy_channel(const CommPlan::Channel& ch, const i64* soff, const i64* doff,
   for (i64 r = 0; r < ch.count % ch.period; ++r) d[doff[r]] = s[soff[r]];
 }
 
-/// Manual chrome-trace interval for pipeline stages (per-phase, so the
-/// overlap of pack(f+1) with in-flight(f) is visible on the timeline).
-/// CYCLICK_SPAN needs a literal name too but records into the span ring;
-/// these go straight to the TraceSink like the sim's per-message spans.
-struct PipeSpan {
-  const char* name;
-  i64 tid;
-  i64 t0 = -1;
-  PipeSpan(const char* name_, i64 tid_) : name(name_), tid(tid_) {
-    if (obs::enabled()) t0 = obs::now_ns();
+/// Where each channel's bytes go. Channel (m <- q) with m != q crosses
+/// `wire` when one is set — except on a replicated machine (`replica` is
+/// this process's rank), where only the channels touching that rank do:
+/// its outgoing channels are sent *and* applied to the local replica, its
+/// incoming ones are filled from the received bytes alone. Every other
+/// channel is local: copied straight across, or through the plan arena
+/// when `staged` (src and dst alias, so every read must precede any
+/// write).
+struct Endpoints {
+  Transport* wire = nullptr;  ///< null: every channel is local
+  i64 replica = -1;           ///< >= 0: replicated machine, this process's rank
+  bool staged = false;        ///< local channels stage through the arena
+
+  /// Channel (m <- q) leaves this process on the wire.
+  [[nodiscard]] bool sends(i64 m, i64 q) const noexcept {
+    return wire != nullptr && m != q && (replica < 0 || q == replica);
   }
-  void close() {
-    if (t0 >= 0) {
-      obs::TraceSink::global().complete(name, tid, t0, obs::now_ns());
-      t0 = -1;
-    }
+  /// Channel (m <- q) is filled from received wire bytes, never locally.
+  [[nodiscard]] bool receives(i64 m, i64 q) const noexcept {
+    return wire != nullptr && m != q && (replica < 0 || m == replica);
   }
-  ~PipeSpan() { close(); }
 };
 
-/// Exception-path cleanup: withdraw whatever a dying pipeline still has
-/// posted so the transport holds no dangling CompletionQueue pointers.
-/// Callers null `cq` out on clean completion (everything reaped).
-struct PostedCancelGuard {
-  Transport& transport;
-  CompletionQueue* cq;
-  ~PostedCancelGuard() {
-    if (cq != nullptr) transport.cancel_posted(*cq);
-  }
+/// One receiving rank's sliding window over its incoming wire channels.
+struct RecvWindow {
+  std::unique_ptr<CompletionQueue> cq;  ///< null when nothing arrives by wire
+  std::vector<i64> phases;              ///< incoming wire phases, in order
+  std::vector<i64> posted_ns;           ///< [phase] -> post time (-1 untracked)
+  std::size_t posted = 0;               ///< phases[0, posted) are posted
+  std::size_t reaped = 0;               ///< completions unpacked so far
+
+  [[nodiscard]] bool open() const noexcept { return reaped < phases.size(); }
 };
+
+/// Exception-path cleanup: withdraw whatever a dying exchange still has
+/// posted so the transport holds no dangling CompletionQueue pointers.
+class CancelPosted {
+ public:
+  CancelPosted(Transport* wire, std::span<RecvWindow> windows)
+      : wire_(wire), windows_(windows) {}
+  ~CancelPosted() {
+    for (RecvWindow& w : windows_)
+      if (w.cq && w.open()) wire_->cancel_posted(*w.cq);
+  }
+  CancelPosted(const CancelPosted&) = delete;
+  CancelPosted& operator=(const CancelPosted&) = delete;
+
+ private:
+  Transport* wire_;
+  std::span<RecvWindow> windows_;
+};
+
+/// The one payload-size check every wire receive goes through: throws a
+/// precondition_error naming the channel (from->to) and schedule phase.
+[[noreturn]] void throw_payload_size_mismatch(i64 from, i64 to, i64 phase, std::size_t got,
+                                              std::size_t want);
+
+/// The executor core: the post / produce / consume stages over one plan,
+/// with the channel endpoints fixed for the whole execution.
+template <typename SrcArr, typename DstArr>
+class Exchange {
+ public:
+  using T = local_element_t<DstArr>;
+  static_assert(std::is_trivially_copyable_v<T>, "plans move raw bytes");
+
+  Exchange(const CommPlan& plan, const SrcArr& src, DstArr& dst, Endpoints ends,
+           i64 counter_rank)
+      : plan_(plan), src_(src), dst_(dst), ends_(ends), p_(plan.ranks) {
+    CYCLICK_COUNT("commplan.execs", counter_rank, 1);
+    CYCLICK_COUNT("redist.execs", counter_rank, 1);
+    if (ends.wire != nullptr) {
+      CYCLICK_REQUIRE(ends.wire->ranks() == plan.ranks, "transport/plan rank mismatch");
+      window_ = resolve_redist_window(plan, static_cast<i64>(sizeof(T)));
+      CYCLICK_COUNT("redist.pipelined_execs", counter_rank, 1);
+    } else if (!ends.staged) {
+      CYCLICK_COUNT("redist.fused_execs", counter_rank, 1);
+    }
+  }
+
+  /// Post: list receiver m's incoming wire phases in schedule order and
+  /// pre-post the first W of them.
+  void post(i64 m, RecvWindow& w) const {
+    for (i64 f = 1; f < p_; ++f) {
+      const i64 q = redist_peer_from(m, f, p_);
+      if (ends_.receives(m, q) && plan_.channel(m, q).count > 0) w.phases.push_back(f);
+    }
+    if (w.phases.empty()) return;
+    w.cq = std::make_unique<CompletionQueue>(window_);
+    w.posted_ns.assign(static_cast<std::size_t>(p_), -1);
+    for (i64 i = 0; i < window_; ++i) post_next(m, w);
+  }
+
+  /// Produce: walk sender q's channels in schedule order, packing each
+  /// outgoing wire channel into its payload (isend, tagged by phase) and
+  /// staging local channels in the arena when they must be. Non-null
+  /// `drain` unpacks completions that already arrived between sends.
+  void produce(i64 q, RecvWindow* drain) const {
+    CYCLICK_SPAN("plan_exec.pack", q);
+    const T* local = src_.local(q).data();
+    for (i64 f = 0; f < p_; ++f) {
+      const i64 m = redist_peer_to(q, f, p_);
+      const CommPlan::Channel& ch = plan_.channel(m, q);
+      const bool wire = ends_.sends(m, q);
+      const bool stage = ends_.staged && !ends_.receives(m, q);
+      if (ch.count == 0 || (!wire && !stage)) continue;
+      {
+        CYCLICK_SPAN(ends_.wire != nullptr ? "redist.pipe.pack" : nullptr, q);
+        // Pack straight into the wire payload (or arena) bytes: a
+        // vector<std::byte> heap buffer is max-aligned, so a T view is valid.
+        std::vector<std::byte> payload;
+        std::vector<std::byte>& buf = stage ? plan_.scratch(m, q) : payload;
+        buf.resize(bytes(ch));
+        pack_channel<T>(ch.count, ch.src_start, plan_.src_off.data() + ch.gap_begin, ch.period,
+                        ch.src_advance, ch.src_contig, local, reinterpret_cast<T*>(buf.data()));
+        if (wire)
+          ends_.wire->isend(q, m, stage ? std::vector<std::byte>(buf) : std::move(payload),
+                            nullptr, f);
+      }
+      if (drain != nullptr && drain->cq)
+        while (std::optional<Completion> c = drain->cq->try_wait()) land(q, *drain, *c);
+    }
+  }
+
+  /// Consume: fill receiver m's local channels in schedule order, then
+  /// unpack its wire completions in arrival order until the window drains.
+  void consume(i64 m, RecvWindow* w) const {
+    const bool fused = ends_.wire == nullptr && !ends_.staged;
+    CYCLICK_SPAN(fused ? "plan_exec.fused" : "plan_exec.unpack", m);
+    T* local = dst_.local(m).data();
+    for (i64 f = 0; f < p_; ++f) {
+      const i64 q = redist_peer_from(m, f, p_);
+      const CommPlan::Channel& ch = plan_.channel(m, q);
+      if (ch.count == 0 || ends_.receives(m, q)) continue;
+      CYCLICK_COUNT("commplan.bytes", m, ch.count * static_cast<i64>(sizeof(T)));
+      if (ends_.staged)
+        unpack(ch, reinterpret_cast<const T*>(plan_.scratch(m, q).data()), local);
+      else
+        copy_channel<T>(ch, plan_.src_off.data() + ch.gap_begin,
+                        plan_.dst_off.data() + ch.gap_begin, src_.local(q).data(), local);
+    }
+    if (w == nullptr || !w->cq) return;
+    const i64 timeout = ends_.wire->recv_timeout_ms();
+    while (w->open()) land(m, *w, w->cq->wait(timeout));
+  }
+
+ private:
+  [[nodiscard]] static std::size_t bytes(const CommPlan::Channel& ch) noexcept {
+    return static_cast<std::size_t>(ch.count) * sizeof(T);
+  }
+
+  void unpack(const CommPlan::Channel& ch, const T* in, T* local) const {
+    unpack_channel<T>(ch.count, ch.dst_start, plan_.dst_off.data() + ch.gap_begin, ch.period,
+                      ch.dst_advance, ch.dst_contig, in, local);
+  }
+
+  void post_next(i64 m, RecvWindow& w) const {
+    if (w.posted == w.phases.size()) return;
+    const i64 f = w.phases[w.posted++];
+    if (obs::enabled()) w.posted_ns[static_cast<std::size_t>(f)] = obs::now_ns();
+    ends_.wire->irecv(m, redist_peer_from(m, f, p_), *w.cq, f);
+  }
+
+  /// Unpack one wire completion into receiver m and slide its window.
+  void land(i64 m, RecvWindow& w, const Completion& c) const {
+    const i64 f = c.tag;
+    const i64 q = redist_peer_from(m, f, p_);
+    const CommPlan::Channel& ch = plan_.channel(m, q);
+    if (c.payload.size() != bytes(ch))
+      throw_payload_size_mismatch(q, m, f, c.payload.size(), bytes(ch));
+    CYCLICK_COUNT("commplan.bytes", m, ch.count * static_cast<i64>(sizeof(T)));
+    const i64 post_ns = w.posted_ns[static_cast<std::size_t>(f)];
+    if (post_ns >= 0)
+      obs::TraceSink::global().complete("redist.pipe.inflight", m, post_ns, obs::now_ns());
+    {
+      CYCLICK_SPAN("redist.pipe.unpack", m);
+      unpack(ch, reinterpret_cast<const T*>(c.payload.data()), dst_.local(m).data());
+    }
+    ++w.reaped;
+    post_next(m, w);
+  }
+
+  const CommPlan& plan_;
+  const SrcArr& src_;
+  DstArr& dst_;
+  Endpoints ends_;
+  i64 p_;
+  i64 window_ = 1;
+};
+
+/// Run the exchange for the whole machine, one exec.run phase per stage.
+/// Aliased arrays force the arena-staged local copy; `ends.staged` forces
+/// it too, which is how the redistribution bench and tests compare the
+/// staged and fused shapes of the same plan.
+template <typename SrcArr, typename DstArr>
+void run_machine(const CommPlan& plan, const SrcArr& src, DstArr& dst,
+                 const SpmdExecutor& exec, Endpoints ends) {
+  CYCLICK_REQUIRE(plan.ranks == exec.ranks(), "plan built for a different machine");
+  ends.staged = ends.staged || arrays_alias(src, dst, plan.ranks);
+  const Exchange<SrcArr, DstArr> x(plan, src, dst, ends, std::max<i64>(ends.replica, 0));
+  std::vector<RecvWindow> windows(ends.wire != nullptr ? static_cast<std::size_t>(plan.ranks)
+                                                       : 0);
+  const CancelPosted guard(ends.wire, windows);
+  // One captured reference keeps each std::function in its small buffer,
+  // so the in-process steady state allocates nothing.
+  struct Stages {
+    const Exchange<SrcArr, DstArr>& x;
+    RecvWindow* w;  ///< [rank], null without a wire
+  };
+  const Stages st{x, ends.wire != nullptr ? windows.data() : nullptr};
+  if (st.w != nullptr) exec.run([&st](i64 m) { st.x.post(m, st.w[m]); });
+  if (st.w != nullptr || ends.staged) exec.run([&st](i64 q) { st.x.produce(q, nullptr); });
+  exec.run([&st](i64 m) { st.x.consume(m, st.w != nullptr ? &st.w[m] : nullptr); });
+}
 
 }  // namespace detail
 
-/// Execute a compressed plan: senders pack values straight into the plan's
-/// per-channel byte buffers, then receivers unpack — two barrier-separated
-/// SPMD phases, mirroring a message-passing implementation. Both loops walk
-/// the rotation schedule (phase order), so the traffic pattern matches the
-/// transport-backed paths exactly. Steady-state calls perform no heap
-/// allocations (the arena is reused).
-template <typename SrcArr, typename DstArr>
-void execute_copy_plan_replicated(const CommPlan& plan, const SrcArr& src, DstArr& dst,
-                                  const SpmdExecutor& exec, i64 my_rank,
-                                  Transport& transport);
-
-template <typename SrcArr, typename DstArr>
-void execute_copy_plan_replicated_pipelined(const CommPlan& plan, const SrcArr& src,
-                                            DstArr& dst, const SpmdExecutor& exec,
-                                            i64 my_rank, Transport& transport, i64 window);
-
-template <typename SrcArr, typename DstArr>
-void execute_copy_plan_over(const CommPlan& plan, const SrcArr& src, DstArr& dst,
-                            const SpmdExecutor& exec, Transport& transport);
-
-template <typename SrcArr, typename DstArr>
-void execute_copy_plan_over_pipelined(const CommPlan& plan, const SrcArr& src, DstArr& dst,
-                                      const SpmdExecutor& exec, Transport& transport,
-                                      i64 window);
-
-template <typename SrcArr, typename DstArr>
-void execute_copy_plan_rank_sequential(const CommPlan& plan, const SrcArr& src, DstArr& dst,
-                                       i64 rank, Transport& transport);
-
-template <typename SrcArr, typename DstArr>
-void execute_copy_plan_rank_pipelined(const CommPlan& plan, const SrcArr& src, DstArr& dst,
-                                      i64 rank, Transport& transport, i64 window);
-
-template <typename SrcArr, typename DstArr>
-void execute_copy_plan_sequential(const CommPlan& plan, const SrcArr& src, DstArr& dst,
-                                  const SpmdExecutor& exec);
-
-template <typename SrcArr, typename DstArr>
-void execute_copy_plan_fused(const CommPlan& plan, const SrcArr& src, DstArr& dst,
-                             const SpmdExecutor& exec);
-
+/// Execute a compressed plan on the whole machine, routed to whichever
+/// backend is present: a live ProcessContext whose world matches the plan
+/// (the replicated proc machine: every process runs the full replica, and
+/// the channels touching its own rank cross the real wire, so transport
+/// corruption shows up as a checksum error or a divergent replica), then
+/// an installed TransportProvider (the simulated mesh), else in-process —
+/// where the fused copy needs no arena and no allocation in steady state.
 template <typename SrcArr, typename DstArr>
 void execute_copy_plan(const CommPlan& plan, const SrcArr& src, DstArr& dst,
                        const SpmdExecutor& exec) {
-  using T = detail::local_element_t<DstArr>;
-  static_assert(std::is_trivially_copyable_v<T>, "plans move raw bytes");
-  CYCLICK_REQUIRE(plan.ranks == exec.ranks(), "plan built for a different machine");
-  const i64 window = resolve_redist_window(plan, static_cast<i64>(sizeof(T)));
-  // Inside a launched rank process (--backend=proc), route this rank's
-  // share of the copy over the wire. Plans for machines of a different
-  // size than the process world stay purely local — every rank process
-  // computes them identically, so no exchange is needed.
+  detail::Endpoints ends;
   const ProcessContext& pc = process_context();
   if (pc.active() && plan.ranks == pc.world) {
-    if (window >= 2)
-      execute_copy_plan_replicated_pipelined(plan, src, dst, exec, pc.rank, *pc.transport,
-                                             window);
-    else
-      execute_copy_plan_replicated(plan, src, dst, exec, pc.rank, *pc.transport);
-    return;
+    CYCLICK_REQUIRE(pc.rank >= 0 && pc.rank < plan.ranks, "rank out of range");
+    ends.wire = pc.transport;
+    ends.replica = pc.rank;
+  } else if (TransportProvider* provider = transport_provider(); provider != nullptr) {
+    ends.wire = &provider->transport_for(plan.ranks);
   }
-  // Under the simulation backend every whole-machine plan execution is
-  // replayed over the provided (virtual) transport: identical results,
-  // message-shaped movement, predicted timings as a side effect.
-  if (TransportProvider* provider = transport_provider(); provider != nullptr) {
-    Transport& transport = provider->transport_for(plan.ranks);
-    if (window >= 2)
-      execute_copy_plan_over_pipelined(plan, src, dst, exec, transport, window);
-    else
-      execute_copy_plan_over(plan, src, dst, exec, transport);
-    return;
-  }
-  // In-process: the fused single-pass executor, unless pipelining is
-  // disabled or the copy aliases (same array, shifted sections — the
-  // arena's pack barrier is what makes those correct).
-  if (window >= 2 && !detail::arrays_alias(src, dst, plan.ranks)) {
-    execute_copy_plan_fused(plan, src, dst, exec);
-    return;
-  }
-  execute_copy_plan_sequential(plan, src, dst, exec);
+  detail::run_machine(plan, src, dst, exec, ends);
 }
 
-/// Execute a compressed plan in-process without the arena: every channel
-/// is copied in one pass, sender local -> receiver local, straight through
-/// the joint periodic descriptors (pack's gather and unpack's scatter
-/// share one period and gap table, so the composition is a single
-/// gather/scatter/memcpy per channel). Halves the memory traffic of the
-/// sequential executor — the in-process expression of "overlap": with no
-/// wire to hide, the win is not doing the staging pass at all. Requires
-/// src and dst not to alias; execute_copy_plan checks and falls back.
-template <typename SrcArr, typename DstArr>
-void execute_copy_plan_fused(const CommPlan& plan, const SrcArr& src, DstArr& dst,
-                             const SpmdExecutor& exec) {
-  using T = detail::local_element_t<DstArr>;
-  static_assert(std::is_trivially_copyable_v<T>, "plans move raw bytes");
-  CYCLICK_REQUIRE(plan.ranks == exec.ranks(), "plan built for a different machine");
-  const i64 p = plan.ranks;
-
-  struct Ctx {
-    const CommPlan& plan;
-    const SrcArr& src;
-    DstArr& dst;
-    i64 p;
-  };
-  Ctx ctx{plan, src, dst, p};
-  CYCLICK_COUNT("commplan.execs", 0, 1);
-  CYCLICK_COUNT("redist.execs", 0, 1);
-  CYCLICK_COUNT("redist.fused_execs", 0, 1);
-
-  // One pass: every receiver walks its incoming channels in schedule order
-  // and copies each one directly (sources are read-only here, so receivers
-  // are independent under the threaded executor too).
-  exec.run([&ctx](i64 m) {
-    CYCLICK_SPAN("plan_exec.fused", m);
-    T* local = ctx.dst.local(m).data();
-    for (i64 f = 0; f < ctx.p; ++f) {
-      const i64 q = redist_peer_from(m, f, ctx.p);
-      const CommPlan::Channel& ch = ctx.plan.channel(m, q);
-      if (ch.count == 0) continue;
-      CYCLICK_COUNT("commplan.bytes", m, ch.count * static_cast<i64>(sizeof(T)));
-      const i64* soff = ctx.plan.src_off.data() + ch.gap_begin;
-      const i64* doff = ctx.plan.dst_off.data() + ch.gap_begin;
-      detail::copy_channel<T>(ch, soff, doff, ctx.src.local(q).data(), local);
-    }
-  });
-}
-
-/// The strict two-phase arena executor (pack everything, barrier, unpack
-/// everything) — the PR 8 shape, kept as the aliased-copy fallback and the
-/// CYCLICK_REDIST_WINDOW=0|1 escape hatch, and as the baseline the fused
-/// executor is benchmarked against.
-template <typename SrcArr, typename DstArr>
-void execute_copy_plan_sequential(const CommPlan& plan, const SrcArr& src, DstArr& dst,
-                                  const SpmdExecutor& exec) {
-  using T = detail::local_element_t<DstArr>;
-  static_assert(std::is_trivially_copyable_v<T>, "plans move raw bytes");
-  CYCLICK_REQUIRE(plan.ranks == exec.ranks(), "plan built for a different machine");
-  const i64 p = plan.ranks;
-
-  // Context structs keep the SPMD lambdas at one captured reference so the
-  // std::function wrapper stays within its small-buffer storage (zero
-  // allocations per call in steady state).
-  struct Ctx {
-    const CommPlan& plan;
-    const SrcArr& src;
-    DstArr& dst;
-    i64 p;
-  };
-  Ctx ctx{plan, src, dst, p};
-
-  CYCLICK_COUNT("commplan.execs", 0, 1);
-  CYCLICK_COUNT("redist.execs", 0, 1);
-
-  // Phase 1: every sender q packs, for every receiver m in schedule order,
-  // the requested values out of its own local buffer into the channel's
-  // arena buffer.
-  exec.run([&ctx](i64 q) {
-    CYCLICK_SPAN("plan_exec.pack", q);
-    const T* local = ctx.src.local(q).data();
-    for (i64 f = 0; f < ctx.p; ++f) {
-      const i64 m = redist_peer_to(q, f, ctx.p);
-      const CommPlan::Channel& ch = ctx.plan.channel(m, q);
-      if (ch.count == 0) continue;
-      std::vector<std::byte>& buf = ctx.plan.scratch(m, q);
-      buf.resize(static_cast<std::size_t>(ch.count) * sizeof(T));
-      detail::pack_channel<T>(ch.count, ch.src_start,
-                              ctx.plan.src_off.data() + ch.gap_begin, ch.period,
-                              ch.src_advance, ch.src_contig, local,
-                              reinterpret_cast<T*>(buf.data()));
-    }
-  });
-
-  // Phase 2: every receiver m unpacks in schedule order into its own local
-  // buffer. The byte counter attributes channel payloads to the receiving
-  // rank, so `--metrics` reports plan traffic even on this transport-less
-  // path.
-  exec.run([&ctx](i64 m) {
-    CYCLICK_SPAN("plan_exec.unpack", m);
-    T* local = ctx.dst.local(m).data();
-    for (i64 f = 0; f < ctx.p; ++f) {
-      const i64 q = redist_peer_from(m, f, ctx.p);
-      const CommPlan::Channel& ch = ctx.plan.channel(m, q);
-      if (ch.count == 0) continue;
-      CYCLICK_COUNT("commplan.bytes", m, ch.count * static_cast<i64>(sizeof(T)));
-      const std::vector<std::byte>& buf = ctx.plan.scratch(m, q);
-      detail::unpack_channel<T>(ch.count, ch.dst_start,
-                                ctx.plan.dst_off.data() + ch.gap_begin, ch.period,
-                                ch.dst_advance, ch.dst_contig,
-                                reinterpret_cast<const T*>(buf.data()), local);
-    }
-  });
-}
-
-/// Execute a compressed plan with the data movement routed through a
-/// Transport: every remote channel becomes one message whose payload is
-/// packed *directly* in wire format (no intermediate value vector); the
-/// self channel stages through the plan arena so the pack phase completes
-/// before any destination write (alias safety). Senders post messages in
-/// rotation-phase order — sender q's f-th departure targets (q + f) mod p —
-/// so arrivals at each receiver spread across distinct departure slots
-/// instead of piling up (the incast the naive order produces). Identical
-/// results to execute_copy_plan; only the movement mechanism differs —
-/// this is the entry point an MPI port would rebind.
+/// Execute a compressed plan on the whole machine with every remote
+/// channel carried as one message over `transport` — the entry point an
+/// MPI port would rebind. Identical results to execute_copy_plan.
 template <typename SrcArr, typename DstArr>
 void execute_copy_plan_over(const CommPlan& plan, const SrcArr& src, DstArr& dst,
                             const SpmdExecutor& exec, Transport& transport) {
-  using T = detail::local_element_t<DstArr>;
-  static_assert(std::is_trivially_copyable_v<T>, "transport carries raw bytes");
-  CYCLICK_REQUIRE(plan.ranks == exec.ranks(), "plan built for a different machine");
-  CYCLICK_REQUIRE(transport.ranks() == exec.ranks(), "transport/executor rank mismatch");
-  const i64 p = plan.ranks;
-
-  struct Ctx {
-    const CommPlan& plan;
-    const SrcArr& src;
-    DstArr& dst;
-    Transport& transport;
-    i64 p;
-  };
-  Ctx ctx{plan, src, dst, transport, p};
-  CYCLICK_COUNT("commplan.execs", 0, 1);
-  CYCLICK_COUNT("redist.execs", 0, 1);
-
-  // Phase 1: senders pack per-receiver messages straight into transport
-  // payloads and post them in schedule order (one message per nonempty
-  // remote channel).
-  exec.run([&ctx](i64 q) {
-    CYCLICK_SPAN("plan_exec.pack", q);
-    const T* local = ctx.src.local(q).data();
-    for (i64 f = 0; f < ctx.p; ++f) {
-      const i64 m = redist_peer_to(q, f, ctx.p);
-      const CommPlan::Channel& ch = ctx.plan.channel(m, q);
-      if (ch.count == 0) continue;
-      const i64* off = ctx.plan.src_off.data() + ch.gap_begin;
-      if (m == q) {
-        std::vector<std::byte>& buf = ctx.plan.scratch(m, q);
-        buf.resize(static_cast<std::size_t>(ch.count) * sizeof(T));
-        detail::pack_channel<T>(ch.count, ch.src_start, off, ch.period, ch.src_advance,
-                                ch.src_contig, local, reinterpret_cast<T*>(buf.data()));
-        continue;
-      }
-      send_packed<T>(ctx.transport, q, m, ch.count, [&](std::span<T> out) {
-        detail::pack_channel<T>(ch.count, ch.src_start, off, ch.period, ch.src_advance,
-                                ch.src_contig, local, out.data());
-      });
-    }
-  });
-
-  // Phase 2: receivers drain their channels in schedule order and store;
-  // the self channel comes out of the arena at phase 0.
-  exec.run([&ctx](i64 m) {
-    CYCLICK_SPAN("plan_exec.unpack", m);
-    T* local = ctx.dst.local(m).data();
-    for (i64 f = 0; f < ctx.p; ++f) {
-      const i64 q = redist_peer_from(m, f, ctx.p);
-      const CommPlan::Channel& ch = ctx.plan.channel(m, q);
-      if (ch.count == 0) continue;
-      CYCLICK_COUNT("commplan.bytes", m, ch.count * static_cast<i64>(sizeof(T)));
-      const i64* off = ctx.plan.dst_off.data() + ch.gap_begin;
-      if (q == m) {
-        const std::vector<std::byte>& buf = ctx.plan.scratch(m, q);
-        detail::unpack_channel<T>(ch.count, ch.dst_start, off, ch.period, ch.dst_advance,
-                                  ch.dst_contig, reinterpret_cast<const T*>(buf.data()),
-                                  local);
-        continue;
-      }
-      const std::vector<std::byte> payload = ctx.transport.recv(m, q);
-      CYCLICK_ASSERT(payload.size() == static_cast<std::size_t>(ch.count) * sizeof(T));
-      detail::unpack_channel<T>(ch.count, ch.dst_start, off, ch.period, ch.dst_advance,
-                                ch.dst_contig, reinterpret_cast<const T*>(payload.data()),
-                                local);
-    }
-  });
-}
-
-/// The pipelined whole-machine transport executor: identical traffic and
-/// results to execute_copy_plan_over, but every rank pre-posts a window of
-/// receives on its own CompletionQueue *before* the pack phase, then
-/// unpacks completions as they arrive (possibly out of phase order —
-/// payloads carry their phase as the completion tag) while keeping the
-/// window full. On the sim backend waiting on the queue advances the
-/// virtual clock; on real backends the reader threads complete receives
-/// while other ranks are still packing.
-template <typename SrcArr, typename DstArr>
-void execute_copy_plan_over_pipelined(const CommPlan& plan, const SrcArr& src, DstArr& dst,
-                                      const SpmdExecutor& exec, Transport& transport,
-                                      i64 window) {
-  using T = detail::local_element_t<DstArr>;
-  static_assert(std::is_trivially_copyable_v<T>, "transport carries raw bytes");
-  CYCLICK_REQUIRE(plan.ranks == exec.ranks(), "plan built for a different machine");
-  CYCLICK_REQUIRE(transport.ranks() == exec.ranks(), "transport/executor rank mismatch");
-  CYCLICK_REQUIRE(window >= 1, "pipeline window must be positive");
-  const i64 p = plan.ranks;
-
-  // Per-rank pipeline state: the completion queue, the incoming remote
-  // phase list in schedule order, and (telemetry) per-phase post times for
-  // the in-flight trace intervals.
-  struct RankPipe {
-    std::unique_ptr<CompletionQueue> cq;
-    std::vector<i64> in_phases;
-    std::vector<i64> posted_ns;  ///< [phase] -> post time (-1 untracked)
-    std::size_t next = 0;        ///< next in_phases index to post
-  };
-
-  struct Ctx {
-    const CommPlan& plan;
-    const SrcArr& src;
-    DstArr& dst;
-    Transport& transport;
-    i64 p;
-    i64 window;
-    std::vector<RankPipe>& pipes;
-
-    void post_next(i64 m) {
-      RankPipe& rp = pipes[static_cast<std::size_t>(m)];
-      if (rp.next >= rp.in_phases.size()) return;
-      const i64 f = rp.in_phases[rp.next++];
-      if (obs::enabled()) rp.posted_ns[static_cast<std::size_t>(f)] = obs::now_ns();
-      transport.irecv(m, redist_peer_from(m, f, p), *rp.cq, f);
-    }
-  };
-  std::vector<RankPipe> pipes(static_cast<std::size_t>(p));
-  Ctx ctx{plan, src, dst, transport, p, window, pipes};
-  CYCLICK_COUNT("commplan.execs", 0, 1);
-  CYCLICK_COUNT("redist.execs", 0, 1);
-  CYCLICK_COUNT("redist.pipelined_execs", 0, 1);
-
-  // A throwing phase (deadline expiry, failed channel) must withdraw
-  // whatever is still posted before the queues leave scope.
-  struct Guard {
-    Transport& transport;
-    std::vector<RankPipe>& pipes;
-    bool armed = true;
-    ~Guard() {
-      if (!armed) return;
-      for (RankPipe& rp : pipes)
-        if (rp.cq) transport.cancel_posted(*rp.cq);
-    }
-  } guard{transport, pipes};
-
-  // Phase A: every receiver enumerates its incoming remote phases and
-  // pre-posts the first W receives.
-  exec.run([&ctx](i64 m) {
-    RankPipe& rp = ctx.pipes[static_cast<std::size_t>(m)];
-    for (i64 f = 1; f < ctx.p; ++f) {
-      const i64 q = redist_peer_from(m, f, ctx.p);
-      if (q != m && ctx.plan.channel(m, q).count > 0) rp.in_phases.push_back(f);
-    }
-    if (rp.in_phases.empty()) return;
-    rp.cq = std::make_unique<CompletionQueue>(ctx.window);
-    rp.posted_ns.assign(static_cast<std::size_t>(ctx.p), -1);
-    const std::size_t first =
-        std::min<std::size_t>(static_cast<std::size_t>(ctx.window), rp.in_phases.size());
-    for (std::size_t i = 0; i < first; ++i) ctx.post_next(m);
-  });
-
-  // Phase B: pack + post sends in schedule order (identical to the
-  // sequential transport executor; the self channel stages through the
-  // arena).
-  exec.run([&ctx](i64 q) {
-    CYCLICK_SPAN("plan_exec.pack", q);
-    const T* local = ctx.src.local(q).data();
-    for (i64 f = 0; f < ctx.p; ++f) {
-      const i64 m = redist_peer_to(q, f, ctx.p);
-      const CommPlan::Channel& ch = ctx.plan.channel(m, q);
-      if (ch.count == 0) continue;
-      const i64* off = ctx.plan.src_off.data() + ch.gap_begin;
-      detail::PipeSpan span("redist.pipe.pack", q);
-      if (m == q) {
-        std::vector<std::byte>& buf = ctx.plan.scratch(m, q);
-        buf.resize(static_cast<std::size_t>(ch.count) * sizeof(T));
-        detail::pack_channel<T>(ch.count, ch.src_start, off, ch.period, ch.src_advance,
-                                ch.src_contig, local, reinterpret_cast<T*>(buf.data()));
-        continue;
-      }
-      std::vector<std::byte> payload(static_cast<std::size_t>(ch.count) * sizeof(T));
-      detail::pack_channel<T>(ch.count, ch.src_start, off, ch.period, ch.src_advance,
-                              ch.src_contig, local, reinterpret_cast<T*>(payload.data()));
-      ctx.transport.isend(q, m, std::move(payload), nullptr, f);
-    }
-  });
-
-  // Phase C: reap completions as they arrive, unpack, and keep the window
-  // full; the self channel comes out of the arena first (schedule phase 0).
-  exec.run([&ctx](i64 m) {
-    CYCLICK_SPAN("plan_exec.unpack", m);
-    T* local = ctx.dst.local(m).data();
-    const CommPlan::Channel& self = ctx.plan.channel(m, m);
-    if (self.count > 0) {
-      CYCLICK_COUNT("commplan.bytes", m, self.count * static_cast<i64>(sizeof(T)));
-      const std::vector<std::byte>& buf = ctx.plan.scratch(m, m);
-      detail::unpack_channel<T>(self.count, self.dst_start,
-                                ctx.plan.dst_off.data() + self.gap_begin, self.period,
-                                self.dst_advance, self.dst_contig,
-                                reinterpret_cast<const T*>(buf.data()), local);
-    }
-    RankPipe& rp = ctx.pipes[static_cast<std::size_t>(m)];
-    if (!rp.cq) return;
-    const i64 timeout = ctx.transport.recv_timeout_ms();
-    for (std::size_t reaped = 0; reaped < rp.in_phases.size(); ++reaped) {
-      Completion c = rp.cq->wait(timeout);
-      const i64 f = c.tag;
-      const i64 q = redist_peer_from(m, f, ctx.p);
-      const CommPlan::Channel& ch = ctx.plan.channel(m, q);
-      CYCLICK_REQUIRE(c.payload.size() == static_cast<std::size_t>(ch.count) * sizeof(T),
-                      "received payload size disagrees with the plan");
-      CYCLICK_COUNT("commplan.bytes", m, ch.count * static_cast<i64>(sizeof(T)));
-      const i64 post_ns = rp.posted_ns[static_cast<std::size_t>(f)];
-      if (post_ns >= 0)
-        obs::TraceSink::global().complete("redist.pipe.inflight", m, post_ns,
-                                          obs::now_ns());
-      detail::PipeSpan span("redist.pipe.unpack", m);
-      detail::unpack_channel<T>(ch.count, ch.dst_start,
-                                ctx.plan.dst_off.data() + ch.gap_begin, ch.period,
-                                ch.dst_advance, ch.dst_contig,
-                                reinterpret_cast<const T*>(c.payload.data()), local);
-      span.close();
-      ctx.post_next(m);
-    }
-  });
-  guard.armed = false;  // everything reaped; nothing left to withdraw
+  detail::run_machine(plan, src, dst, exec, {.wire = &transport});
 }
 
 /// Execute exactly one rank's share of a plan — the genuinely distributed
-/// entry point, where the calling process *is* rank `rank` of a
-/// multi-process machine and `transport` is its endpoint. Dispatches to
-/// the sliding-window pipelined body unless CYCLICK_REDIST_WINDOW forces
-/// the sequential shape or this rank's src/dst locals alias.
+/// entry point, where the calling process *is* rank `rank` and
+/// `transport` is its endpoint. Only src.local(rank) is read and
+/// dst.local(rank) written; every remote destination element comes from
+/// received wire bytes. The stages run back to back: sends never block,
+/// so the protocol is deadlock-free regardless of peer pacing, and
+/// completions that land while this rank is still sending are unpacked
+/// between sends unless the locals alias.
 template <typename SrcArr, typename DstArr>
 void execute_copy_plan_rank(const CommPlan& plan, const SrcArr& src, DstArr& dst, i64 rank,
                             Transport& transport) {
-  using T = detail::local_element_t<DstArr>;
-  const i64 window = resolve_redist_window(plan, static_cast<i64>(sizeof(T)));
-  if (window >= 2 && !detail::rank_locals_alias(src, dst, rank)) {
-    execute_copy_plan_rank_pipelined(plan, src, dst, rank, transport, window);
-    return;
-  }
-  execute_copy_plan_rank_sequential(plan, src, dst, rank, transport);
-}
-
-/// The strict two-phase rank executor: packs and posts this rank's
-/// outgoing channels in rotation-phase order, then blocks on its incoming
-/// ones in the matching order; every remote destination element is filled
-/// exclusively from received wire bytes (never recomputed locally), and
-/// only src.local(rank) is read / dst.local(rank) written. All sends
-/// complete before the first receive, so the protocol is deadlock-free
-/// regardless of peer pacing (sends never block; the socket backend
-/// buffers them), and all source reads finish before any destination
-/// write (alias safety).
-template <typename SrcArr, typename DstArr>
-void execute_copy_plan_rank_sequential(const CommPlan& plan, const SrcArr& src, DstArr& dst,
-                                       i64 rank, Transport& transport) {
-  using T = detail::local_element_t<DstArr>;
-  static_assert(std::is_trivially_copyable_v<T>, "transport carries raw bytes");
-  CYCLICK_REQUIRE(transport.ranks() == plan.ranks, "transport/plan rank mismatch");
   CYCLICK_REQUIRE(rank >= 0 && rank < plan.ranks, "rank out of range");
-  const i64 p = plan.ranks;
-  CYCLICK_COUNT("commplan.execs", rank, 1);
-  CYCLICK_COUNT("redist.execs", rank, 1);
-
-  {
-    CYCLICK_SPAN("plan_exec.pack", rank);
-    const T* local = src.local(rank).data();
-    for (i64 f = 0; f < p; ++f) {
-      const i64 m = redist_peer_to(rank, f, p);
-      const CommPlan::Channel& ch = plan.channel(m, rank);
-      if (ch.count == 0) continue;
-      const i64* off = plan.src_off.data() + ch.gap_begin;
-      if (m == rank) {
-        // Self channel stages through the arena so every read of the
-        // (possibly aliased) source completes before any write below.
-        std::vector<std::byte>& buf = plan.scratch(m, rank);
-        buf.resize(static_cast<std::size_t>(ch.count) * sizeof(T));
-        detail::pack_channel<T>(ch.count, ch.src_start, off, ch.period, ch.src_advance,
-                                ch.src_contig, local, reinterpret_cast<T*>(buf.data()));
-        continue;
-      }
-      send_packed<T>(transport, rank, m, ch.count, [&](std::span<T> out) {
-        detail::pack_channel<T>(ch.count, ch.src_start, off, ch.period, ch.src_advance,
-                                ch.src_contig, local, out.data());
-      });
-    }
-  }
-
-  {
-    CYCLICK_SPAN("plan_exec.unpack", rank);
-    T* local = dst.local(rank).data();
-    for (i64 f = 0; f < p; ++f) {
-      const i64 q = redist_peer_from(rank, f, p);
-      const CommPlan::Channel& ch = plan.channel(rank, q);
-      if (ch.count == 0) continue;
-      CYCLICK_COUNT("commplan.bytes", rank, ch.count * static_cast<i64>(sizeof(T)));
-      const i64* off = plan.dst_off.data() + ch.gap_begin;
-      const std::vector<std::byte>* bytes;
-      std::vector<std::byte> payload;
-      if (q == rank) {
-        bytes = &plan.scratch(rank, q);
-      } else {
-        payload = transport.recv(rank, q);
-        CYCLICK_REQUIRE(payload.size() == static_cast<std::size_t>(ch.count) * sizeof(T),
-                        "received payload size disagrees with the plan");
-        bytes = &payload;
-      }
-      detail::unpack_channel<T>(ch.count, ch.dst_start, off, ch.period, ch.dst_advance,
-                                ch.dst_contig, reinterpret_cast<const T*>(bytes->data()),
-                                local);
-    }
-  }
-}
-
-/// The sliding-window rank executor: receives are pre-posted `window`
-/// phases ahead on a CompletionQueue, sends go out nonblocking in schedule
-/// order with opportunistic unpacking between pack phases, and the tail is
-/// drained by completion arrival (out of phase order is fine — completions
-/// carry their phase as the tag). The dispatcher guarantees src/dst locals
-/// do not alias, so the self channel copies directly (no arena round trip)
-/// and remote unpacks may interleave with remaining packs.
-template <typename SrcArr, typename DstArr>
-void execute_copy_plan_rank_pipelined(const CommPlan& plan, const SrcArr& src, DstArr& dst,
-                                      i64 rank, Transport& transport, i64 window) {
-  using T = detail::local_element_t<DstArr>;
-  static_assert(std::is_trivially_copyable_v<T>, "transport carries raw bytes");
-  CYCLICK_REQUIRE(transport.ranks() == plan.ranks, "transport/plan rank mismatch");
-  CYCLICK_REQUIRE(rank >= 0 && rank < plan.ranks, "rank out of range");
-  CYCLICK_REQUIRE(window >= 1, "pipeline window must be positive");
-  const i64 p = plan.ranks;
-  CYCLICK_COUNT("commplan.execs", rank, 1);
-  CYCLICK_COUNT("redist.execs", rank, 1);
-  CYCLICK_COUNT("redist.pipelined_execs", rank, 1);
-
-  // Incoming remote phases in schedule order.
-  std::vector<i64> in_phases;
-  for (i64 f = 1; f < p; ++f) {
-    const i64 q = redist_peer_from(rank, f, p);
-    if (q != rank && plan.channel(rank, q).count > 0) in_phases.push_back(f);
-  }
-
-  CompletionQueue cq(window);
-  detail::PostedCancelGuard guard{transport, in_phases.empty() ? nullptr : &cq};
-  std::vector<i64> posted_ns(static_cast<std::size_t>(p), -1);
-  std::size_t next = 0;
-  std::size_t reaped = 0;
-  T* dlocal = dst.local(rank).data();
-
-  const auto post_next = [&] {
-    if (next >= in_phases.size()) return;
-    const i64 f = in_phases[next++];
-    if (obs::enabled()) posted_ns[static_cast<std::size_t>(f)] = obs::now_ns();
-    transport.irecv(rank, redist_peer_from(rank, f, p), cq, f);
-  };
-  const auto consume = [&](Completion c) {
-    const i64 f = c.tag;
-    const i64 q = redist_peer_from(rank, f, p);
-    const CommPlan::Channel& ch = plan.channel(rank, q);
-    CYCLICK_REQUIRE(c.payload.size() == static_cast<std::size_t>(ch.count) * sizeof(T),
-                    "received payload size disagrees with the plan");
-    CYCLICK_COUNT("commplan.bytes", rank, ch.count * static_cast<i64>(sizeof(T)));
-    const i64 post_ns = posted_ns[static_cast<std::size_t>(f)];
-    if (post_ns >= 0)
-      obs::TraceSink::global().complete("redist.pipe.inflight", rank, post_ns,
-                                        obs::now_ns());
-    detail::PipeSpan span("redist.pipe.unpack", rank);
-    detail::unpack_channel<T>(ch.count, ch.dst_start, plan.dst_off.data() + ch.gap_begin,
-                              ch.period, ch.dst_advance, ch.dst_contig,
-                              reinterpret_cast<const T*>(c.payload.data()), dlocal);
-    span.close();
-    ++reaped;
-    post_next();
-  };
-
-  // Pre-post the first W receives before any packing so arrivals can land
-  // (and on the socket backend, be reaped by the reader thread) while this
-  // rank is still producing its own outgoing payloads.
-  const std::size_t first =
-      std::min<std::size_t>(static_cast<std::size_t>(window), in_phases.size());
-  for (std::size_t i = 0; i < first; ++i) post_next();
-
-  {
-    CYCLICK_SPAN("plan_exec.pack", rank);
-    const T* local = src.local(rank).data();
-    for (i64 f = 0; f < p; ++f) {
-      const i64 m = redist_peer_to(rank, f, p);
-      const CommPlan::Channel& ch = plan.channel(m, rank);
-      if (ch.count == 0) continue;
-      const i64* soff = plan.src_off.data() + ch.gap_begin;
-      detail::PipeSpan span("redist.pipe.pack", rank);
-      if (m == rank) {
-        // Dispatch guarantees no aliasing, so the self channel copies
-        // straight across — the fused form, no arena staging.
-        CYCLICK_COUNT("commplan.bytes", rank, ch.count * static_cast<i64>(sizeof(T)));
-        detail::copy_channel<T>(ch, soff, plan.dst_off.data() + ch.gap_begin, local,
-                                dlocal);
-      } else {
-        std::vector<std::byte> payload(static_cast<std::size_t>(ch.count) * sizeof(T));
-        detail::pack_channel<T>(ch.count, ch.src_start, soff, ch.period, ch.src_advance,
-                                ch.src_contig, local,
-                                reinterpret_cast<T*>(payload.data()));
-        transport.isend(rank, m, std::move(payload), nullptr, f);
-      }
-      span.close();
-      // Opportunistic drain: unpack whatever has already arrived so the
-      // tail wait after the pack loop starts as short as possible.
-      while (std::optional<Completion> c = cq.try_wait()) consume(std::move(*c));
-    }
-  }
-
-  {
-    CYCLICK_SPAN("plan_exec.unpack", rank);
-    const i64 timeout = transport.recv_timeout_ms();
-    while (reaped < in_phases.size()) consume(cq.wait(timeout));
-  }
-  guard.cq = nullptr;  // everything reaped; nothing left to withdraw
-}
-
-/// Replicated-machine exchange: the shape `--backend=proc` runs. Every
-/// rank process executes the whole program against a full replica of the
-/// arrays (so plans, statistics and control flow stay byte-identical to
-/// the single-process run), but channels that touch *this* process's rank
-/// still cross the real wire: its outgoing channels are sent, and its
-/// incoming remote channels are unpacked from the received bytes instead
-/// of the locally packed ones. Transport corruption therefore shows up as
-/// a checksum TransportError or a divergent replica — never silently.
-/// Wire traffic is posted and drained in rotation-phase order, matching
-/// the other transport-backed executors.
-template <typename SrcArr, typename DstArr>
-void execute_copy_plan_replicated(const CommPlan& plan, const SrcArr& src, DstArr& dst,
-                                  const SpmdExecutor& exec, i64 my_rank,
-                                  Transport& transport) {
-  using T = detail::local_element_t<DstArr>;
-  static_assert(std::is_trivially_copyable_v<T>, "transport carries raw bytes");
-  CYCLICK_REQUIRE(plan.ranks == exec.ranks(), "plan built for a different machine");
-  CYCLICK_REQUIRE(transport.ranks() == plan.ranks, "transport/plan rank mismatch");
-  CYCLICK_REQUIRE(my_rank >= 0 && my_rank < plan.ranks, "rank out of range");
-  const i64 p = plan.ranks;
-
-  struct Ctx {
-    const CommPlan& plan;
-    const SrcArr& src;
-    DstArr& dst;
-    Transport& transport;
-    i64 p;
-    i64 my_rank;
-  };
-  Ctx ctx{plan, src, dst, transport, p, my_rank};
-  CYCLICK_COUNT("commplan.execs", my_rank, 1);
-  CYCLICK_COUNT("redist.execs", my_rank, 1);
-
-  // Phase 1: pack every channel into the arena (the replica needs them
-  // all); additionally post this process's outgoing remote channels in
-  // schedule order.
-  exec.run([&ctx](i64 q) {
-    CYCLICK_SPAN("plan_exec.pack", q);
-    const T* local = ctx.src.local(q).data();
-    for (i64 f = 0; f < ctx.p; ++f) {
-      const i64 m = redist_peer_to(q, f, ctx.p);
-      const CommPlan::Channel& ch = ctx.plan.channel(m, q);
-      if (ch.count == 0) continue;
-      std::vector<std::byte>& buf = ctx.plan.scratch(m, q);
-      buf.resize(static_cast<std::size_t>(ch.count) * sizeof(T));
-      detail::pack_channel<T>(ch.count, ch.src_start,
-                              ctx.plan.src_off.data() + ch.gap_begin, ch.period,
-                              ch.src_advance, ch.src_contig, local,
-                              reinterpret_cast<T*>(buf.data()));
-      if (q == ctx.my_rank && m != q) ctx.transport.send(q, m, buf);  // copies buf
-    }
-  });
-
-  // Phase 2: unpack every channel in schedule order; the ones arriving at
-  // this process's rank from remote senders use the wire bytes.
-  exec.run([&ctx](i64 m) {
-    CYCLICK_SPAN("plan_exec.unpack", m);
-    T* local = ctx.dst.local(m).data();
-    for (i64 f = 0; f < ctx.p; ++f) {
-      const i64 q = redist_peer_from(m, f, ctx.p);
-      const CommPlan::Channel& ch = ctx.plan.channel(m, q);
-      if (ch.count == 0) continue;
-      CYCLICK_COUNT("commplan.bytes", m, ch.count * static_cast<i64>(sizeof(T)));
-      const i64* off = ctx.plan.dst_off.data() + ch.gap_begin;
-      const std::vector<std::byte>* bytes = &ctx.plan.scratch(m, q);
-      std::vector<std::byte> payload;
-      if (m == ctx.my_rank && q != m) {
-        payload = ctx.transport.recv(m, q);
-        CYCLICK_REQUIRE(payload.size() == static_cast<std::size_t>(ch.count) * sizeof(T),
-                        "received payload size disagrees with the plan");
-        bytes = &payload;
-      }
-      detail::unpack_channel<T>(ch.count, ch.dst_start, off, ch.period, ch.dst_advance,
-                                ch.dst_contig, reinterpret_cast<const T*>(bytes->data()),
-                                local);
-    }
-  });
-}
-
-/// The pipelined replicated exchange: identical replica semantics and wire
-/// traffic to execute_copy_plan_replicated, but this process pre-posts a
-/// window of its incoming receives *before* the pack phase, so the socket
-/// backend's reader thread completes them while the replica is still
-/// packing — genuine pack/in-flight overlap across processes. Arrivals may
-/// complete out of phase order; the unpack phase stashes them and consumes
-/// in schedule order (replica determinism requires the schedule walk).
-template <typename SrcArr, typename DstArr>
-void execute_copy_plan_replicated_pipelined(const CommPlan& plan, const SrcArr& src,
-                                            DstArr& dst, const SpmdExecutor& exec,
-                                            i64 my_rank, Transport& transport, i64 window) {
-  using T = detail::local_element_t<DstArr>;
-  static_assert(std::is_trivially_copyable_v<T>, "transport carries raw bytes");
-  CYCLICK_REQUIRE(plan.ranks == exec.ranks(), "plan built for a different machine");
-  CYCLICK_REQUIRE(transport.ranks() == plan.ranks, "transport/plan rank mismatch");
-  CYCLICK_REQUIRE(my_rank >= 0 && my_rank < plan.ranks, "rank out of range");
-  CYCLICK_REQUIRE(window >= 1, "pipeline window must be positive");
-  const i64 p = plan.ranks;
-
-  struct Ctx {
-    const CommPlan& plan;
-    const SrcArr& src;
-    DstArr& dst;
-    Transport& transport;
-    i64 p;
-    i64 my_rank;
-    CompletionQueue& cq;
-    std::vector<i64>& in_phases;
-    std::vector<i64>& posted_ns;
-    std::size_t next = 0;
-    std::vector<std::vector<std::byte>> arrived;  ///< [phase] stashed payloads
-    std::vector<char> have;                       ///< [phase] arrival flags
-
-    void post_next() {
-      if (next >= in_phases.size()) return;
-      const i64 f = in_phases[next++];
-      if (obs::enabled()) posted_ns[static_cast<std::size_t>(f)] = obs::now_ns();
-      transport.irecv(my_rank, redist_peer_from(my_rank, f, p), cq, f);
-    }
-  };
-
-  // This process's incoming remote phases, in schedule order.
-  std::vector<i64> in_phases;
-  for (i64 f = 1; f < p; ++f) {
-    const i64 q = redist_peer_from(my_rank, f, p);
-    if (q != my_rank && plan.channel(my_rank, q).count > 0) in_phases.push_back(f);
-  }
-  CompletionQueue cq(window);
-  detail::PostedCancelGuard guard{transport, in_phases.empty() ? nullptr : &cq};
-  std::vector<i64> posted_ns(static_cast<std::size_t>(p), -1);
-  Ctx ctx{plan, src, dst, transport, p, my_rank, cq, in_phases, posted_ns, 0, {}, {}};
-  ctx.arrived.resize(static_cast<std::size_t>(p));
-  ctx.have.assign(static_cast<std::size_t>(p), 0);
-  CYCLICK_COUNT("commplan.execs", my_rank, 1);
-  CYCLICK_COUNT("redist.execs", my_rank, 1);
-  CYCLICK_COUNT("redist.pipelined_execs", my_rank, 1);
-
-  // Pre-post the first W receives before the pack phase begins: the reader
-  // thread lands remote payloads into the queue while this replica packs.
-  const std::size_t first =
-      std::min<std::size_t>(static_cast<std::size_t>(window), in_phases.size());
-  for (std::size_t i = 0; i < first; ++i) ctx.post_next();
-
-  // Phase 1: pack every channel into the arena (the replica needs them
-  // all); post this process's outgoing remote channels nonblocking in
-  // schedule order.
-  exec.run([&ctx](i64 q) {
-    CYCLICK_SPAN("plan_exec.pack", q);
-    const T* local = ctx.src.local(q).data();
-    for (i64 f = 0; f < ctx.p; ++f) {
-      const i64 m = redist_peer_to(q, f, ctx.p);
-      const CommPlan::Channel& ch = ctx.plan.channel(m, q);
-      if (ch.count == 0) continue;
-      detail::PipeSpan span("redist.pipe.pack", q);
-      std::vector<std::byte>& buf = ctx.plan.scratch(m, q);
-      buf.resize(static_cast<std::size_t>(ch.count) * sizeof(T));
-      detail::pack_channel<T>(ch.count, ch.src_start,
-                              ctx.plan.src_off.data() + ch.gap_begin, ch.period,
-                              ch.src_advance, ch.src_contig, local,
-                              reinterpret_cast<T*>(buf.data()));
-      if (q == ctx.my_rank && m != q)
-        ctx.transport.isend(q, m, std::vector<std::byte>(buf), nullptr, f);
-    }
-  });
-
-  // Phase 2: unpack every channel in schedule order; channels arriving at
-  // this process's rank block on the completion queue the first time their
-  // phase has not landed yet (later arrivals were stashed).
-  exec.run([&ctx](i64 m) {
-    CYCLICK_SPAN("plan_exec.unpack", m);
-    T* local = ctx.dst.local(m).data();
-    for (i64 f = 0; f < ctx.p; ++f) {
-      const i64 q = redist_peer_from(m, f, ctx.p);
-      const CommPlan::Channel& ch = ctx.plan.channel(m, q);
-      if (ch.count == 0) continue;
-      CYCLICK_COUNT("commplan.bytes", m, ch.count * static_cast<i64>(sizeof(T)));
-      const i64* off = ctx.plan.dst_off.data() + ch.gap_begin;
-      const std::vector<std::byte>* bytes = &ctx.plan.scratch(m, q);
-      if (m == ctx.my_rank && q != m) {
-        while (!ctx.have[static_cast<std::size_t>(f)]) {
-          Completion c = ctx.cq.wait(ctx.transport.recv_timeout_ms());
-          const i64 g = c.tag;
-          const i64 post_ns = ctx.posted_ns[static_cast<std::size_t>(g)];
-          if (post_ns >= 0)
-            obs::TraceSink::global().complete("redist.pipe.inflight", m, post_ns,
-                                              obs::now_ns());
-          ctx.arrived[static_cast<std::size_t>(g)] = std::move(c.payload);
-          ctx.have[static_cast<std::size_t>(g)] = 1;
-          ctx.post_next();
-        }
-        const std::vector<std::byte>& payload = ctx.arrived[static_cast<std::size_t>(f)];
-        CYCLICK_REQUIRE(payload.size() == static_cast<std::size_t>(ch.count) * sizeof(T),
-                        "received payload size disagrees with the plan");
-        bytes = &payload;
-      }
-      detail::PipeSpan span("redist.pipe.unpack", m);
-      detail::unpack_channel<T>(ch.count, ch.dst_start, off, ch.period, ch.dst_advance,
-                                ch.dst_contig, reinterpret_cast<const T*>(bytes->data()),
-                                local);
-    }
-  });
-  guard.cq = nullptr;  // everything reaped; nothing left to withdraw
+  const bool aliased = detail::rank_locals_alias(src, dst, rank);
+  const detail::Exchange<SrcArr, DstArr> x(plan, src, dst,
+                                           {.wire = &transport, .staged = aliased}, rank);
+  detail::RecvWindow w;
+  const detail::CancelPosted guard(&transport, {&w, 1});
+  x.post(rank, w);
+  x.produce(rank, aliased ? nullptr : &w);
+  x.consume(rank, &w);
 }
 
 /// Execute a scheduled plan (records redist.* schedule telemetry on top of

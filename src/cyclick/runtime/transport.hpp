@@ -153,41 +153,40 @@ class CompletionQueue {
   }
 
   /// Transport side: deliver a successful completion for `op`. A no-op if
-  /// the operation was cancelled in the meantime.
+  /// the operation was cancelled in the meantime. Notifies while still
+  /// holding the lock: once it is released the consumer may reap this
+  /// completion and destroy the queue, condition variable included.
   void complete(u64 op, std::vector<std::byte> payload = {}) {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      const auto it = pending_.find(op);
-      if (it == pending_.end()) return;
-      Completion c;
-      c.kind = it->second.kind;
-      c.from = it->second.from;
-      c.to = it->second.to;
-      c.tag = it->second.tag;
-      c.payload = std::move(payload);
-      pending_.erase(it);
-      done_.push_back(std::move(c));
-    }
+    const std::lock_guard<std::mutex> lock(mu_);
+    const auto it = pending_.find(op);
+    if (it == pending_.end()) return;
+    Completion c;
+    c.kind = it->second.kind;
+    c.from = it->second.from;
+    c.to = it->second.to;
+    c.tag = it->second.tag;
+    c.payload = std::move(payload);
+    pending_.erase(it);
+    done_.push_back(std::move(c));
     cv_.notify_all();
   }
 
   /// Transport side: deliver a failed completion for `op`; `wait` rethrows
   /// `error` as a TransportError when it is reaped.
+  /// Notifies under the lock, like `complete`.
   void fail(u64 op, std::string error) {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      const auto it = pending_.find(op);
-      if (it == pending_.end()) return;
-      Completion c;
-      c.kind = it->second.kind;
-      c.ok = false;
-      c.from = it->second.from;
-      c.to = it->second.to;
-      c.tag = it->second.tag;
-      c.error = std::move(error);
-      pending_.erase(it);
-      done_.push_back(std::move(c));
-    }
+    const std::lock_guard<std::mutex> lock(mu_);
+    const auto it = pending_.find(op);
+    if (it == pending_.end()) return;
+    Completion c;
+    c.kind = it->second.kind;
+    c.ok = false;
+    c.from = it->second.from;
+    c.to = it->second.to;
+    c.tag = it->second.tag;
+    c.error = std::move(error);
+    pending_.erase(it);
+    done_.push_back(std::move(c));
     cv_.notify_all();
   }
 
@@ -519,8 +518,8 @@ class InProcessTransport final : public Transport {
 /// plus the transport its rank owns. Inactive (no transport) in ordinary
 /// single-process runs. The rank launcher (net/launcher) installs one in
 /// every spawned rank process; the comm-plan executor consults it to route
-/// this rank's share of each copy over the wire (see
-/// execute_copy_plan_replicated). Not thread-safe to mutate concurrently
+/// this rank's share of each copy over the wire (see execute_copy_plan in
+/// runtime/redistribute.hpp). Not thread-safe to mutate concurrently
 /// with SPMD phases — set it once at process startup.
 struct ProcessContext {
   i64 rank = -1;                  ///< this process's rank id
@@ -563,22 +562,6 @@ void send_values(Transport& transport, i64 from, i64 to, std::span<const T> valu
   static_assert(std::is_trivially_copyable_v<T>, "transport carries raw bytes");
   std::vector<std::byte> payload(values.size_bytes());
   if (!values.empty()) std::memcpy(payload.data(), values.data(), values.size_bytes());
-  transport.send(from, to, std::move(payload));
-}
-
-/// Zero-copy typed send: allocates the wire payload once and hands `fill`
-/// a typed span over it, so producers pack values directly into the bytes
-/// that go on the wire — no intermediate value vector, no second memcpy.
-/// (The heap buffer backing a vector<std::byte> is max-aligned, so the
-/// typed view is valid for any trivially copyable T.)
-template <typename T, typename Fill>
-void send_packed(Transport& transport, i64 from, i64 to, i64 count, Fill&& fill) {
-  static_assert(std::is_trivially_copyable_v<T>, "transport carries raw bytes");
-  CYCLICK_REQUIRE(count >= 0, "negative payload element count");
-  std::vector<std::byte> payload(static_cast<std::size_t>(count) * sizeof(T));
-  if (count > 0)
-    std::forward<Fill>(fill)(
-        std::span<T>(reinterpret_cast<T*>(payload.data()), static_cast<std::size_t>(count)));
   transport.send(from, to, std::move(payload));
 }
 

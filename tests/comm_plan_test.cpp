@@ -123,8 +123,8 @@ TEST(CommPlanDifferential, SelfCopyWithinOneArrayIsPhaseSafe) {
 }
 
 TEST(CommPlanTransport, ThreadedExecutorBlockingRecv) {
-  // Mode::kThreads exercises the blocking Transport::recv path: receivers
-  // may post their recv before the matching send completes.
+  // Mode::kThreads exercises the completion-queue wait path: receivers
+  // may wait on a posted receive before the matching send completes.
   const SpmdExecutor exec(4, SpmdExecutor::Mode::kThreads);
   InProcessTransport tr(4);
   DistributedArray<double> src(BlockCyclic(4, 3), 200);

@@ -2,12 +2,16 @@
 // phase counting, the (k_src, k_dst) x p differential parity grid between
 // the in-process executor and the simulated mesh, N-D region plans
 // (copy_region / spread_region) on both backends, the region plan cache,
-// and the incast study — the phase-rotated schedule must beat the naive
-// posting order on peak receiver congestion at p = 64.
+// the incast study — the phase-rotated schedule must beat the naive
+// posting order on peak receiver congestion at p = 64 — and the one
+// executor core across windows, credits, aliasing and every endpoint.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -242,16 +246,86 @@ TEST(Redistribute, ExecutorsAreGenericOverArrayKind) {
 
 // --- pipelined executors ----------------------------------------------------
 
-/// Scoped CYCLICK_REDIST_WINDOW override (unset on destruction).
-struct WindowEnv {
-  explicit WindowEnv(const char* v) { ::setenv("CYCLICK_REDIST_WINDOW", v, 1); }
-  ~WindowEnv() { ::unsetenv("CYCLICK_REDIST_WINDOW"); }
+/// Scoped environment override; restores the previous value (so a suite
+/// run under an exported CYCLICK_REDIST_WINDOW keeps it afterwards).
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_)
+      ::setenv(name_, old_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
 };
 
+struct WindowEnv : ScopedEnv {
+  explicit WindowEnv(const char* v) : ScopedEnv("CYCLICK_REDIST_WINDOW", v) {}
+};
+
+TEST(RedistributePipelined, WindowStaysWithinTransportCredits) {
+  // The resolved window never exceeds the completion-queue credits, even
+  // when the adaptive model or the override asks for more.
+  const i64 p = 4, n = 400;
+  const SpmdExecutor exec(p);
+  DistributedArray<double> src(BlockCyclic(p, 1), n), dst(BlockCyclic(p, 64), n);
+  const CommPlan plan = build_copy_plan(src, {0, n - 1, 1}, dst, {0, n - 1, 1}, exec);
+  const i64 elem = sizeof(double);
+  {
+    ScopedEnv credits("CYCLICK_TRANSPORT_CREDITS", "1");
+    EXPECT_GE(adaptive_redist_window(plan, elem), 2);
+    EXPECT_EQ(resolve_redist_window(plan, elem), 1);
+  }
+  {
+    ScopedEnv credits("CYCLICK_TRANSPORT_CREDITS", "4");
+    WindowEnv window("6");
+    EXPECT_EQ(resolve_redist_window(plan, elem), 4);
+  }
+  {
+    WindowEnv window("0");  // depth 1, not a different executor
+    EXPECT_EQ(resolve_redist_window(plan, elem), 1);
+  }
+}
+
+TEST(RedistributePipelined, MisSizedPayloadNamesChannelAndPhase) {
+  // A stray message of the wrong size queued ahead of the real one on a
+  // remote channel is what the posted receive claims; the executor must
+  // reject it with the channel and schedule phase named.
+  const i64 p = 4;
+  const SpmdExecutor exec(p);
+  DistributedArray<double> a(BlockCyclic(p, 3), 200), b(BlockCyclic(p, 8), 320);
+  const CommPlan plan = build_copy_plan(a, {0, 199, 2}, b, {10, 307, 3}, exec);
+  const i64 q = 0;
+  i64 f = 1;  // first phase in which rank 0 sends a nonempty remote channel
+  while (f < p && plan.channel(redist_peer_to(q, f, p), q).count == 0) ++f;
+  ASSERT_LT(f, p);
+  const i64 m = redist_peer_to(q, f, p);
+  InProcessTransport tr(p);
+  tr.send(q, m, std::vector<std::byte>(3));
+  const std::string want = "channel " + std::to_string(q) + "->" + std::to_string(m) +
+                           " (phase " + std::to_string(f) + ")";
+  try {
+    execute_copy_plan_over(plan, a, b, exec, tr);
+    FAIL() << "a mis-sized payload must be rejected";
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("payload size disagrees"), std::string::npos);
+  }
+}
+
 TEST(RedistributePipelined, ParityGridAcrossWindowsInprocAndSim) {
-  // The dispatching executor must produce byte-identical images at every
-  // window setting — sequential (0), fixed depths, and the adaptive
-  // default — on both the in-process and the simulated-transport paths.
+  // The executor must produce byte-identical images at every window
+  // setting — depth 1 (0), fixed depths, and the adaptive default — on
+  // both the in-process and the simulated-transport paths.
   const i64 n = 1200;
   const std::vector<double> image = iota_image(n);
   const RegularSection whole{0, n - 1, 1};
@@ -285,7 +359,8 @@ TEST(RedistributePipelined, ParityGridAcrossWindowsInprocAndSim) {
 TEST(RedistributePipelined, FusedExecutorMatchesSequential) {
   // Strided, shifted sections across misaligned block sizes hit all four
   // channel shapes (contiguous, one-side-contiguous, dual-stride, and
-  // both-sides-periodic); the fused single pass must equal the arena path.
+  // both-sides-periodic); the fused single pass must equal the arena-staged
+  // local copy.
   const SpmdExecutor exec(4);
   DistributedArray<double> a(BlockCyclic(4, 3), 400);
   a.scatter(iota_image(400));
@@ -294,37 +369,68 @@ TEST(RedistributePipelined, FusedExecutorMatchesSequential) {
         std::pair<RegularSection, RegularSection>{{1, 397, 4}, {0, 297, 3}}}) {
     DistributedArray<double> b_seq(BlockCyclic(4, 8), 640), b_fused(BlockCyclic(4, 8), 640);
     const CommPlan plan = build_copy_plan(a, ssec, b_seq, dsec, exec);
-    execute_copy_plan_sequential(plan, a, b_seq, exec);
-    execute_copy_plan_fused(plan, a, b_fused, exec);
+    detail::run_machine(plan, a, b_seq, exec, {.staged = true});
+    detail::run_machine(plan, a, b_fused, exec, {});
     EXPECT_EQ(b_seq.gather(), b_fused.gather());
   }
 }
 
 TEST(RedistributePipelined, AliasedCopyFallsBackToSequential) {
   // Copying between overlapping sections of the SAME array must stay
-  // correct even with a large pipeline window forced: the dispatcher
-  // detects the alias and takes the arena-staged path.
+  // correct on every endpoint with a large pipeline window forced: the
+  // executor detects the alias and stages local channels through the
+  // arena, and keeps every unpack behind the last pack. The unit shifts
+  // overwrite elements the copy has yet to read, in both directions.
   WindowEnv env("8");
-  const i64 n = 900;
-  const SpmdExecutor exec(4);
-  const RegularSection ssec{0, 898, 2};
-  const RegularSection dsec{1, 899, 2};
+  const i64 n = 900, p = 4;
+  const SpmdExecutor exec(p);
+  using Arr = DistributedArray<double>;
+  for (const auto& [ssec, dsec] :
+       {std::pair<RegularSection, RegularSection>{{0, 898, 2}, {1, 899, 2}},
+        std::pair<RegularSection, RegularSection>{{0, 898, 1}, {1, 899, 1}},
+        std::pair<RegularSection, RegularSection>{{1, 899, 1}, {0, 898, 1}}}) {
+    Arr ref_src(BlockCyclic(p, 5), n), ref_dst(BlockCyclic(p, 5), n);
+    ref_src.scatter(iota_image(n));
+    ref_dst.scatter(iota_image(n));
+    const CommPlan plan = build_copy_plan(ref_src, ssec, ref_dst, dsec, exec);
+    execute_copy_plan(plan, ref_src, ref_dst, exec);
 
-  DistributedArray<double> ref_src(BlockCyclic(4, 5), n), ref_dst(BlockCyclic(4, 5), n);
-  ref_src.scatter(iota_image(n));
-  ref_dst.scatter(iota_image(n));
-  const CommPlan plan = build_copy_plan(ref_src, ssec, ref_dst, dsec, exec);
-  execute_copy_plan(plan, ref_src, ref_dst, exec);
-
-  DistributedArray<double> aliased(BlockCyclic(4, 5), n);
-  aliased.scatter(iota_image(n));
-  execute_copy_plan(plan, aliased, aliased, exec);
-  EXPECT_EQ(aliased.gather(), ref_dst.gather());
+    const std::pair<const char*, std::function<void(Arr&)>> endpoints[] = {
+        {"inproc", [&](Arr& a) { execute_copy_plan(plan, a, a, exec); }},
+        {"sim provider",
+         [&](Arr& a) {
+           sim::SimMachine machine{sim::SimParams{}};
+           sim::SimMachine::Scope scope(machine);
+           execute_copy_plan(plan, a, a, exec);
+         }},
+        {"over",
+         [&](Arr& a) {
+           InProcessTransport tr(p);
+           execute_copy_plan_over(plan, a, a, exec, tr);
+         }},
+        {"rank threads",
+         [&](Arr& a) {
+           InProcessTransport tr(p);
+           std::vector<std::thread> ranks;
+           for (i64 r = 0; r < p; ++r)
+             ranks.emplace_back([&, r] { execute_copy_plan_rank(plan, a, a, r, tr); });
+           for (auto& t : ranks) t.join();
+         }},
+    };
+    for (const auto& [name, run] : endpoints) {
+      SCOPED_TRACE(std::string(name) + " stride=" + std::to_string(ssec.stride) +
+                   " shift=" + std::to_string(dsec.lower - ssec.lower));
+      Arr aliased(BlockCyclic(p, 5), n);
+      aliased.scatter(iota_image(n));
+      run(aliased);
+      EXPECT_EQ(aliased.gather(), ref_dst.gather());
+    }
+  }
 }
 
 TEST(RedistributePipelined, RankExecutorParityAcrossWindows) {
   // The per-rank entry point over a shared transport: every rank runs in
-  // its own thread, windows forced sequential and pipelined must agree.
+  // its own thread, and windows of depth 1 and 4 must agree.
   const i64 n = 1100;
   const i64 p = 4;
   const SpmdExecutor exec(p);
