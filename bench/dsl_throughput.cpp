@@ -5,13 +5,16 @@
 // kernel selection) across loop iterations and fusing the interpreter's
 // multi-pass arithmetic into single-pass superinstructions.
 //
-// Two programs, both 1-D so the bytecode tier compiles every statement:
-//   jacobi   3-point average ping-pong (the paper's relaxation shape)
-//   heat2d   4-point average over a row-flattened 2-D grid (stencil
-//            neighbors at +-1 and +-W in the flat index space)
+// Three programs, every statement of which the bytecode tier compiles:
+//   jacobi       3-point average ping-pong (the paper's relaxation shape)
+//   heat2d_flat  4-point average over a row-flattened 2-D grid on a 1-D
+//                processor arrangement (stencil neighbors at +-1 and +-W in
+//                the flat index space)
+//   heat2d_grid  the same stencil on a real 256x256 array over a G(2,2)
+//                grid: N-D region loads and one lane pass per local row
 //
 // `--json` writes BENCH_dsl_throughput.json; the CI perf-smoke gate asserts
-// bytecode/interp speedup >= 2x on both programs.
+// bytecode/interp speedup >= 2x on all three programs.
 #include <sstream>
 #include <string>
 
@@ -25,6 +28,7 @@ using namespace cyclick::bench;
 
 struct Workload {
   const char* name;
+  i64 elements;          // array elements per statement
   std::string prologue;  // declarations + initialization, run once
   std::string sweep;     // one relaxation sweep (two statements)
 };
@@ -40,7 +44,7 @@ Workload jacobi(i64 n) {
       << "V(0:" << n - 1 << ") = 0\n";
   sweep << "V(1:" << n - 2 << ") = (U(0:" << n - 3 << ") + U(2:" << n - 1 << ")) / 2\n"
         << "U(1:" << n - 2 << ") = V(1:" << n - 2 << ")\n";
-  return {"jacobi", pro.str(), sweep.str()};
+  return {"jacobi", n, pro.str(), sweep.str()};
 }
 
 Workload heat2d_flat(i64 w, i64 rows) {
@@ -59,7 +63,27 @@ Workload heat2d_flat(i64 w, i64 rows) {
         << lo + 1 << ":" << hi + 1 << ") + U(" << lo - w << ":" << hi - w << ") + U("
         << lo + w << ":" << hi + w << ")) / 4\n"
         << "U(" << lo << ":" << hi << ") = V(" << lo << ":" << hi << ")\n";
-  return {"heat2d", pro.str(), sweep.str()};
+  return {"heat2d_flat", n, pro.str(), sweep.str()};
+}
+
+Workload heat2d_grid(i64 n, i64 k1, i64 k2) {
+  const std::string all = "0:" + std::to_string(n - 1);
+  const std::string in = "1:" + std::to_string(n - 2);
+  const std::string lo = "0:" + std::to_string(n - 3);
+  const std::string hi = "2:" + std::to_string(n - 1);
+  std::ostringstream pro, sweep;
+  pro << "processors G(2, 2)\n"
+      << "template S(" << n << ", " << n << ")\n"
+      << "distribute S onto G cyclic(" << k1 << ") cyclic(" << k2 << ")\n"
+      << "array U(" << n << ", " << n << ") align with S(i, j)\n"
+      << "array V(" << n << ", " << n << ") align with S(i, j)\n"
+      << "U(" << all << ", " << all << ") = 0\n"
+      << "U(" << all << ", 0:0) = 100\n"
+      << "V(" << all << ", " << all << ") = 0\n";
+  sweep << "V(" << in << ", " << in << ") = (U(" << lo << ", " << in << ") + U(" << hi << ", "
+        << in << ") + U(" << in << ", " << lo << ") + U(" << in << ", " << hi << ")) / 4\n"
+        << "U(" << in << ", " << in << ") = V(" << in << ", " << in << ")\n";
+  return {"heat2d_grid", n * n, pro.str(), sweep.str()};
 }
 
 /// Run `sweeps` relaxation sweeps under `tier`, returning the best-of-
@@ -101,11 +125,10 @@ int main(int argc, char** argv) {
   const i64 n = 16384;
   const i64 sweeps = 50;
 
-  const Workload workloads[] = {jacobi(n), heat2d_flat(128, n / 128)};
+  const Workload workloads[] = {jacobi(n), heat2d_flat(128, n / 128), heat2d_grid(256, 8, 4)};
 
   std::cout << "DSL statement throughput: interpreter tier vs bytecode tier\n"
-            << "(n=" << n << ", " << sweeps << " sweeps per run, best of " << repeats
-            << ")\n\n";
+            << "(" << sweeps << " sweeps per run, best of " << repeats << ")\n\n";
 
   TextTable table({"program", "n", "sweeps", "interp_us", "bytecode_us", "per_sweep_us",
                    "speedup"});
@@ -118,7 +141,7 @@ int main(int argc, char** argv) {
     }
     const double interp_us = time_tier(wl, dsl::Tier::kInterp, sweeps, repeats);
     const double bytecode_us = time_tier(wl, dsl::Tier::kBytecode, sweeps, repeats);
-    table.add_row({wl.name, TextTable::num(n), TextTable::num(sweeps),
+    table.add_row({wl.name, TextTable::num(wl.elements), TextTable::num(sweeps),
                    TextTable::fixed(interp_us, 1), TextTable::fixed(bytecode_us, 1),
                    TextTable::fixed(bytecode_us / static_cast<double>(sweeps), 2),
                    TextTable::fixed(interp_us / bytecode_us, 2)});

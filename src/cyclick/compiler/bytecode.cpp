@@ -14,6 +14,7 @@ const char* op_name(Op op) noexcept {
     case Op::kScalarBin: return "sbin";
     case Op::kLoadSection: return "load";
     case Op::kLoadShift: return "load.shift";
+    case Op::kLoadRegion: return "load.region";
     case Op::kLaneDirect: return "lane.direct";
     case Op::kLaneScratch: return "lane.scratch";
     case Op::kLaneRamp: return "lane.ramp";
@@ -64,6 +65,21 @@ const char* relop_name(i32 code) noexcept {
   }
 }
 
+std::string region_text(const Region& region) {
+  std::string out = "(";
+  for (std::size_t d = 0; d < region.size(); ++d) {
+    if (d) out += ", ";
+    out += std::to_string(region[d].lower) + ':' + std::to_string(region[d].upper) + ':' +
+           std::to_string(region[d].stride);
+  }
+  return out + ')';
+}
+
+/// `A(section)` for 1-D operands, `A(region)` for N-D ones.
+std::string source_text(const Operand& o) {
+  return o.array + (o.region.empty() ? o.sec.to_string() : region_text(o.region));
+}
+
 void format_instr(std::ostringstream& ss, const Instr& in,
                   const std::vector<Operand>& operands) {
   const auto opnd = [&]() -> const Operand& {
@@ -85,7 +101,7 @@ void format_instr(std::ostringstream& ss, const Instr& in,
       ss << "     s" << +in.a << " = s" << +in.b << ' ' << in.x << " s" << +in.c;
       break;
     case Op::kLoadSection:
-      ss << "       t" << +in.a << " = " << opnd().array << opnd().sec.to_string()
+      ss << "       t" << +in.a << " = " << source_text(opnd())
          << "  [messages=" << opnd().plan->message_count()
          << ", remote=" << opnd().plan->remote_elements() << "]";
       break;
@@ -93,9 +109,13 @@ void format_instr(std::ostringstream& ss, const Instr& in,
       ss << " t" << +in.a << " = " << (opnd().circular ? "cshift(" : "eoshift(")
          << opnd().array << ", " << opnd().shift << ")";
       break;
+    case Op::kLoadRegion:
+      ss << " t" << +in.a << " = " << source_text(opnd())
+         << "  [messages=" << opnd().region_plan->message_count()
+         << ", remote=" << opnd().region_plan->remote_elements() << "]";
+      break;
     case Op::kLaneDirect:
-      ss << "  l" << +in.a << " = " << opnd().array << opnd().sec.to_string()
-         << "  [no comm]";
+      ss << "  l" << +in.a << " = " << source_text(opnd()) << "  [no comm]";
       break;
     case Op::kLaneScratch:
       ss << " l" << +in.a << " = t" << +in.b;
@@ -149,7 +169,7 @@ void format_instr(std::ostringstream& ss, const Instr& in,
       ss << "     dst = s" << +in.a;
       break;
     case Op::kCopyDst:
-      ss << "     dst = " << opnd().array << opnd().sec.to_string();
+      ss << "     dst = " << source_text(opnd());
       break;
   }
   ss << '\n';
@@ -157,11 +177,14 @@ void format_instr(std::ostringstream& ss, const Instr& in,
 
 }  // namespace
 
+std::string CompiledProgram::shape() const {
+  return nd() ? region_text(dregion) : dsec.to_string();
+}
+
 std::string CompiledProgram::listing() const {
   std::ostringstream ss;
   ss << "bytecode program for " << (scalar_target.empty() ? target : scalar_target)
-     << (scalar_target.empty() ? dsec.to_string() : " (reduction over " + target +
-                                                        dsec.to_string() + ")")
+     << (scalar_target.empty() ? shape() : " (reduction over " + target + shape() + ")")
      << " on " << ranks << " ranks (" << lane_count << " lanes";
   if (store_fused) ss << ", store-fused";
   if (lanes_may_throw) ss << ", guarded";
@@ -171,6 +194,14 @@ std::string CompiledProgram::listing() const {
     for (std::size_t r = 0; r < kernels.size(); ++r)
       ss << "    rank " << r << ": " << kernel_class_name(kernels[r].cls())
          << " count=" << kernels[r].count() << '\n';
+  }
+  if (nd()) {
+    ss << "  runs:\n";
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      i64 elems = 0;
+      for (const Run& run : runs[r]) elems += run.len;
+      ss << "    rank " << r << ": " << runs[r].size() << " runs, " << elems << " lanes\n";
+    }
   }
   if (!prelude.empty()) {
     ss << "  prelude:\n";

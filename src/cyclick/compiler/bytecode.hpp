@@ -9,13 +9,16 @@
 //            before any array data moves (loop-invariant scalars are folded
 //            into sreg_init at compile time and never re-evaluated).
 //   loads    operand communication — each remote operand lands in a
-//            destination-shaped scratch array through a CommPlan resolved at
-//            compile time (shared with the interpreter's PlanCache).
-//   lanes    the per-rank dense phase — every rank materializes its owned
-//            elements of the statement section as contiguous "lane" vectors
-//            (zero-copy aliases of the local span when the destination
-//            kernel class is a single dense run) and applies straight-line
-//            arithmetic, ending in a store / masked store / reduction fold.
+//            destination-shaped scratch array through a CommPlan (1-D) or
+//            region plan (N-D) resolved at compile time and shared with the
+//            interpreter's plan caches.
+//   lanes    the per-rank dense phase — every rank walks its share of the
+//            statement section or region as a list of runs, materializes
+//            each run as contiguous "lane" vectors (zero-copy aliases of the
+//            local span in span mode) and applies straight-line arithmetic,
+//            ending in a store / masked store / reduction fold. A 1-D share
+//            is one run; an N-D share whose innermost dimension is one
+//            contiguous local run per rank is one run per local row.
 //
 // Fused superinstructions (kMulAddVSV, kAddDivVVS, kMulAddVSS, ...) collapse
 // the interpreter's separate transform+combine passes into one loop without
@@ -33,6 +36,7 @@
 
 #include "cyclick/core/engine.hpp"
 #include "cyclick/core/kernels.hpp"
+#include "cyclick/runtime/multidim_array.hpp"
 #include "cyclick/runtime/redistribute.hpp"
 #include "cyclick/support/types.hpp"
 
@@ -53,6 +57,7 @@ enum class Op : u8 {
   // operand loads
   kLoadSection,  ///< scratch[a] = plan copy of operands[aux]
   kLoadShift,    ///< scratch[a] = plan copy of cshift/eoshift(operands[aux])
+  kLoadRegion,   ///< scratch[a] = region-plan copy of operands[aux] (N-D)
   // lane phase
   kLaneDirect,   ///< l[a] = owned lanes of operands[aux] (alias when dense)
   kLaneScratch,  ///< l[a] = owned lanes of scratch[b]   (alias when dense)
@@ -77,8 +82,8 @@ enum class Op : u8 {
   kStoreLanes,   ///< dst owned lanes = l[a]
   kStoreMasked,  ///< dst lanes where mask holds; a=value b=maskL c=maskR
   kReduceLanes,  ///< s[a] = rank-ordered fold of l[b]; c = Reduce code
-  kFillDst,      ///< fill_section(dst, dsec, s[a])        (control phase)
-  kCopyDst,      ///< copy_section(operands[aux] -> dst)   (control phase)
+  kFillDst,      ///< fill_section/fill_region(dst, s[a])  (control phase)
+  kCopyDst,      ///< copy_section/copy_region(operands[aux] -> dst)
 };
 
 [[nodiscard]] const char* op_name(Op op) noexcept;
@@ -100,13 +105,15 @@ inline constexpr u8 kMaskRhsScalar = 4;
 /// cache key pins, so a cached program's plans stay valid.
 struct Operand {
   std::string array;              // source array / scalar-variable name
-  RegularSection sec{0, 0, 1};    // source section
+  RegularSection sec{0, 0, 1};    // source section (1-D)
+  Region region{};                // source region (N-D)
   i64 shift = 0;                  // kLoadShift
   bool circular = true;           // kLoadShift: cshift vs eoshift
   double boundary = 0.0;          // kLoadShift: eoshift boundary value
   i64 ramp_lower = 0;             // kLaneRamp
   i64 ramp_stride = 1;            // kLaneRamp
-  std::shared_ptr<const CommPlan> plan;  // kLoadSection / kLoadShift
+  std::shared_ptr<const CommPlan> plan{};                   // kLoadSection / kLoadShift
+  std::shared_ptr<const RedistributionPlan> region_plan{};  // kLoadRegion
 };
 
 struct Instr {
@@ -120,12 +127,20 @@ struct Instr {
   i32 line = 0;   // source line for runtime diagnostics
 };
 
+/// One contiguous stretch of a rank's destination share: `len` elements
+/// starting at local address `base`.
+struct Run {
+  i64 base = 0;
+  i64 len = 0;
+};
+
 struct CompiledProgram {
   std::string target;         // array whose mapping shapes the lane phase
   std::string scalar_target;  // nonempty for reduction programs: result var
-  RegularSection dsec{0, 0, 1};
+  RegularSection dsec{0, 0, 1};  // 1-D target section
+  Region dregion;                // N-D target region (empty for 1-D)
   i64 ranks = 0;
-  i64 lane_count = 0;  // dsec.size()
+  i64 lane_count = 0;  // elements in dsec / dregion
 
   std::vector<double> sreg_init;  // compile-time-folded scalar registers
   std::vector<Instr> prelude;
@@ -133,8 +148,11 @@ struct CompiledProgram {
   std::vector<Instr> lanes;  // includes the terminal instruction
   std::vector<Operand> operands;
 
-  std::vector<KernelPlan> kernels;  // per rank, dst mapping over dsec
+  std::vector<KernelPlan> kernels;  // per rank, dst mapping over dsec (1-D)
   std::vector<SectionPlan> plans;   // per rank (ramps, scalar-class walks)
+  /// N-D statements: per rank, the destination share as runs; the lane
+  /// program executes once per run. (A 1-D share is its kernel's one run.)
+  std::vector<std::vector<Run>> runs;
 
   int n_sregs = 0;
   int n_lanes = 0;
@@ -145,8 +163,12 @@ struct CompiledProgram {
   bool lanes_may_throw = false;  // a lane instruction can raise (div by 0)
   std::vector<std::string> notes;  // fusion decisions, for listings
 
+  [[nodiscard]] bool nd() const noexcept { return !dregion.empty(); }
+  /// The target section or region as text, e.g. "(1:30:1, 1:34:1)".
+  [[nodiscard]] std::string shape() const;
+
   /// Human-readable disassembly: per-phase instructions, per-rank kernel
-  /// classes, and the fusion decisions taken.
+  /// classes (1-D) or run counts (N-D), and the fusion decisions taken.
   [[nodiscard]] std::string listing() const;
 };
 

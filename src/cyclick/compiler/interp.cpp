@@ -105,26 +105,57 @@ std::unique_ptr<DistributedArray<double>> Machine::acquire_temp(
   return acquire_temp(like.dist(), like.size(), like.alignment());
 }
 
-std::unique_ptr<DistributedArray<double>> Machine::acquire_temp(
-    const BlockCyclic& dist, i64 n, const AffineAlignment& align) {
-  for (auto it = temp_pool_.begin(); it != temp_pool_.end(); ++it) {
-    DistributedArray<double>& t = **it;
-    if (t.dist() == dist && t.size() == n && t.alignment() == align) {
+namespace {
+
+constexpr std::size_t kTempPoolCap = 16;
+
+/// Pop the first pooled temporary `match` accepts, or null on a miss.
+template <typename Arr, typename Match>
+std::unique_ptr<Arr> take_pooled(std::vector<std::unique_ptr<Arr>>& pool, Match&& match) {
+  for (auto it = pool.begin(); it != pool.end(); ++it) {
+    if (match(**it)) {
       auto out = std::move(*it);
-      temp_pool_.erase(it);
+      pool.erase(it);
       CYCLICK_COUNT("dsl.temp_pool_hits", 0, 1);
       // Stale values are fine: every consumer fully writes the owned slots
-      // it later reads (plan unpacks, ramps, and shifts cover the section).
+      // it later reads (plan unpacks, ramps, and shifts cover the section
+      // or region).
       return out;
     }
   }
   CYCLICK_COUNT("dsl.temp_pool_misses", 0, 1);
-  return std::make_unique<DistributedArray<double>>(dist, n, align);
+  return nullptr;
+}
+
+template <typename Arr>
+void give_pooled(std::vector<std::unique_ptr<Arr>>& pool, std::unique_ptr<Arr> temp) {
+  if (temp && pool.size() < kTempPoolCap) pool.push_back(std::move(temp));
+}
+
+}  // namespace
+
+std::unique_ptr<DistributedArray<double>> Machine::acquire_temp(
+    const BlockCyclic& dist, i64 n, const AffineAlignment& align) {
+  auto out = take_pooled(temp_pool_, [&](const DistributedArray<double>& t) {
+    return t.dist() == dist && t.size() == n && t.alignment() == align;
+  });
+  if (!out) out = std::make_unique<DistributedArray<double>>(dist, n, align);
+  return out;
 }
 
 void Machine::release_temp(std::unique_ptr<DistributedArray<double>> temp) {
-  constexpr std::size_t kPoolCap = 16;
-  if (temp && temp_pool_.size() < kPoolCap) temp_pool_.push_back(std::move(temp));
+  give_pooled(temp_pool_, std::move(temp));
+}
+
+std::unique_ptr<MultiDimArray<double>> Machine::acquire_temp(const MultiDimMapping& map) {
+  auto out = take_pooled(temp_pool_nd_,
+                         [&](const MultiDimArray<double>& t) { return t.mapping() == map; });
+  if (!out) out = std::make_unique<MultiDimArray<double>>(map);
+  return out;
+}
+
+void Machine::release_temp(std::unique_ptr<MultiDimArray<double>> temp) {
+  give_pooled(temp_pool_nd_, std::move(temp));
 }
 
 const DistributedArray<double>& Machine::array(const std::string& name) const {
@@ -568,7 +599,7 @@ Machine::Value Machine::evaln(const Expr& e, const MultiDimArray<double>& dst,
       if (src.mapping().grid().rank_count() != dst.mapping().grid().rank_count())
         throw dsl_error("arrays in one statement must share a processor arrangement", e.line);
       Value v;
-      v.temp_nd = std::make_unique<MultiDimArray<double>>(dst.mapping());
+      v.temp_nd = acquire_temp(dst.mapping());
       copy_region(src, sregion, *v.temp_nd, dregion, exec_ctx);
       return v;
     }
@@ -611,6 +642,7 @@ Machine::Value Machine::evaln(const Expr& e, const MultiDimArray<double>& dst,
                                 la[i] = apply_op(op, la[i], lb[i], line);
                               });
       });
+      release_temp(std::move(b.temp_nd));
       return a;
     }
   }
@@ -658,6 +690,7 @@ void Machine::exec(const AssignStmt& s) {
       out[static_cast<std::size_t>(addr)] = in[static_cast<std::size_t>(addr)];
     });
   });
+  release_temp(std::move(v.temp_nd));
 }
 
 void Machine::exec(const ScalarAssignStmt& s) {

@@ -152,15 +152,17 @@ class Machine {
   /// sections, or reductions) whose value cannot change between statements.
   static bool is_const_scalar(const Expr& e) noexcept;
 
-  /// Scratch-temporary pool: destination-shaped temporaries are recycled
+  /// Scratch-temporary pools: destination-shaped temporaries are recycled
   /// across statements instead of reallocated (and re-zeroed) per operand.
-  /// Safe because every consumer fully writes the section-owned slots it
-  /// later reads.
+  /// Safe because every consumer fully writes the section- or region-owned
+  /// slots it later reads. N-D temporaries match on mapping equality.
   std::unique_ptr<DistributedArray<double>> acquire_temp(
       const DistributedArray<double>& like);
   std::unique_ptr<DistributedArray<double>> acquire_temp(const BlockCyclic& dist, i64 n,
                                                          const AffineAlignment& align);
   void release_temp(std::unique_ptr<DistributedArray<double>> temp);
+  std::unique_ptr<MultiDimArray<double>> acquire_temp(const MultiDimMapping& map);
+  void release_temp(std::unique_ptr<MultiDimArray<double>> temp);
 
   JitEngine& jit();
 
@@ -185,6 +187,7 @@ class Machine {
   std::unordered_map<const Expr*, double> const_memo_;
   int run_depth_ = 0;
   std::vector<std::unique_ptr<DistributedArray<double>>> temp_pool_;
+  std::vector<std::unique_ptr<MultiDimArray<double>>> temp_pool_nd_;
   std::unique_ptr<JitEngine> jit_;
 };
 

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <span>
 #include <sstream>
 
 #include "cyclick/obs/metrics.hpp"
@@ -85,7 +86,8 @@ struct JitCompiler {
   std::vector<u8> free_lanes;
   std::vector<bool> skonst;  // sreg value known at compile time
   std::vector<double> sval;
-  DistributedArray<double>* dst = nullptr;
+  DistributedArray<double>* dst = nullptr;   // 1-D target
+  MultiDimArray<double>* dstn = nullptr;     // N-D target
   std::optional<SpmdExecutor> exec;
 
   // -- lookup / validation ---------------------------------------------------
@@ -94,6 +96,12 @@ struct JitCompiler {
     const auto it = m.arrays_.find(name);
     if (it == m.arrays_.end() || !it->second.is_1d()) return nullptr;
     return it->second.d1.get();
+  }
+
+  MultiDimArray<double>* findnd(const std::string& name) {
+    const auto it = m.arrays_.find(name);
+    if (it == m.arrays_.end() || it->second.is_1d()) return nullptr;
+    return it->second.dn.get();
   }
 
   // -- cache keys ------------------------------------------------------------
@@ -107,6 +115,32 @@ struct JitCompiler {
   static void mapping_sig(std::ostringstream& ss, const DistributedArray<double>& a) {
     ss << '[' << a.dist().procs() << ',' << a.dist().block_size() << ',' << a.alignment().a
        << ',' << a.alignment().b << ',' << a.size() << ']';
+  }
+
+  /// N-D signature: per dimension extent, alignment, procs, block size and
+  /// grid extent (';'-separated, so it never collides with a 1-D one).
+  static void mapping_sig(std::ostringstream& ss, const MultiDimArray<double>& a) {
+    const MultiDimMapping& map = a.mapping();
+    ss << '[';
+    for (std::size_t d = 0; d < map.dims(); ++d) {
+      const DimMapping& dm = map.dim(d);
+      ss << (d ? ";" : "") << dm.extent << ',' << dm.align.a << ',' << dm.align.b << ','
+         << dm.dist.procs() << ',' << dm.dist.block_size() << ',' << map.grid().extent(d);
+    }
+    ss << ']';
+  }
+
+  /// Mapping signature of a 1-D or N-D array; false when it is unknown.
+  bool array_sig(std::ostringstream& ss, const std::string& name) {
+    if (const DistributedArray<double>* a = find1d(name)) {
+      mapping_sig(ss, *a);
+      return true;
+    }
+    if (const MultiDimArray<double>* a = findnd(name)) {
+      mapping_sig(ss, *a);
+      return true;
+    }
+    return false;
   }
 
   static void triplet_sig(std::ostringstream& ss, const SectionRef& ref) {
@@ -126,10 +160,8 @@ struct JitCompiler {
         ss << 'v' << e.name << '@' << e.line << ';';
         return true;
       case Expr::Kind::kSection: {
-        const DistributedArray<double>* a = find1d(e.section.array);
-        if (a == nullptr) return false;
         ss << 's' << e.section.array;
-        mapping_sig(ss, *a);
+        if (!array_sig(ss, e.section.array)) return false;
         triplet_sig(ss, e.section);
         ss << '@' << e.line;
         return true;
@@ -171,10 +203,8 @@ struct JitCompiler {
   }
 
   bool key_target(std::ostringstream& ss, const SectionRef& target, int line) {
-    const DistributedArray<double>* a = find1d(target.array);
-    if (a == nullptr) return false;
     ss << target.array;
-    mapping_sig(ss, *a);
+    if (!array_sig(ss, target.array)) return false;
     triplet_sig(ss, target);
     ss << '@' << line << '=';
     return true;
@@ -314,6 +344,7 @@ struct JitCompiler {
   // -- vector subtree -> lane register --------------------------------------
 
   u8 lane_from_section(const Expr& e) {
+    if (p.nd()) return lane_from_region(e);
     DistributedArray<double>* src = find1d(e.section.array);
     if (src == nullptr) throw BailOut{};
     const RegularSection ssec = Machine::make_section(e.section, *src);
@@ -341,7 +372,47 @@ struct JitCompiler {
     return lane;
   }
 
+  /// The source region of an N-D operand, validated against the target
+  /// region. Anything the interpreter would reject bails (or raises the
+  /// same dsl_error), so the interpreter reports it at run time.
+  Region operand_region(const SectionRef& ref, const MultiDimArray<double>& src) const {
+    const Region sreg = Machine::make_region(ref, src);
+    if (sreg.size() != p.dregion.size()) throw BailOut{};
+    for (std::size_t d = 0; d < sreg.size(); ++d)
+      if (sreg[d].size() != p.dregion[d].size()) throw BailOut{};
+    if (src.mapping().grid().rank_count() != p.ranks) throw BailOut{};
+    return sreg;
+  }
+
+  u8 lane_from_region(const Expr& e) {
+    const MultiDimArray<double>* src = findnd(e.section.array);
+    if (src == nullptr) throw BailOut{};  // mixed dimensionality
+    const Region sreg = operand_region(e.section, *src);
+    const u8 lane = alloc_lane();
+    if (src->mapping() == dstn->mapping() && sreg == p.dregion) {
+      // Same mapping, same region: the operand already sits at the
+      // destination's local addresses, run for run.
+      const i32 aux = add_operand(bc::Operand{.array = e.section.array, .region = sreg});
+      p.lanes.push_back(
+          bc::Instr{.op = bc::Op::kLaneDirect, .a = lane, .aux = aux, .line = e.line});
+      return lane;
+    }
+    if (p.n_scratch >= kMaxScratch) throw BailOut{};
+    const u8 slot = static_cast<u8>(p.n_scratch++);
+    // The interpreter copies into a destination-mapped temporary, so this
+    // plan is the very RegionPlanCache entry its copy_region replays.
+    auto plan = cached_region_plan(*src, sreg, *dstn, p.dregion, *exec);
+    const i32 aux = add_operand(
+        bc::Operand{.array = e.section.array, .region = sreg, .region_plan = std::move(plan)});
+    p.loads.push_back(
+        bc::Instr{.op = bc::Op::kLoadRegion, .a = slot, .aux = aux, .line = e.line});
+    p.lanes.push_back(
+        bc::Instr{.op = bc::Op::kLaneScratch, .a = lane, .b = slot, .line = e.line});
+    return lane;
+  }
+
   u8 lane_from_shift(const Expr& e) {
+    if (p.nd()) throw BailOut{};  // the interpreter rejects N-D shifts
     DistributedArray<double>* src = find1d(e.name);
     if (src == nullptr) throw BailOut{};
     const i64 n = src->size();
@@ -395,6 +466,7 @@ struct JitCompiler {
       case Expr::Kind::kShift:
         return lane_from_shift(e);
       case Expr::Kind::kRamp: {
+        if (p.nd()) throw BailOut{};  // the interpreter rejects N-D forall
         const u8 lane = alloc_lane();
         bc::Operand ramp;
         ramp.ramp_lower = e.ramp_lower;
@@ -559,7 +631,64 @@ struct JitCompiler {
     exec.emplace(p.ranks, m.mode_);
   }
 
+  /// N-D target: compiles only under identity alignment in every dimension
+  /// and an innermost share that is one contiguous local run on each rank
+  /// (region_runs); every other N-D shape stays on the interpreter.
+  void open_region_target(const SectionRef& section) {
+    dstn = findnd(section.array);
+    if (dstn == nullptr) throw BailOut{};
+    const MultiDimMapping& map = dstn->mapping();
+    for (std::size_t d = 0; d < map.dims(); ++d)
+      if (!map.dim(d).align.is_identity()) throw BailOut{};
+    p.dregion = Machine::make_region(section, *dstn);
+    p.target = section.array;
+    p.ranks = map.grid().rank_count();
+    p.lane_count = region_size(p.dregion);
+    exec.emplace(p.ranks, m.mode_);
+    for (i64 r = 0; r < p.ranks; ++r) p.runs.push_back(region_runs(map, p.dregion, r));
+  }
+
+  /// Rank `rank`'s share of `region` as runs: one per combination of outer
+  /// per-dimension shares (row-major, like for_each_owned_region), each
+  /// covering the innermost share; address-adjacent runs merge. Built from
+  /// the same detail::dim_share sequences the interpreter walks.
+  static std::vector<bc::Run> region_runs(const MultiDimMapping& map, const Region& region,
+                                          i64 rank) {
+    const std::vector<i64> coords = map.grid().coords_of(rank);
+    const std::size_t nd = map.dims();
+    std::vector<detail::DimShare> shares;
+    for (std::size_t d = 0; d < nd; ++d) {
+      shares.push_back(detail::dim_share(map.dim(d), region[d], coords[d]));
+      if (shares.back().local_idx.empty()) return {};  // this rank owns nothing
+    }
+    const std::vector<i64>& inner = shares.back().local_idx;
+    for (std::size_t i = 1; i < inner.size(); ++i)
+      if (inner[i] != inner[i - 1] + 1) throw BailOut{};  // strided innermost share
+    const i64 len = static_cast<i64>(inner.size());
+    std::vector<bc::Run> runs;
+    std::vector<std::size_t> pos(nd - 1, 0);
+    while (true) {
+      i64 base = 0;
+      for (std::size_t d = 0; d + 1 < nd; ++d)
+        base = base * map.local_extent(d) + shares[d].local_idx[pos[d]];
+      base = base * map.local_extent(nd - 1) + inner.front();
+      if (!runs.empty() && runs.back().base + runs.back().len == base) {
+        runs.back().len += len;
+      } else {
+        runs.push_back({base, len});
+      }
+      std::size_t d = nd - 1;  // advance the outer odometer, last outer dim fastest
+      while (true) {
+        if (d == 0) return runs;
+        --d;
+        if (++pos[d] < shares[d].local_idx.size()) break;
+        pos[d] = 0;
+      }
+    }
+  }
+
   void build_kernels() {
+    if (p.nd()) return;  // open_region_target built the runs
     for (i64 r = 0; r < p.ranks; ++r) {
       SectionPlan sp = owned_plan(*dst, p.dsec, r);
       p.kernels.push_back(compile_kernel(sp));
@@ -617,19 +746,33 @@ struct JitCompiler {
     return std::make_shared<const bc::CompiledProgram>(std::move(p));
   }
 
+  /// Operand of a whole-statement copy (validated like a lane source).
+  i32 copy_operand(const SectionRef& ref) {
+    if (p.nd()) {
+      const MultiDimArray<double>* src = findnd(ref.array);
+      if (src == nullptr) throw BailOut{};
+      return add_operand(bc::Operand{.array = ref.array, .region = operand_region(ref, *src)});
+    }
+    DistributedArray<double>* src = find1d(ref.array);
+    if (src == nullptr) throw BailOut{};
+    const RegularSection ssec = Machine::make_section(ref, *src);
+    if (ssec.size() != p.dsec.size()) throw BailOut{};
+    if (src->dist().procs() != dst->dist().procs()) throw BailOut{};
+    return add_operand(bc::Operand{.array = ref.array, .sec = ssec});
+  }
+
   std::shared_ptr<const bc::CompiledProgram> compile_assign(const SectionRef& target,
                                                             const Expr& value, int line) {
     (void)line;
-    open_target(target.array, target);
+    if (findnd(target.array) != nullptr) {
+      open_region_target(target);
+    } else {
+      open_target(target.array, target);
+    }
     if (value.kind == Expr::Kind::kSection) {
-      // Whole-statement copy: delegate to copy_section, which owns the
-      // same-mapping fast path and the pack-then-unpack aliasing discipline.
-      DistributedArray<double>* src = find1d(value.section.array);
-      if (src == nullptr) throw BailOut{};
-      const RegularSection ssec = Machine::make_section(value.section, *src);
-      if (ssec.size() != p.dsec.size()) throw BailOut{};
-      if (src->dist().procs() != dst->dist().procs()) throw BailOut{};
-      const i32 aux = add_operand(bc::Operand{.array = value.section.array, .sec = ssec, .plan = nullptr});
+      // Whole-statement copy: delegate to copy_section / copy_region, which
+      // own the same-mapping fast path and the aliasing discipline.
+      const i32 aux = copy_operand(value.section);
       p.lanes.push_back(
           bc::Instr{.op = bc::Op::kCopyDst, .aux = aux, .line = value.line});
       p.notes.push_back("whole-statement section copy: delegated to the copy engine");
@@ -717,35 +860,43 @@ namespace {
 enum class Phase { kAll, kArith, kTerminal };
 
 void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>& s,
-               const std::vector<const DistributedArray<double>*>& direct,
-               const std::vector<std::unique_ptr<DistributedArray<double>>>& scratch,
-               DistributedArray<double>& dst, std::vector<double>& arena, double* partial,
-               char* seen, Phase phase) {
-  const KernelPlan& kp = p.kernels[static_cast<std::size_t>(rank)];
-  const std::size_t cnt = static_cast<std::size_t>(kp.count());
-  if (cnt == 0) return;
-  const bool span_mode = kp.cls() == KernelClass::kRunCopy;
-  double* dloc = dst.local(rank).data();
-  double* dspan = dloc + kp.first_local();
+               const double* const* src, double* dloc, std::vector<double>& arena,
+               double* partial, char* seen, Phase phase) {
+  // A 1-D share is its kernel's one run: span mode when the kernel is a
+  // dense run, else gathered and scattered through the kernel. An N-D
+  // share is its compile-time run list, always in span mode, where lane
+  // sources alias the local spans run by run.
+  const KernelPlan* kp = p.nd() ? nullptr : &p.kernels[static_cast<std::size_t>(rank)];
+  const bc::Run one{kp != nullptr ? kp->first_local() : 0, kp != nullptr ? kp->count() : 0};
+  const std::span<const bc::Run> runs =
+      kp != nullptr ? std::span<const bc::Run>(&one, one.len > 0 ? 1 : 0)
+                    : std::span<const bc::Run>(p.runs[static_cast<std::size_t>(rank)]);
+  if (runs.empty()) return;
+  const bool span_mode = kp == nullptr || kp->cls() == KernelClass::kRunCopy;
+  const std::size_t scratch0 = p.operands.size();  // src index of scratch slot 0
+  std::size_t widest = 0;
+  std::size_t total = 0;
+  for (const bc::Run& run : runs) {
+    widest = std::max(widest, static_cast<std::size_t>(run.len));
+    total += static_cast<std::size_t>(run.len);
+  }
+  // Guarded store programs keep the store register of every run in one
+  // full-share stash, so kTerminal stores exactly what kArith computed.
+  // (Masked stores and reductions are 1-D: one run, whose registers stay
+  // in their arena slots between the phases.)
+  const bool stash_store = phase != Phase::kAll && p.lanes.back().op == bc::Op::kStoreLanes;
+  arena.resize(static_cast<std::size_t>(p.n_lanes) * widest + (stash_store ? total : 0));
+  double* const stash = arena.data() + static_cast<std::size_t>(p.n_lanes) * widest;
 
-  arena.resize(static_cast<std::size_t>(p.n_lanes) * cnt);
   struct Reg {
     const double* cur;  // where the register's value lives right now
     double* buf;        // where the next write to it lands
   };
   Reg regs[kMaxLanes];
-  for (int i = 0; i < p.n_lanes; ++i) {
-    regs[i].buf = arena.data() + static_cast<std::size_t>(i) * cnt;
-    regs[i].cur = regs[i].buf;
-  }
-  // Store fusion: the final arithmetic instruction targeting the store
-  // register writes the destination span directly (dense-run class only,
-  // and only when no lane instruction can throw).
-  if (p.store_fused && span_mode && phase == Phase::kAll)
-    regs[p.store_reg].buf = dspan;
-
-  const bc::Instr* ip = p.lanes.data();
-  if (phase == Phase::kTerminal) ip = &p.lanes.back();
+  std::size_t cnt = 0;      // current run's length
+  i64 base = 0;             // current run's first local address
+  double* dspan = nullptr;  // current run's destination span
+  const bc::Instr* ip = nullptr;
 
   const auto materialize = [&](u8 r) {
     if (regs[r].cur != regs[r].buf) {
@@ -759,11 +910,7 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
 // a shared switch); everything else falls back to a switch loop with
 // identical handler bodies.
 #if defined(__GNUC__) && !defined(CYCLICK_NO_COMPUTED_GOTO)
-#define VM_NEXT                                       \
-  do {                                                \
-    ++ip;                                             \
-    goto* jump[static_cast<std::size_t>(ip->op)];     \
-  } while (0)
+#define VM_DISPATCH goto* jump[static_cast<std::size_t>(ip->op)]
   static const void* const jump[] = {
       &&vm_bad,          // kScalarVar (prelude only)
       &&vm_bad,          // kReduceSec
@@ -771,6 +918,7 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
       &&vm_bad,          // kScalarBin
       &&vm_bad,          // kLoadSection (load phase only)
       &&vm_bad,          // kLoadShift
+      &&vm_bad,          // kLoadRegion
       &&vm_lane_direct,  &&vm_lane_scratch, &&vm_lane_ramp, &&vm_lane_neg,
       &&vm_add_vv,       &&vm_sub_vv,       &&vm_mul_vv,    &&vm_div_vv,
       &&vm_add_vs,       &&vm_sub_vs,       &&vm_mul_vs,    &&vm_div_vs,
@@ -780,48 +928,72 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
       &&vm_bad,  // kFillDst (control phase only)
       &&vm_bad,  // kCopyDst
   };
-  goto* jump[static_cast<std::size_t>(ip->op)];
 #else
-#define VM_NEXT                                       \
-  do {                                                \
-    ++ip;                                             \
-    goto vm_dispatch;                                 \
+#define VM_DISPATCH goto vm_dispatch
+#endif
+#define VM_NEXT \
+  do {          \
+    ++ip;       \
+    VM_DISPATCH; \
   } while (0)
-vm_dispatch:
-  switch (ip->op) {
-    case bc::Op::kLaneDirect: goto vm_lane_direct;
-    case bc::Op::kLaneScratch: goto vm_lane_scratch;
-    case bc::Op::kLaneRamp: goto vm_lane_ramp;
-    case bc::Op::kLaneNeg: goto vm_lane_neg;
-    case bc::Op::kAddVV: goto vm_add_vv;
-    case bc::Op::kSubVV: goto vm_sub_vv;
-    case bc::Op::kMulVV: goto vm_mul_vv;
-    case bc::Op::kDivVV: goto vm_div_vv;
-    case bc::Op::kAddVS: goto vm_add_vs;
-    case bc::Op::kSubVS: goto vm_sub_vs;
-    case bc::Op::kMulVS: goto vm_mul_vs;
-    case bc::Op::kDivVS: goto vm_div_vs;
-    case bc::Op::kSubSV: goto vm_sub_sv;
-    case bc::Op::kDivSV: goto vm_div_sv;
-    case bc::Op::kMulAddVSV: goto vm_muladd_vsv;
-    case bc::Op::kMulSubVSV: goto vm_mulsub_vsv;
-    case bc::Op::kAddDivVVS: goto vm_adddiv_vvs;
-    case bc::Op::kMulAddVSS: goto vm_muladd_vss;
-    case bc::Op::kStoreLanes: goto vm_store;
-    case bc::Op::kStoreMasked: goto vm_store_masked;
-    case bc::Op::kReduceLanes: goto vm_reduce;
-    default: goto vm_bad;
-  }
+
+  // One pass of the lane program per run; a 1-D share is a single run.
+  std::size_t off = 0;  // current run's offset in the stash
+  for (const bc::Run& run : runs) {
+    cnt = static_cast<std::size_t>(run.len);
+    base = run.base;
+    dspan = dloc + base;
+    for (int i = 0; i < p.n_lanes; ++i) {
+      regs[i].buf = arena.data() + static_cast<std::size_t>(i) * widest;
+      regs[i].cur = regs[i].buf;
+    }
+    if (stash_store) {
+      regs[p.store_reg].buf = stash + off;
+      regs[p.store_reg].cur = regs[p.store_reg].buf;
+    } else if (p.store_fused && span_mode) {
+      // Store fusion: the final arithmetic instruction targeting the store
+      // register writes the destination span directly (span mode only, and
+      // only when no lane instruction can throw).
+      regs[p.store_reg].buf = dspan;
+    }
+    ip = phase == Phase::kTerminal ? &p.lanes.back() : p.lanes.data();
+#if defined(__GNUC__) && !defined(CYCLICK_NO_COMPUTED_GOTO)
+    VM_DISPATCH;
+#else
+  vm_dispatch:
+    switch (ip->op) {
+      case bc::Op::kLaneDirect: goto vm_lane_direct;
+      case bc::Op::kLaneScratch: goto vm_lane_scratch;
+      case bc::Op::kLaneRamp: goto vm_lane_ramp;
+      case bc::Op::kLaneNeg: goto vm_lane_neg;
+      case bc::Op::kAddVV: goto vm_add_vv;
+      case bc::Op::kSubVV: goto vm_sub_vv;
+      case bc::Op::kMulVV: goto vm_mul_vv;
+      case bc::Op::kDivVV: goto vm_div_vv;
+      case bc::Op::kAddVS: goto vm_add_vs;
+      case bc::Op::kSubVS: goto vm_sub_vs;
+      case bc::Op::kMulVS: goto vm_mul_vs;
+      case bc::Op::kDivVS: goto vm_div_vs;
+      case bc::Op::kSubSV: goto vm_sub_sv;
+      case bc::Op::kDivSV: goto vm_div_sv;
+      case bc::Op::kMulAddVSV: goto vm_muladd_vsv;
+      case bc::Op::kMulSubVSV: goto vm_mulsub_vsv;
+      case bc::Op::kAddDivVVS: goto vm_adddiv_vvs;
+      case bc::Op::kMulAddVSS: goto vm_muladd_vss;
+      case bc::Op::kStoreLanes: goto vm_store;
+      case bc::Op::kStoreMasked: goto vm_store_masked;
+      case bc::Op::kReduceLanes: goto vm_reduce;
+      default: goto vm_bad;
+    }
 #endif
 
 vm_lane_direct: {
-  const DistributedArray<double>* src = direct[static_cast<std::size_t>(ip->aux)];
   Reg& r = regs[ip->a];
-  const double* sl = src->local(rank).data();
+  const double* sl = src[ip->aux];
   if (span_mode) {
-    r.cur = sl + kp.first_local();
+    r.cur = sl + base;
   } else {
-    kernel_gather(kp, sl, r.buf);
+    kernel_gather(*kp, sl, r.buf);
     r.cur = r.buf;
   }
 }
@@ -829,11 +1001,11 @@ vm_lane_direct: {
 
 vm_lane_scratch: {
   Reg& r = regs[ip->a];
-  const double* sl = scratch[ip->b]->local(rank).data();
+  const double* sl = src[scratch0 + ip->b];
   if (span_mode) {
-    r.cur = sl + kp.first_local();
+    r.cur = sl + base;
   } else {
-    kernel_gather(kp, sl, r.buf);
+    kernel_gather(*kp, sl, r.buf);
     r.cur = r.buf;
   }
 }
@@ -1030,15 +1202,15 @@ vm_muladd_vss: {
 vm_store: {
   if (phase == Phase::kArith) {
     materialize(ip->a);
-    return;
+    goto vm_run_done;
   }
   const double* x = regs[ip->a].cur;
   if (span_mode) {
     if (x != dspan) std::memcpy(dspan, x, cnt * sizeof(double));
   } else {
-    kernel_scatter(kp, dloc, x);
+    kernel_scatter(*kp, dloc, x);
   }
-  return;
+  goto vm_run_done;
 }
 
 vm_store_masked: {
@@ -1050,7 +1222,7 @@ vm_store_masked: {
     if (!vs) materialize(ip->a);
     if (!lsc) materialize(ip->b);
     if (!rsc) materialize(ip->c);
-    return;
+    goto vm_run_done;
   }
   const double* xv = vs ? nullptr : regs[ip->a].cur;
   const double* lv = lsc ? nullptr : regs[ip->b].cur;
@@ -1060,7 +1232,7 @@ vm_store_masked: {
   const double rsv = rsc ? s[ip->c] : 0.0;
   const i32 rel = ip->aux;
   std::size_t i = 0;
-  kernel_for_each_local(kp, [&](i64 la) {
+  kernel_for_each_local(*kp, [&](i64 la) {
     const double x = lsc ? lsv : lv[i];
     const double y = rsc ? rsv : rv[i];
     bool h = false;
@@ -1075,7 +1247,7 @@ vm_store_masked: {
     if (h) dloc[la] = vs ? xs : xv[i];
     ++i;
   });
-  return;
+  goto vm_run_done;
 }
 
 vm_reduce: {
@@ -1094,8 +1266,13 @@ vm_reduce: {
   }
   *partial = acc;
   *seen = 1;
-  return;
+  goto vm_run_done;
 }
+
+  vm_run_done:
+    off += cnt;
+  }
+  return;
 
 vm_bad:
   // Unreachable by construction: the compiler never places non-lane opcodes
@@ -1103,6 +1280,7 @@ vm_bad:
   return;
 
 #undef VM_NEXT
+#undef VM_DISPATCH
 }
 
 }  // namespace
@@ -1140,7 +1318,7 @@ std::shared_ptr<const bc::CompiledProgram> JitEngine::program_for(
 
 void JitEngine::execute(const bc::CompiledProgram& p) {
   CYCLICK_COUNT("jit.exec", 0, 1);
-  DistributedArray<double>& dst = *m_.lookup(p.target, 0).d1;
+  Machine::ArrayInfo& dst = m_.lookup(p.target, 0);
   const SpmdExecutor exec(p.ranks, m_.mode_);
 
   // Scalar prelude (control thread).
@@ -1190,9 +1368,8 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
 
   if (m_.tracing_) {
     m_.trace("bytecode " +
-             (p.scalar_target.empty() ? p.target + p.dsec.to_string()
-                                      : p.scalar_target + " = reduce " + p.target +
-                                            p.dsec.to_string()) +
+             (p.scalar_target.empty() ? p.target + p.shape()
+                                      : p.scalar_target + " = reduce " + p.target + p.shape()) +
              " [" + std::to_string(p.lanes.size()) + " lane instrs, " +
              std::to_string(p.loads.size()) + " loads]");
   }
@@ -1200,32 +1377,49 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
   // Control-phase terminals (no lane vectors at all).
   const bc::Instr& term = p.lanes.back();
   if (term.op == bc::Op::kFillDst) {
-    fill_section(dst, p.dsec, s[term.a], exec);
+    if (p.nd()) {
+      fill_region(*dst.dn, p.dregion, s[term.a], exec);
+    } else {
+      fill_section(*dst.d1, p.dsec, s[term.a], exec);
+    }
     return;
   }
   if (term.op == bc::Op::kCopyDst) {
     const bc::Operand& o = p.operands[static_cast<std::size_t>(term.aux)];
-    const DistributedArray<double>& src = *m_.lookup(o.array, term.line).d1;
-    copy_section(src, o.sec, dst, p.dsec, exec);
+    const Machine::ArrayInfo& src = m_.lookup(o.array, term.line);
+    if (p.nd()) {
+      copy_region(*src.dn, o.region, *dst.dn, p.dregion, exec);
+    } else {
+      copy_section(*src.d1, o.sec, *dst.d1, p.dsec, exec);
+    }
     return;
   }
 
   // Load phase: land remote operands in destination-shaped scratch arrays
   // through the compile-time plans.
   std::vector<std::unique_ptr<DistributedArray<double>>> scratch(
-      static_cast<std::size_t>(p.n_scratch));
+      p.nd() ? 0 : static_cast<std::size_t>(p.n_scratch));
+  std::vector<std::unique_ptr<MultiDimArray<double>>> scratch_nd(
+      p.nd() ? static_cast<std::size_t>(p.n_scratch) : 0);
   for (const bc::Instr& in : p.loads) {
     const bc::Operand& o = p.operands[static_cast<std::size_t>(in.aux)];
-    const DistributedArray<double>& src = *m_.lookup(o.array, in.line).d1;
-    auto t = m_.acquire_temp(dst);
+    const Machine::ArrayInfo& src = m_.lookup(o.array, in.line);
+    if (in.op == bc::Op::kLoadRegion) {
+      auto t = m_.acquire_temp(dst.dn->mapping());
+      execute_redistribution(*o.region_plan, *src.dn, *t, exec);
+      scratch_nd[in.a] = std::move(t);
+      continue;
+    }
+    auto t = m_.acquire_temp(*dst.d1);
     if (in.op == bc::Op::kLoadSection) {
-      execute_copy_plan(*o.plan, src, *t, exec);
+      execute_copy_plan(*o.plan, *src.d1, *t, exec);
     } else {  // kLoadShift
-      auto sh = m_.acquire_temp(src.dist(), src.size(), AffineAlignment::identity());
+      const DistributedArray<double>& from = *src.d1;
+      auto sh = m_.acquire_temp(from.dist(), from.size(), AffineAlignment::identity());
       if (o.circular) {
-        cshift(src, *sh, o.shift, exec);
+        cshift(from, *sh, o.shift, exec);
       } else {
-        eoshift(src, *sh, o.shift, o.boundary, exec);
+        eoshift(from, *sh, o.shift, o.boundary, exec);
       }
       execute_copy_plan(*o.plan, *sh, *t, exec);
       m_.release_temp(std::move(sh));
@@ -1233,33 +1427,45 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
     scratch[in.a] = std::move(t);
   }
 
-  // Resolve direct-lane source arrays once.
-  std::vector<const DistributedArray<double>*> direct(p.operands.size(), nullptr);
-  for (const bc::Instr& in : p.lanes)
-    if (in.op == bc::Op::kLaneDirect)
-      direct[static_cast<std::size_t>(in.aux)] =
-          m_.lookup(p.operands[static_cast<std::size_t>(in.aux)].array, in.line).d1.get();
+  // Per-rank local bases of every lane source, resolved once: direct
+  // operands at their operand index, scratch slots after them.
+  const auto ranks = static_cast<std::size_t>(p.ranks);
+  const std::size_t nsrc = p.operands.size() + static_cast<std::size_t>(p.n_scratch);
+  const auto local_of = [](const Machine::ArrayInfo& a, i64 rank) {
+    return a.is_1d() ? a.d1->local(rank).data() : a.dn->local(rank).data();
+  };
+  std::vector<const double*> src(ranks * nsrc, nullptr);
+  std::vector<double*> dloc(ranks);
+  for (std::size_t r = 0; r < ranks; ++r) dloc[r] = local_of(dst, static_cast<i64>(r));
+  for (const bc::Instr& in : p.lanes) {
+    if (in.op != bc::Op::kLaneDirect) continue;
+    const auto aux = static_cast<std::size_t>(in.aux);
+    const Machine::ArrayInfo& a = m_.lookup(p.operands[aux].array, in.line);
+    for (std::size_t r = 0; r < ranks; ++r) src[r * nsrc + aux] = local_of(a, static_cast<i64>(r));
+  }
+  for (std::size_t slot = 0; slot < static_cast<std::size_t>(p.n_scratch); ++slot)
+    for (std::size_t r = 0; r < ranks; ++r) {
+      const auto rank = static_cast<i64>(r);
+      src[r * nsrc + p.operands.size() + slot] =
+          p.nd() ? scratch_nd[slot]->local(rank).data() : scratch[slot]->local(rank).data();
+    }
 
   if (arena_.size() < static_cast<std::size_t>(p.ranks))
     arena_.resize(static_cast<std::size_t>(p.ranks));
   std::vector<double> partial(static_cast<std::size_t>(p.ranks), 0.0);
   std::vector<char> seen(static_cast<std::size_t>(p.ranks), 0);
 
+  const auto lanes = [&](i64 rank, Phase phase) {
+    const auto r = static_cast<std::size_t>(rank);
+    run_lanes(p, rank, s, src.data() + r * nsrc, dloc[r], arena_[r], partial.data() + rank,
+              seen.data() + rank, phase);
+  };
   const bool guarded = p.lanes_may_throw && term.op != bc::Op::kReduceLanes;
   if (guarded) {
-    exec.run([&](i64 rank) {
-      run_lanes(p, rank, s, direct, scratch, dst, arena_[static_cast<std::size_t>(rank)],
-                nullptr, nullptr, Phase::kArith);
-    });
-    exec.run([&](i64 rank) {
-      run_lanes(p, rank, s, direct, scratch, dst, arena_[static_cast<std::size_t>(rank)],
-                nullptr, nullptr, Phase::kTerminal);
-    });
+    exec.run([&](i64 rank) { lanes(rank, Phase::kArith); });
+    exec.run([&](i64 rank) { lanes(rank, Phase::kTerminal); });
   } else {
-    exec.run([&](i64 rank) {
-      run_lanes(p, rank, s, direct, scratch, dst, arena_[static_cast<std::size_t>(rank)],
-                partial.data() + rank, seen.data() + rank, Phase::kAll);
-    });
+    exec.run([&](i64 rank) { lanes(rank, Phase::kAll); });
   }
 
   if (!p.scalar_target.empty()) {
@@ -1283,8 +1489,8 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
     m_.scalars_[p.scalar_target] = out;
   }
 
-  for (auto& t : scratch)
-    if (t) m_.release_temp(std::move(t));
+  for (auto& t : scratch) m_.release_temp(std::move(t));
+  for (auto& t : scratch_nd) m_.release_temp(std::move(t));
 }
 
 bool JitEngine::try_assign(const AssignStmt& s) {

@@ -1,14 +1,14 @@
 // Jit tier driver: compiles DSL statements into bytecode programs
 // (compiler/bytecode.hpp) keyed in the process-wide ProgramCache, and
 // executes them with a computed-goto dispatch loop over per-rank lane
-// vectors backed by the PR-4 pattern kernels.
+// vectors backed by the pattern kernels.
 //
 // The engine is deliberately conservative: any statement shape it cannot
-// prove equivalent to the interpreter (multidimensional arrays, non-identity
-// alignments, mismatched processor arrangements, invalid sections, ...)
-// makes try_* return false and the caller falls back to the tree walker, so
-// the bytecode tier never changes results — only the number of passes taken
-// to produce them.
+// prove equivalent to the interpreter (non-identity-aligned targets, N-D
+// targets with a strided innermost share, N-D reductions, mismatched
+// processor arrangements, invalid sections, ...) makes try_* return false
+// and the caller falls back to the tree walker, so the bytecode tier never
+// changes results — only the number of passes taken to produce them.
 #pragma once
 
 #include <memory>

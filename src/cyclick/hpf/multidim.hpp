@@ -34,6 +34,8 @@ class ProcessorGrid {
   /// Grid coordinates of a linear rank.
   [[nodiscard]] std::vector<i64> coords_of(i64 rank) const;
 
+  friend bool operator==(const ProcessorGrid&, const ProcessorGrid&) = default;
+
  private:
   std::vector<i64> extents_;
   i64 total_;
@@ -53,6 +55,8 @@ struct DimMapping {
 
   /// Owning grid coordinate of array index i in this dimension.
   [[nodiscard]] i64 owner(i64 i) const noexcept { return dist.owner(align.cell(i)); }
+
+  friend bool operator==(const DimMapping&, const DimMapping&) = default;
 };
 
 /// Full mapping of a multidimensional array onto a processor grid. The
@@ -85,6 +89,10 @@ class MultiDimMapping {
 
   /// Total number of array elements.
   [[nodiscard]] i64 total_elements() const noexcept;
+
+  /// Same per-dimension mappings on the same grid: two arrays that compare
+  /// equal place every index at the same rank and local address.
+  friend bool operator==(const MultiDimMapping&, const MultiDimMapping&) = default;
 
  private:
   std::vector<DimMapping> dims_;

@@ -1,13 +1,16 @@
 // Differential fuzzing of the DSL end to end: generate random 1-D programs
 // (fills, strided copies, arithmetic, forall, where, reductions over
-// expressions), execute them through lexer->parser->machine under BOTH
-// execution tiers, and require (a) each tier matches a simple reference
-// simulator driven by the same random choices and (b) the two tiers agree
-// byte for byte — the bytecode tier's fused superinstructions must not
-// change a single bit relative to the tree-walking interpreter.
+// expressions) and random 2-D programs (region fills, copies, shifted
+// stencils, array and scalar arithmetic on processor grids), execute them
+// through lexer->parser->machine under BOTH execution tiers, and require
+// (a) each tier matches a simple reference simulator driven by the same
+// random choices and (b) the two tiers agree byte for byte — the bytecode
+// tier's fused superinstructions must not change a single bit relative to
+// the tree-walking interpreter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <random>
 #include <sstream>
@@ -18,6 +21,19 @@
 
 namespace cyclick::dsl {
 namespace {
+
+/// A regular section lo:hi:st with a positive stride.
+struct Sec {
+  i64 lo, hi, st;
+  [[nodiscard]] i64 size() const { return (hi - lo) / st + 1; }
+  [[nodiscard]] i64 at(i64 t) const { return lo + t * st; }
+  [[nodiscard]] std::string triplet() const {
+    std::ostringstream ss;
+    ss << lo << ':' << hi << ':' << st;
+    return ss.str();
+  }
+  [[nodiscard]] std::string str() const { return '(' + triplet() + ')'; }
+};
 
 struct RefMachine {
   std::vector<double> a, b;
@@ -75,17 +91,6 @@ class ProgramFuzzer {
   }
 
  private:
-  struct Sec {
-    i64 lo, hi, st;
-    [[nodiscard]] i64 size() const { return (hi - lo) / st + 1; }
-    [[nodiscard]] i64 at(i64 t) const { return lo + t * st; }
-    [[nodiscard]] std::string str() const {
-      std::ostringstream ss;
-      ss << '(' << lo << ':' << hi << ':' << st << ')';
-      return ss.str();
-    }
-  };
-
   Sec random_section() {
     const i64 lo = static_cast<i64>(rng_() % static_cast<u64>(n_ - 1));
     const i64 st = 1 + static_cast<i64>(rng_() % 7);
@@ -267,6 +272,338 @@ TEST(CompilerFuzz, RandomProgramsMatchReference) {
     for (int stmt = 0; stmt < 25; ++stmt) fuzzer.add_random_statement();
     fuzzer.run_and_check();
   }
+}
+
+// ---------------------------------------------------------------------------
+// 2-D programs on G(p1, p2) grids. The bytecode tier compiles an N-D
+// statement when its target is identity aligned and each rank's innermost
+// share is one contiguous local run; the stream also draws strided regions
+// and a non-identity-aligned array W, whose statements fall back. Either
+// way every tier on every executor must match the reference bit for bit.
+
+std::vector<u64> bits(const std::vector<double>& v) {
+  std::vector<u64> out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) out[i] = std::bit_cast<u64>(v[i]);
+  return out;
+}
+
+class GridFuzzer {
+ public:
+  explicit GridFuzzer(u64 seed) : rng_(seed) {
+    rows_ = 6 + pick(30);
+    cols_ = 6 + pick(30);
+    src_ << "processors G(" << 1 + pick(3) << ", " << 1 + pick(3) << ")\n"
+         << "template T(" << rows_ << ", " << 2 * cols_ << ")\n"
+         << "distribute T onto G " << clause() << ' ' << clause() << '\n';
+    for (const char* name : {"U", "V"})
+      src_ << "array " << name << '(' << rows_ << ", " << cols_ << ") align with T(i, j)\n";
+    // A stride-2 alignment: W stays on the interpreter whenever it is the
+    // target, and feeds cross-mapping region loads when it is an operand.
+    src_ << "array W(" << rows_ << ", " << cols_ << ") align with T(i, 2*j)\n";
+    for (auto& image : ref_) image.assign(static_cast<std::size_t>(rows_ * cols_), 0.0);
+  }
+
+  void add_random_statement() {
+    switch (pick(6)) {
+      case 0: add_fill(); break;
+      case 1: add_copy(); break;
+      case 2: add_stencil(); break;
+      case 3: add_arith(); break;
+      case 4: add_scalar_arith(); break;
+      default: add_self_shift(); break;
+    }
+  }
+
+  /// Every tier on both executors against the reference.
+  void run_and_check() const {
+    const std::string program = src_.str();
+    for (const auto mode : {SpmdExecutor::Mode::kSequential, SpmdExecutor::Mode::kThreads}) {
+      for (const Tier tier : {Tier::kInterp, Tier::kBytecode}) {
+        Machine machine(mode);
+        machine.set_tier(tier);
+        machine.run_source(program);
+        expect_images(machine, tier_name(tier));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+
+  /// Plant a zero inside a divisor region and divide by it: every tier
+  /// raises the same error and leaves every array as it was.
+  void check_division_by_zero() {
+    const Box z = random_box(false);
+    const i64 zi = z.r.at(pick(z.r.size()));
+    const i64 zj = z.c.at(pick(z.c.size()));
+    const int divisor = pick_array();
+    const int dst = static_cast<int>(pick(2));  // identity-aligned: compiles
+    const Box d = box_like(z, false);
+    const Box n = box_like(z, false);
+    const int num = pick_array();
+    std::ostringstream tail;
+    tail << name(divisor) << '(' << zi << ':' << zi << ", " << zj << ':' << zj << ") = 0\n"
+         << box_text(dst, d) << " = " << box_text(num, n) << " / " << box_text(divisor, z)
+         << '\n';
+    at(divisor, zi, zj) = 0.0;
+    const std::string program = src_.str() + tail.str();
+    std::string first_error;
+    for (const auto mode : {SpmdExecutor::Mode::kSequential, SpmdExecutor::Mode::kThreads}) {
+      for (const Tier tier : {Tier::kInterp, Tier::kBytecode}) {
+        Machine machine(mode);
+        machine.set_tier(tier);
+        std::string what;
+        try {
+          machine.run_source(program);
+        } catch (const dsl_error& e) {
+          what = e.what();
+        }
+        ASSERT_NE(what.find("division by zero"), std::string::npos)
+            << tier_name(tier) << '\n' << program;
+        if (first_error.empty()) first_error = what;
+        ASSERT_EQ(what, first_error) << tier_name(tier) << '\n' << program;
+        expect_images(machine, tier_name(tier));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+
+ private:
+  struct Box {
+    Sec r, c;
+  };
+
+  i64 pick(i64 n) { return static_cast<i64>(rng_() % static_cast<u64>(n)); }
+  int pick_array() { return static_cast<int>(pick(3)); }
+
+  std::string clause() {
+    switch (pick(3)) {
+      case 0: return "cyclic(" + std::to_string(1 + pick(6)) + ")";
+      case 1: return "block";
+      default: return "cyclic";
+    }
+  }
+
+  static const char* name(int a) { return a == 0 ? "U" : a == 1 ? "V" : "W"; }
+  static std::string box_text(int a, const Box& b) {
+    return std::string(name(a)) + '(' + b.r.triplet() + ", " + b.c.triplet() + ')';
+  }
+  double& at(int a, i64 i, i64 j) {
+    return ref_[static_cast<std::size_t>(a)][static_cast<std::size_t>(i * cols_ + j)];
+  }
+  double get(int a, const Box& b, i64 t, i64 u) { return at(a, b.r.at(t), b.c.at(u)); }
+
+  /// Unit stride two times in three, else 2 or 3 (which may or may not
+  /// leave the rank's innermost share dense, depending on the clause).
+  i64 stride(bool dense_only) { return dense_only || pick(3) != 0 ? 1 : 2 + pick(2); }
+
+  Sec random_sec(i64 n, bool dense_only) {
+    const i64 st = stride(dense_only);
+    const i64 lo = pick(n);
+    const i64 count = 1 + pick((n - 1 - lo) / st + 1);
+    return {lo, lo + (count - 1) * st, st};
+  }
+
+  Sec sec_of_size(i64 n, i64 count, bool dense_only) {
+    for (int attempt = 0; attempt < 16; ++attempt) {
+      const i64 st = stride(dense_only);
+      if ((count - 1) * st >= n) continue;
+      const i64 lo = pick(n - (count - 1) * st);
+      return {lo, lo + (count - 1) * st, st};
+    }
+    return {0, count - 1, 1};
+  }
+
+  Box random_box(bool dense_only) {
+    return {random_sec(rows_, dense_only), random_sec(cols_, dense_only)};
+  }
+  Box box_like(const Box& b, bool dense_only) {
+    return {sec_of_size(rows_, b.r.size(), dense_only),
+            sec_of_size(cols_, b.c.size(), dense_only)};
+  }
+
+  /// Store f(t, u) at every element of dst(d), evaluating the whole right
+  /// side before the first store (the DSL's array-assignment semantics).
+  template <typename F>
+  void assign(int dst, const Box& d, F&& f) {
+    const i64 rs = d.r.size();
+    const i64 cs = d.c.size();
+    std::vector<double> out(static_cast<std::size_t>(rs * cs));
+    for (i64 t = 0; t < rs; ++t)
+      for (i64 u = 0; u < cs; ++u) out[static_cast<std::size_t>(t * cs + u)] = f(t, u);
+    for (i64 t = 0; t < rs; ++t)
+      for (i64 u = 0; u < cs; ++u)
+        at(dst, d.r.at(t), d.c.at(u)) = out[static_cast<std::size_t>(t * cs + u)];
+  }
+
+  void add_fill() {
+    const int dst = pick_array();
+    const Box d = random_box(false);
+    const i64 v = pick(200) - 100;
+    src_ << box_text(dst, d) << " = " << v << '\n';
+    assign(dst, d, [&](i64, i64) { return static_cast<double>(v); });
+  }
+
+  void add_copy() {
+    const int dst = pick_array();
+    const int from = pick_array();
+    const Box d = random_box(false);
+    const Box s = box_like(d, false);
+    src_ << box_text(dst, d) << " = " << box_text(from, s) << '\n';
+    assign(dst, d, [&](i64 t, i64 u) { return get(from, s, t, u); });
+  }
+
+  /// dst(interior box) = (src(north) + src(south) + src(west) + src(east)) / c
+  void add_stencil() {
+    const int dst = pick_array();
+    const int from = pick_array();
+    const i64 h = 1 + pick(rows_ - 2);
+    const i64 w = 1 + pick(cols_ - 2);
+    const i64 r0 = 1 + pick(rows_ - 1 - h);
+    const i64 c0 = 1 + pick(cols_ - 1 - w);
+    const auto box = [&](i64 dr, i64 dc) {
+      return Box{{r0 + dr, r0 + dr + h - 1, 1}, {c0 + dc, c0 + dc + w - 1, 1}};
+    };
+    const Box d = box(0, 0);
+    const Box nb[] = {box(-1, 0), box(1, 0), box(0, -1), box(0, 1)};
+    const i64 c = 1 + pick(8);
+    src_ << box_text(dst, d) << " = (" << box_text(from, nb[0]) << " + "
+         << box_text(from, nb[1]) << " + " << box_text(from, nb[2]) << " + "
+         << box_text(from, nb[3]) << ") / " << c << '\n';
+    assign(dst, d, [&](i64 t, i64 u) {
+      return (get(from, nb[0], t, u) + get(from, nb[1], t, u) + get(from, nb[2], t, u) +
+              get(from, nb[3], t, u)) /
+             static_cast<double>(c);
+    });
+  }
+
+  void add_arith() {
+    const int dst = pick_array();
+    const int y = pick_array();
+    const int z = pick_array();
+    const Box d = random_box(false);
+    const Box s1 = box_like(d, false);
+    const Box s2 = box_like(d, false);
+    const i64 c = 1 + pick(9);
+    const auto cd = static_cast<double>(c);
+    const std::string lhs = box_text(dst, d);
+    switch (pick(4)) {
+      case 0:
+        src_ << lhs << " = " << box_text(y, s1) << " * " << c << " - " << box_text(z, s2)
+             << '\n';
+        assign(dst, d, [&](i64 t, i64 u) { return get(y, s1, t, u) * cd - get(z, s2, t, u); });
+        break;
+      case 1:
+        // The target read back through a direct alias after an
+        // intermediate sum: store fusion must not clobber it early.
+        src_ << lhs << " = " << box_text(y, s1) << " + " << box_text(z, s2) << " + " << lhs
+             << '\n';
+        assign(dst, d, [&](i64 t, i64 u) {
+          return get(y, s1, t, u) + get(z, s2, t, u) + get(dst, d, t, u);
+        });
+        break;
+      case 2:
+        src_ << lhs << " = (" << box_text(y, s1) << " - " << box_text(z, s2) << ") * (" << lhs
+             << " + " << c << ")\n";
+        assign(dst, d, [&](i64 t, i64 u) {
+          return (get(y, s1, t, u) - get(z, s2, t, u)) * (get(dst, d, t, u) + cd);
+        });
+        break;
+      default: {
+        // An array divisor: guarded two-phase store. Divide only when the
+        // divisor region holds no zero (check_division_by_zero covers that).
+        bool zero = false;
+        for (i64 t = 0; t < d.r.size(); ++t)
+          for (i64 u = 0; u < d.c.size(); ++u) zero = zero || get(z, s2, t, u) == 0.0;
+        const char op = zero ? '*' : '/';
+        src_ << lhs << " = " << box_text(y, s1) << ' ' << op << ' ' << box_text(z, s2) << '\n';
+        assign(dst, d, [&](i64 t, i64 u) {
+          return zero ? get(y, s1, t, u) * get(z, s2, t, u)
+                      : get(y, s1, t, u) / get(z, s2, t, u);
+        });
+        break;
+      }
+    }
+  }
+
+  /// Array arithmetic with a scalar variable, which the compiler cannot
+  /// fold: the divide by it is guarded.
+  void add_scalar_arith() {
+    const int dst = pick_array();
+    const int y = pick_array();
+    const Box d = random_box(false);
+    const Box s1 = box_like(d, false);
+    i64 v = pick(19) - 9;
+    if (v == 0) v = 3;
+    const auto vd = static_cast<double>(v);
+    const i64 c = pick(21) - 10;
+    const auto cd = static_cast<double>(c);
+    src_ << "s = " << v << '\n';
+    if (pick(2) == 0) {
+      src_ << box_text(dst, d) << " = " << box_text(y, s1) << " * s + " << c << '\n';
+      assign(dst, d, [&](i64 t, i64 u) { return get(y, s1, t, u) * vd + cd; });
+    } else {
+      src_ << box_text(dst, d) << " = " << c << " - " << box_text(y, s1) << " / s\n";
+      assign(dst, d, [&](i64 t, i64 u) { return cd - get(y, s1, t, u) / vd; });
+    }
+  }
+
+  /// U = U(shift) + U: the target is both a shifted (loaded) operand and a
+  /// direct alias of itself.
+  void add_self_shift() {
+    const int dst = pick_array();
+    const Box d = random_box(true);
+    const Box s = box_like(d, true);
+    src_ << box_text(dst, d) << " = " << box_text(dst, s) << " + " << box_text(dst, d) << '\n';
+    assign(dst, d, [&](i64 t, i64 u) { return get(dst, s, t, u) + get(dst, d, t, u); });
+  }
+
+  void expect_images(const Machine& machine, const char* tier) const {
+    for (int a = 0; a < 3; ++a)
+      ASSERT_EQ(bits(machine.global_image(name(a))), bits(ref_[static_cast<std::size_t>(a)]))
+          << name(a) << " under " << tier << '\n'
+          << src_.str();
+  }
+
+  std::mt19937_64 rng_;
+  i64 rows_ = 0;
+  i64 cols_ = 0;
+  std::vector<double> ref_[3];
+  std::ostringstream src_;
+};
+
+TEST(CompilerFuzz, RandomGridProgramsMatchAcrossTiers) {
+  for (u64 seed = 1; seed <= 30; ++seed) {
+    GridFuzzer fuzzer(seed * 0xD1B54A32D192ED03ULL);
+    for (int stmt = 0; stmt < 20; ++stmt) fuzzer.add_random_statement();
+    fuzzer.run_and_check();
+    if (HasFatalFailure()) return;
+    fuzzer.check_division_by_zero();
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(CompilerFuzz, GridShapesOutsideTheTierFallBack) {
+  // cyclic(2) over two columns of ranks: a stride-2 innermost section puts
+  // every other local slot in a rank's share, so it is not one run.
+  Machine machine;
+  machine.run_source(R"(
+processors G(2, 2)
+template T(12, 32)
+distribute T onto G cyclic(3) cyclic(2)
+array U(12, 16) align with T(i, j)
+array W(12, 16) align with T(i, 2*j)
+explain U(0:11, 0:15:2) = U(0:11, 1:15:2) + 1
+explain W(0:11, 0:15) = U(0:11, 0:15) + 1
+explain U(1:10, 1:14) = (U(0:9, 1:14) + W(2:11, 1:14)) / 2
+)");
+  const std::string& out = machine.output();
+  const auto first = out.find("explain U: statement falls back to the interpreter tier");
+  EXPECT_NE(first, std::string::npos) << out;
+  EXPECT_NE(out.find("explain W: statement falls back to the interpreter tier"),
+            std::string::npos)
+      << out;
+  // The dense, identity-aligned target compiles, with W as a region load.
+  EXPECT_NE(out.find("bytecode program for U(1:10:1, 1:14:1)"), std::string::npos) << out;
+  EXPECT_NE(out.find("load.region t"), std::string::npos) << out;
 }
 
 }  // namespace

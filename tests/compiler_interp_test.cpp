@@ -552,19 +552,44 @@ TEST(Tier, ExplainListsCompiledBytecode) {
 }
 
 TEST(Tier, ExplainReportsInterpreterFallback) {
-  // N-D targets are not compiled; the explain form says so instead of
-  // printing a listing.
+  // Targets with a non-identity alignment are not compiled; the explain
+  // form says so instead of printing a listing.
+  Machine machine;
+  machine.run_source(R"(
+processors G(2, 2)
+template T(8, 16)
+distribute T onto G cyclic(2) cyclic(2)
+array M(8, 8) align with T(i, 2*j)
+explain M(0:7, 0:7) = 5
+)");
+  EXPECT_NE(machine.output().find("falls back to the interpreter tier"),
+            std::string::npos)
+      << machine.output();
+}
+
+TEST(Tier, ExplainListsRegionProgram) {
+  // An identity-aligned N-D target with a dense innermost share compiles:
+  // the listing shows each rank's run count and the region loads.
   Machine machine;
   machine.run_source(R"(
 processors G(2, 2)
 template T(8, 8)
 distribute T onto G cyclic(2) cyclic(2)
 array M(8, 8) align with T(i, j)
-explain M(0:7, 0:7) = 5
+array N(8, 8) align with T(i, j)
+explain M(1:6, 1:6) = (N(0:5, 1:6) + N(2:7, 1:6)) / 2
 )");
-  EXPECT_NE(machine.output().find("falls back to the interpreter tier"),
+  const std::string& out = machine.output();
+  EXPECT_NE(out.find("bytecode program for M(1:6:1, 1:6:1) on 4 ranks (36 lanes"),
             std::string::npos)
-      << machine.output();
+      << out;
+  // Under cyclic(2) on two ranks per axis, rank 0 owns rows {1, 4, 5} and
+  // columns {1, 4, 5} (local columns 1..3): three local rows of one run.
+  EXPECT_NE(out.find("runs:"), std::string::npos) << out;
+  EXPECT_NE(out.find("rank 0: 3 runs, 9 lanes"), std::string::npos) << out;
+  EXPECT_NE(out.find("load.region t0 = N(0:5:1, 1:6:1)"), std::string::npos) << out;
+  EXPECT_NE(out.find("load.region t1 = N(2:7:1, 1:6:1)"), std::string::npos) << out;
+  EXPECT_NE(out.find("adddiv.vvs"), std::string::npos) << out;
 }
 
 TEST(Tier, DivisionByZeroParityAcrossTiers) {
@@ -595,6 +620,26 @@ B(10:19) = B(10:19) / A(10:19)
   // tier (all-or-nothing store discipline), so the images still agree.
   EXPECT_EQ(interp_b, bytecode_b);
   EXPECT_EQ(bytecode_b[10], 3.0 / 7.0);  // first divide landed, second aborted
+}
+
+TEST(Tier, GuardedMaskedStoreWithManyScalarRegisters) {
+  // The mask divides by an array (a guarded, two-phase program) and the
+  // stored value is a scalar register numbered past the lane-register
+  // file: the lane phase must never index lane registers with it.
+  std::string ones = "1";
+  for (int i = 0; i < 17; ++i) ones += " + 1";
+  const std::string program = std::string(kPrologue) +
+                              "A(0:319) = 2\nB(0:319) = 3\n"
+                              "where (B(0:99) / A(0:99) > " + ones + " - 17) B(0:99) = 5\n";
+  Machine interp;
+  interp.set_tier(Tier::kInterp);
+  interp.run_source(program);
+  Machine bytecode;
+  bytecode.set_tier(Tier::kBytecode);
+  bytecode.run_source(program);
+  EXPECT_EQ(bytecode.global_image("B"), interp.global_image("B"));
+  EXPECT_EQ(bytecode.global_image("B")[0], 5.0);
+  EXPECT_EQ(bytecode.global_image("B")[100], 3.0);
 }
 
 TEST(Tier, FallbackMatchesInterpOnAlignedTargets) {
