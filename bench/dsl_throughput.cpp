@@ -5,8 +5,11 @@
 // kernel selection) across loop iterations and fusing the interpreter's
 // multi-pass arithmetic into single-pass superinstructions.
 //
-// Three programs, every statement of which the bytecode tier compiles:
+// Four programs, every statement of which the bytecode tier compiles:
 //   jacobi       3-point average ping-pong (the paper's relaxation shape)
+//   jacobi_large the same sweep on 2^20 doubles under cyclic(32): out of
+//                cache, where the shifted operands' lane.shift halos replace
+//                two full operand copies per statement
 //   heat2d_flat  4-point average over a row-flattened 2-D grid on a 1-D
 //                processor arrangement (stencil neighbors at +-1 and +-W in
 //                the flat index space)
@@ -14,7 +17,7 @@
 //                grid: N-D region loads and one lane pass per local row
 //
 // `--json` writes BENCH_dsl_throughput.json; the CI perf-smoke gate asserts
-// bytecode/interp speedup >= 2x on all three programs.
+// bytecode/interp speedup >= 2x on all four programs.
 #include <sstream>
 #include <string>
 
@@ -31,20 +34,21 @@ struct Workload {
   i64 elements;          // array elements per statement
   std::string prologue;  // declarations + initialization, run once
   std::string sweep;     // one relaxation sweep (two statements)
+  i64 sweeps = 50;       // sweeps per timed run
 };
 
-Workload jacobi(i64 n) {
+Workload jacobi(const char* name, i64 n, i64 k) {
   std::ostringstream pro, sweep;
   pro << "processors P(4)\n"
       << "template T(" << n << ")\n"
-      << "distribute T onto P cyclic(64)\n"
+      << "distribute T onto P cyclic(" << k << ")\n"
       << "array U(" << n << ") align with T(i)\n"
       << "array V(" << n << ") align with T(i)\n"
       << "forall (i = 0:" << n - 1 << ") U(i) = i * (" << n - 1 << " - i)\n"
       << "V(0:" << n - 1 << ") = 0\n";
   sweep << "V(1:" << n - 2 << ") = (U(0:" << n - 3 << ") + U(2:" << n - 1 << ")) / 2\n"
         << "U(1:" << n - 2 << ") = V(1:" << n - 2 << ")\n";
-  return {"jacobi", n, pro.str(), sweep.str()};
+  return {name, n, pro.str(), sweep.str()};
 }
 
 Workload heat2d_flat(i64 w, i64 rows) {
@@ -123,12 +127,14 @@ int main(int argc, char** argv) {
   const obs::CliOptions obs_opt = obs_options(argc, argv);
   const int repeats = 5;
   const i64 n = 16384;
-  const i64 sweeps = 50;
 
-  const Workload workloads[] = {jacobi(n), heat2d_flat(128, n / 128), heat2d_grid(256, 8, 4)};
+  Workload large = jacobi("jacobi_large", i64{1} << 20, 32);
+  large.sweeps = 10;  // each sweep streams 2^20 doubles per statement
+  const Workload workloads[] = {jacobi("jacobi", n, 64), large, heat2d_flat(128, n / 128),
+                                heat2d_grid(256, 8, 4)};
 
   std::cout << "DSL statement throughput: interpreter tier vs bytecode tier\n"
-            << "(" << sweeps << " sweeps per run, best of " << repeats << ")\n\n";
+            << "(best of " << repeats << " runs of `sweeps` sweeps)\n\n";
 
   TextTable table({"program", "n", "sweeps", "interp_us", "bytecode_us", "per_sweep_us",
                    "speedup"});
@@ -139,6 +145,7 @@ int main(int argc, char** argv) {
       ok = false;
       continue;
     }
+    const i64 sweeps = wl.sweeps;
     const double interp_us = time_tier(wl, dsl::Tier::kInterp, sweeps, repeats);
     const double bytecode_us = time_tier(wl, dsl::Tier::kBytecode, sweeps, repeats);
     table.add_row({wl.name, TextTable::num(wl.elements), TextTable::num(sweeps),

@@ -17,6 +17,7 @@ const char* op_name(Op op) noexcept {
     case Op::kLoadRegion: return "load.region";
     case Op::kLaneDirect: return "lane.direct";
     case Op::kLaneScratch: return "lane.scratch";
+    case Op::kLaneShift: return "lane.shift";
     case Op::kLaneRamp: return "lane.ramp";
     case Op::kLaneNeg: return "neg.v";
     case Op::kAddVV: return "add.vv";
@@ -120,6 +121,14 @@ void format_instr(std::ostringstream& ss, const Instr& in,
     case Op::kLaneScratch:
       ss << " l" << +in.a << " = t" << +in.b;
       break;
+    case Op::kLaneShift: {
+      ss << "   l" << +in.a << " = " << source_text(opnd()) << "  [delta=" << opnd().shift
+         << ", halo h" << +in.b << " per rank:";
+      for (const i64 c : opnd().halo_counts) ss << ' ' << c;
+      ss << ", messages=" << opnd().plan->message_count()
+         << ", remote=" << opnd().plan->remote_elements() << ']';
+      break;
+    }
     case Op::kLaneRamp:
       ss << "    l" << +in.a << " = " << opnd().ramp_lower << " + t*"
          << opnd().ramp_stride;

@@ -11,7 +11,11 @@
 //   loads    operand communication — each remote operand lands in a
 //            destination-shaped scratch array through a CommPlan (1-D) or
 //            region plan (N-D) resolved at compile time and shared with the
-//            interpreter's plan caches.
+//            interpreter's plan caches. A 1-D operand that is the target
+//            section shifted by delta (0 < |delta| < k) under the target's
+//            mapping instead reads its own local span in place (lane.shift):
+//            only its block-boundary halo, |delta| elements per block, moves
+//            into a compact per-rank buffer.
 //   lanes    the per-rank dense phase — every rank walks its share of the
 //            statement section or region as a list of runs, materializes
 //            each run as contiguous "lane" vectors (zero-copy aliases of the
@@ -19,6 +23,9 @@
 //            ending in a store / masked store / reduction fold. A 1-D share
 //            is one run; an N-D share whose innermost dimension is one
 //            contiguous local run per rank is one run per local row.
+//            Programs with lane.shift sources run each run strip by strip:
+//            one span pass over shifted aliases, then the strip's boundary
+//            positions recomputed from the halo while still in cache.
 //
 // Fused superinstructions (kMulAddVSV, kAddDivVVS, kMulAddVSS, ...) collapse
 // the interpreter's separate transform+combine passes into one loop without
@@ -61,6 +68,7 @@ enum class Op : u8 {
   // lane phase
   kLaneDirect,   ///< l[a] = owned lanes of operands[aux] (alias when dense)
   kLaneScratch,  ///< l[a] = owned lanes of scratch[b]   (alias when dense)
+  kLaneShift,    ///< l[a] = local span of operands[aux] at +shift; halo[b] at block edges
   kLaneRamp,     ///< l[a] = forall index ramp operands[aux]
   kLaneNeg,      ///< l[a] = -l[a]
   kAddVV,        ///< l[a] = l[a] + l[b]
@@ -107,13 +115,19 @@ struct Operand {
   std::string array;              // source array / scalar-variable name
   RegularSection sec{0, 0, 1};    // source section (1-D)
   Region region{};                // source region (N-D)
-  i64 shift = 0;                  // kLoadShift
+  i64 shift = 0;                  // kLoadShift; kLaneShift: the constant delta
   bool circular = true;           // kLoadShift: cshift vs eoshift
   double boundary = 0.0;          // kLoadShift: eoshift boundary value
   i64 ramp_lower = 0;             // kLaneRamp
   i64 ramp_stride = 1;            // kLaneRamp
-  std::shared_ptr<const CommPlan> plan{};                   // kLoadSection / kLoadShift
+  /// kLoadSection / kLoadShift: the operand copy. kLaneShift: the halo
+  /// plan, moving the source elements whose target position sits in a
+  /// neighbouring block into the halo array (cyclic(|shift|), one
+  /// |shift|-wide block per target block).
+  std::shared_ptr<const CommPlan> plan{};
   std::shared_ptr<const RedistributionPlan> region_plan{};  // kLoadRegion
+  i64 halo_size = 0;               // kLaneShift: halo array extent
+  std::vector<i64> halo_counts{};  // kLaneShift: halo elements per rank
 };
 
 struct Instr {
@@ -154,9 +168,19 @@ struct CompiledProgram {
   /// program executes once per run. (A 1-D share is its kernel's one run.)
   std::vector<std::vector<Run>> runs;
 
+  /// lane.shift programs: the target's block size k, the boundary residues
+  /// (block offsets any shifted operand takes from its halo, ascending),
+  /// and per rank the local-address window [base, base+len) in which every
+  /// shifted alias stays inside its source's local span. Positions outside
+  /// the window are all boundary positions.
+  i64 block = 0;
+  std::vector<i64> fix_residues;
+  std::vector<Run> shift_window;
+
   int n_sregs = 0;
   int n_lanes = 0;
   int n_scratch = 0;
+  int n_halo = 0;  // lane.shift halo buffers
   u8 store_reg = 0;        // lane register consumed by the terminal
   u8 result_sreg = 0;      // kReduceLanes result register
   bool store_fused = false;      // final arith op may write the dst span
@@ -168,7 +192,8 @@ struct CompiledProgram {
   [[nodiscard]] std::string shape() const;
 
   /// Human-readable disassembly: per-phase instructions, per-rank kernel
-  /// classes (1-D) or run counts (N-D), and the fusion decisions taken.
+  /// classes (1-D) or run counts (N-D), each lane.shift's delta and per-rank
+  /// halo size, and the fusion decisions taken.
   [[nodiscard]] std::string listing() const;
 };
 

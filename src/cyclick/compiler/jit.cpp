@@ -12,6 +12,7 @@
 // same message and source line the interpreter would report.
 #include "cyclick/compiler/jit.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <optional>
@@ -33,6 +34,12 @@ namespace {
 constexpr int kMaxLanes = 16;
 constexpr int kMaxSregs = 64;
 constexpr int kMaxScratch = 32;
+
+/// Strip length of lane.shift programs, in local elements: the span pass
+/// and the boundary fix-ups of one strip touch the same few KiB, so the
+/// fix-ups hit cache (whole blocks when k fits, so a strip's boundary
+/// positions are whole residue columns).
+constexpr i64 kStripElems = 1024;
 
 /// Raised for "not bytecode-compilable" (as opposed to dsl_error, which is
 /// a real program error the interpreter would also raise).
@@ -360,16 +367,144 @@ struct JitCompiler {
           bc::Instr{.op = bc::Op::kLaneDirect, .a = lane, .aux = aux, .line = e.line});
       return lane;
     }
+    const i32 aux = add_operand(bc::Operand{.array = e.section.array, .sec = ssec});
+    const char* why = shift_blocker(*src, ssec);
+    if (why == nullptr) {
+      // Provisional: resolve_shifts keeps it (halo plans) or demotes it to a
+      // scratch load once the whole statement is known.
+      p.operands.back().shift = ssec.lower - p.dsec.lower;
+      p.lanes.push_back(
+          bc::Instr{.op = bc::Op::kLaneShift, .a = lane, .aux = aux, .line = e.line});
+      return lane;
+    }
+    if (ssec.stride == p.dsec.stride && ssec.lower != p.dsec.lower)
+      note_shift_fallback(e.line, p.operands.back(), why);
+    p.lanes.push_back(load_section(lane, aux, *src, e.line));
+    return lane;
+  }
+
+  /// A plan copy of 1-D operand `aux` into a destination-shaped scratch
+  /// slot; returns the lane instruction that reads the slot.
+  bc::Instr load_section(u8 lane, i32 aux, const DistributedArray<double>& src, int line) {
     if (p.n_scratch >= kMaxScratch) throw BailOut{};
     const u8 slot = static_cast<u8>(p.n_scratch++);
-    auto plan = cached_copy_plan(*src, ssec, *dst, p.dsec, *exec);
-    const i32 aux =
-        add_operand(bc::Operand{.array = e.section.array, .sec = ssec, .plan = std::move(plan)});
-    p.loads.push_back(
-        bc::Instr{.op = bc::Op::kLoadSection, .a = slot, .aux = aux, .line = e.line});
-    p.lanes.push_back(
-        bc::Instr{.op = bc::Op::kLaneScratch, .a = lane, .b = slot, .line = e.line});
-    return lane;
+    bc::Operand& o = p.operands[static_cast<std::size_t>(aux)];
+    o.plan = cached_copy_plan(src, o.sec, *dst, p.dsec, *exec);
+    p.loads.push_back(bc::Instr{.op = bc::Op::kLoadSection, .a = slot, .aux = aux, .line = line});
+    return bc::Instr{.op = bc::Op::kLaneScratch, .a = lane, .b = slot, .line = line};
+  }
+
+  // -- shifted operands (lane.shift) -----------------------------------------
+  //
+  // Under cyclic(k), an operand whose section is the target section shifted
+  // by a constant delta (0 < |delta| < k), with the target's mapping, sits
+  // at local address la + delta of the target element at la on the same
+  // rank — except at the |delta| block offsets per block whose source lies
+  // in a neighbouring block, i.e. on another rank. Those boundary elements
+  // form |delta| stride-k sections; they move into a compact halo array and
+  // the lane phase patches them in (run_lanes).
+
+  /// Why operand `ssec` of `src` cannot be a lane.shift source, or null.
+  const char* shift_blocker(const DistributedArray<double>& src, const RegularSection& ssec) {
+    if (ssec.stride != p.dsec.stride || (ssec.stride != 1 && ssec.stride != -1))
+      return "not unit stride";
+    const i64 delta = ssec.lower - p.dsec.lower;
+    if (delta == 0) return "same section under another mapping";
+    if (&src == dst) return "reads the target array";
+    if (src.dist() != dst->dist() || !src.alignment().is_identity())
+      return "mapping differs from the target's";
+    const i64 k = dst->dist().block_size();
+    if (delta <= -k || delta >= k) return "|delta| >= the block size";
+    return nullptr;
+  }
+
+  void note_shift_fallback(int line, const bc::Operand& o, const char* why) {
+    note_fusion(line, "shifted operand " + o.array + o.sec.to_string() + " (delta " +
+                          std::to_string(o.sec.lower - p.dsec.lower) +
+                          ") stays a scratch copy: " + why);
+  }
+
+  /// Keep every provisional lane.shift (why == null: build its halo plans)
+  /// or demote each to a scratch load, noting `why`.
+  void resolve_shifts(const char* why) {
+    const auto is_shift = [](const bc::Instr& in) { return in.op == bc::Op::kLaneShift; };
+    if (std::none_of(p.lanes.begin(), p.lanes.end(), is_shift)) return;
+    if (why == nullptr) {
+      p.block = dst->dist().block_size();
+      for (i64 r = 0; r < p.ranks; ++r)
+        p.shift_window.push_back({0, static_cast<i64>(dst->local(r).size())});
+    }
+    for (bc::Instr& in : p.lanes) {
+      if (in.op != bc::Op::kLaneShift) continue;
+      bc::Operand& o = p.operands[static_cast<std::size_t>(in.aux)];
+      if (why != nullptr) {
+        note_shift_fallback(in.line, o, why);
+        in = load_section(in.a, in.aux, *find1d(o.array), in.line);
+        continue;
+      }
+      if (p.n_halo >= kMaxScratch) throw BailOut{};
+      build_halo(o, *find1d(o.array));
+      in.b = static_cast<u8>(p.n_halo++);
+    }
+    std::sort(p.fix_residues.begin(), p.fix_residues.end());
+    p.fix_residues.erase(std::unique(p.fix_residues.begin(), p.fix_residues.end()),
+                         p.fix_residues.end());
+  }
+
+  /// Why a store program may not overwrite its target in place (span pass,
+  /// then boundary recomputation), or null. The span pass leaves wrong
+  /// values at boundary positions until the fix-up pass rewrites them, so
+  /// nothing may read the target, and nothing may throw on those values.
+  const char* shift_statement_blocker() const {
+    if (p.lanes_may_throw) return "a lane instruction may divide by zero";
+    for (const bc::Instr& in : p.lanes) {
+      if (in.op == bc::Op::kLaneDirect &&
+          p.operands[static_cast<std::size_t>(in.aux)].array == p.target)
+        return "the statement reads its target";
+      if (in.op == bc::Op::kLaneRamp) return "the statement has a forall index ramp";
+    }
+    for (const KernelPlan& kp : p.kernels)
+      if (kp.count() > 0 && kp.cls() != KernelClass::kRunCopy)
+        return "a rank's share is not one dense run";
+    return nullptr;
+  }
+
+  /// The halo of shifted operand `o`: target block m's boundary offsets
+  /// j0..j0+w-1 land at halo elements m*w + (j - j0), so under cyclic(w)
+  /// each rank's halo is a dense buffer, one w-wide slot per local block.
+  void build_halo(bc::Operand& o, const DistributedArray<double>& src) {
+    const i64 k = dst->dist().block_size();
+    const i64 delta = o.shift;
+    const i64 w = delta < 0 ? -delta : delta;
+    const i64 j0 = delta < 0 ? 0 : k - delta;
+    const i64 lo = std::min(p.dsec.lower, p.dsec.last());
+    const i64 hi = std::max(p.dsec.lower, p.dsec.last());
+    o.halo_size = w * ceil_div(dst->size(), k);
+    o.halo_counts.assign(static_cast<std::size_t>(p.ranks), 0);
+    std::vector<RegularSection> from, to;
+    for (i64 jj = 0; jj < w; ++jj) {
+      const i64 j = j0 + jj;
+      const i64 m_lo = ceil_div(lo - j, k);
+      const i64 m_hi = floor_div(hi - j, k);
+      if (m_lo > m_hi) continue;
+      for (i64 blk = m_lo; blk <= m_hi; ++blk)
+        ++o.halo_counts[static_cast<std::size_t>(blk % p.ranks)];
+      from.push_back({j + m_lo * k + delta, j + m_hi * k + delta, k});
+      to.push_back({m_lo * w + jj, m_hi * w + jj, w});
+    }
+    DistributedArray<double> halo(BlockCyclic(p.ranks, w), o.halo_size);
+    o.plan = std::make_shared<const CommPlan>(build_copy_plan(
+        src, std::span<const RegularSection>(from), halo, std::span<const RegularSection>(to),
+        *exec));
+    for (i64 jj = 0; jj < w; ++jj) p.fix_residues.push_back(j0 + jj);
+    // The span-pass window: every alias la + delta inside [0, capacity).
+    for (i64 r = 0; r < p.ranks; ++r) {
+      const i64 cap = static_cast<i64>(src.local(r).size());
+      bc::Run& win = p.shift_window[static_cast<std::size_t>(r)];
+      const i64 b = std::max(win.base, -delta);
+      const i64 e = std::min(win.base + win.len, cap - delta);
+      win = {b, std::max<i64>(e - b, 0)};
+    }
   }
 
   /// The source region of an N-D operand, validated against the target
@@ -708,6 +843,7 @@ struct JitCompiler {
   void finalize_store(u8 store_reg) {
     p.store_reg = store_reg;
     build_kernels();
+    resolve_shifts(shift_statement_blocker());
     if (p.lanes_may_throw) return;
     // Store fusion redirects EVERY buffer write of the store register into
     // the destination span, so intermediate results become visible through
@@ -820,6 +956,7 @@ struct JitCompiler {
                                 .line = s.line});
     p.store_reg = v;
     build_kernels();
+    resolve_shifts("masked store");
     return take();
   }
 
@@ -842,6 +979,7 @@ struct JitCompiler {
     p.scalar_target = s.name;
     p.store_reg = r;
     build_kernels();
+    resolve_shifts("reduction terminal");
     note_fusion(root.line, "fused transform+reduce: no materialized temporary array");
     return take();
   }
@@ -861,7 +999,7 @@ enum class Phase { kAll, kArith, kTerminal };
 
 void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>& s,
                const double* const* src, double* dloc, std::vector<double>& arena,
-               double* partial, char* seen, Phase phase) {
+               std::vector<i64>& fixbuf, double* partial, char* seen, Phase phase) {
   // A 1-D share is its kernel's one run: span mode when the kernel is a
   // dense run, else gathered and scattered through the kernel. An N-D
   // share is its compile-time run list, always in span mode, where lane
@@ -874,11 +1012,25 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
   if (runs.empty()) return;
   const bool span_mode = kp == nullptr || kp->cls() == KernelClass::kRunCopy;
   const std::size_t scratch0 = p.operands.size();  // src index of scratch slot 0
+  const std::size_t halo0 = scratch0 + static_cast<std::size_t>(p.n_scratch);
+  // lane.shift programs (1-D, span mode, plain store) run strip by strip:
+  // a span pass over the part of the strip inside the shift window, then a
+  // fix-up pass over the strip's boundary positions, gathered by address.
+  const bool halo = p.n_halo > 0;
+  const i64 k = p.block;
+  const i64 strip = !halo ? 0 : k <= kStripElems ? k * (kStripElems / k) : kStripElems;
+  const bc::Run win = halo ? p.shift_window[static_cast<std::size_t>(rank)] : bc::Run{};
   std::size_t widest = 0;
   std::size_t total = 0;
   for (const bc::Run& run : runs) {
     widest = std::max(widest, static_cast<std::size_t>(run.len));
     total += static_cast<std::size_t>(run.len);
+  }
+  if (halo) {
+    widest = std::min(widest, static_cast<std::size_t>(strip));
+    // At most strip/k + 2 blocks touch a strip, each with every residue.
+    const i64 fix_max = (strip / k + 2) * static_cast<i64>(p.fix_residues.size());
+    fixbuf.resize(static_cast<std::size_t>(fix_max));
   }
   // Guarded store programs keep the store register of every run in one
   // full-share stash, so kTerminal stores exactly what kArith computed.
@@ -893,9 +1045,10 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
     double* buf;        // where the next write to it lands
   };
   Reg regs[kMaxLanes];
-  std::size_t cnt = 0;      // current run's length
-  i64 base = 0;             // current run's first local address
-  double* dspan = nullptr;  // current run's destination span
+  std::size_t cnt = 0;      // current pass's length
+  i64 base = 0;             // current span pass's first local address
+  double* dspan = nullptr;  // current span pass's destination span
+  const i64* pos = nullptr;  // fix-up pass: the local address of each lane
   const bc::Instr* ip = nullptr;
 
   const auto materialize = [&](u8 r) {
@@ -919,7 +1072,7 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
       &&vm_bad,          // kLoadSection (load phase only)
       &&vm_bad,          // kLoadShift
       &&vm_bad,          // kLoadRegion
-      &&vm_lane_direct,  &&vm_lane_scratch, &&vm_lane_ramp, &&vm_lane_neg,
+      &&vm_lane_direct,  &&vm_lane_scratch, &&vm_lane_shift, &&vm_lane_ramp, &&vm_lane_neg,
       &&vm_add_vv,       &&vm_sub_vv,       &&vm_mul_vv,    &&vm_div_vv,
       &&vm_add_vs,       &&vm_sub_vs,       &&vm_mul_vs,    &&vm_div_vs,
       &&vm_sub_sv,       &&vm_div_sv,       &&vm_muladd_vsv, &&vm_mulsub_vsv,
@@ -938,25 +1091,50 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
   } while (0)
 
   // One pass of the lane program per run; a 1-D share is a single run.
+  // lane.shift programs split each run into strips of two passes each.
   std::size_t off = 0;  // current run's offset in the stash
   for (const bc::Run& run : runs) {
-    cnt = static_cast<std::size_t>(run.len);
-    base = run.base;
-    dspan = dloc + base;
-    for (int i = 0; i < p.n_lanes; ++i) {
-      regs[i].buf = arena.data() + static_cast<std::size_t>(i) * widest;
-      regs[i].cur = regs[i].buf;
-    }
-    if (stash_store) {
-      regs[p.store_reg].buf = stash + off;
-      regs[p.store_reg].cur = regs[p.store_reg].buf;
-    } else if (p.store_fused && span_mode) {
-      // Store fusion: the final arithmetic instruction targeting the store
-      // register writes the destination span directly (span mode only, and
-      // only when no lane instruction can throw).
-      regs[p.store_reg].buf = dspan;
-    }
-    ip = phase == Phase::kTerminal ? &p.lanes.back() : p.lanes.data();
+    const i64 run_end = run.base + run.len;
+    for (i64 s0 = run.base, s1 = 0; s0 < run_end; s0 = s1) {
+      s1 = halo ? std::min(run_end, (s0 / strip + 1) * strip) : run_end;
+      for (int pass = 0; pass < (halo ? 2 : 1); ++pass) {
+        if (pass == 0) {
+          // Span pass, clipped to the shift window (the positions it drops
+          // are boundary positions, which the fix-up pass computes).
+          base = halo ? std::max(s0, win.base) : s0;
+          const i64 end = halo ? std::min(s1, win.base + win.len) : s1;
+          if (end <= base) continue;
+          cnt = static_cast<std::size_t>(end - base);
+          pos = nullptr;
+        } else {
+          // Fix-up pass: the strip's positions at boundary block offsets,
+          // in ascending address order.
+          std::size_t n = 0;
+          for (i64 blk = s0 / k; blk * k < s1; ++blk)
+            for (const i64 j : p.fix_residues) {
+              const i64 la = blk * k + j;
+              if (la >= s0 && la < s1) fixbuf[n++] = la;
+            }
+          if (n == 0) continue;
+          cnt = n;
+          pos = fixbuf.data();
+          base = 0;
+        }
+        dspan = dloc + base;
+        for (int i = 0; i < p.n_lanes; ++i) {
+          regs[i].buf = arena.data() + static_cast<std::size_t>(i) * widest;
+          regs[i].cur = regs[i].buf;
+        }
+        if (stash_store) {
+          regs[p.store_reg].buf = stash + off;
+          regs[p.store_reg].cur = regs[p.store_reg].buf;
+        } else if (p.store_fused && span_mode && pos == nullptr) {
+          // Store fusion: the final arithmetic instruction targeting the
+          // store register writes the destination span directly (span
+          // passes only, and only when no lane instruction can throw).
+          regs[p.store_reg].buf = dspan;
+        }
+        ip = phase == Phase::kTerminal ? &p.lanes.back() : p.lanes.data();
 #if defined(__GNUC__) && !defined(CYCLICK_NO_COMPUTED_GOTO)
     VM_DISPATCH;
 #else
@@ -964,6 +1142,7 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
     switch (ip->op) {
       case bc::Op::kLaneDirect: goto vm_lane_direct;
       case bc::Op::kLaneScratch: goto vm_lane_scratch;
+      case bc::Op::kLaneShift: goto vm_lane_shift;
       case bc::Op::kLaneRamp: goto vm_lane_ramp;
       case bc::Op::kLaneNeg: goto vm_lane_neg;
       case bc::Op::kAddVV: goto vm_add_vv;
@@ -990,7 +1169,10 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
 vm_lane_direct: {
   Reg& r = regs[ip->a];
   const double* sl = src[ip->aux];
-  if (span_mode) {
+  if (pos != nullptr) {
+    for (std::size_t i = 0; i < cnt; ++i) r.buf[i] = sl[pos[i]];
+    r.cur = r.buf;
+  } else if (span_mode) {
     r.cur = sl + base;
   } else {
     kernel_gather(*kp, sl, r.buf);
@@ -1002,10 +1184,36 @@ vm_lane_direct: {
 vm_lane_scratch: {
   Reg& r = regs[ip->a];
   const double* sl = src[scratch0 + ip->b];
-  if (span_mode) {
+  if (pos != nullptr) {
+    for (std::size_t i = 0; i < cnt; ++i) r.buf[i] = sl[pos[i]];
+    r.cur = r.buf;
+  } else if (span_mode) {
     r.cur = sl + base;
   } else {
     kernel_gather(*kp, sl, r.buf);
+    r.cur = r.buf;
+  }
+}
+  VM_NEXT;
+
+vm_lane_shift: {
+  Reg& r = regs[ip->a];
+  const double* sl = src[ip->aux];
+  const i64 delta = p.operands[static_cast<std::size_t>(ip->aux)].shift;
+  if (pos == nullptr) {
+    r.cur = sl + base + delta;  // inside the source span: base is windowed
+  } else {
+    // Boundary offsets [j0, j0 + w) of each block read the halo (slot
+    // blk*w + j - j0); any other fix-up position is local at la + delta.
+    const double* hl = src[halo0 + ip->b];
+    const i64 w = delta < 0 ? -delta : delta;
+    const i64 j0 = delta < 0 ? 0 : k - delta;
+    for (std::size_t i = 0; i < cnt; ++i) {
+      const i64 la = pos[i];
+      const i64 blk = la / k;
+      const i64 j = la - blk * k - j0;
+      r.buf[i] = j >= 0 && j < w ? hl[blk * w + j] : sl[la + delta];
+    }
     r.cur = r.buf;
   }
 }
@@ -1205,7 +1413,9 @@ vm_store: {
     goto vm_run_done;
   }
   const double* x = regs[ip->a].cur;
-  if (span_mode) {
+  if (pos != nullptr) {
+    for (std::size_t i = 0; i < cnt; ++i) dloc[pos[i]] = x[i];
+  } else if (span_mode) {
     if (x != dspan) std::memcpy(dspan, x, cnt * sizeof(double));
   } else {
     kernel_scatter(*kp, dloc, x);
@@ -1269,8 +1479,10 @@ vm_reduce: {
   goto vm_run_done;
 }
 
-  vm_run_done:
-    off += cnt;
+      vm_run_done:
+        off += cnt;
+      }
+    }
   }
   return;
 
@@ -1426,11 +1638,27 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
     }
     scratch[in.a] = std::move(t);
   }
+  // Halo phase: each lane.shift operand's block-boundary elements, through
+  // its compile-time halo plan, into a compact per-rank buffer.
+  std::vector<std::unique_ptr<DistributedArray<double>>> halos(
+      static_cast<std::size_t>(p.n_halo));
+  for (const bc::Instr& in : p.lanes) {
+    if (in.op != bc::Op::kLaneShift) continue;
+    const bc::Operand& o = p.operands[static_cast<std::size_t>(in.aux)];
+    const DistributedArray<double>& from = *m_.lookup(o.array, in.line).d1;
+    auto h = m_.acquire_temp(BlockCyclic(p.ranks, o.shift < 0 ? -o.shift : o.shift),
+                             o.halo_size, AffineAlignment::identity());
+    execute_copy_plan(*o.plan, from, *h, exec);
+    for (i64 r = 0; r < p.ranks; ++r)
+      CYCLICK_COUNT("jit.halo_elems", r, o.halo_counts[static_cast<std::size_t>(r)]);
+    halos[in.b] = std::move(h);
+  }
 
   // Per-rank local bases of every lane source, resolved once: direct
   // operands at their operand index, scratch slots after them.
   const auto ranks = static_cast<std::size_t>(p.ranks);
-  const std::size_t nsrc = p.operands.size() + static_cast<std::size_t>(p.n_scratch);
+  const std::size_t halo0 = p.operands.size() + static_cast<std::size_t>(p.n_scratch);
+  const std::size_t nsrc = halo0 + static_cast<std::size_t>(p.n_halo);
   const auto local_of = [](const Machine::ArrayInfo& a, i64 rank) {
     return a.is_1d() ? a.d1->local(rank).data() : a.dn->local(rank).data();
   };
@@ -1438,7 +1666,7 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
   std::vector<double*> dloc(ranks);
   for (std::size_t r = 0; r < ranks; ++r) dloc[r] = local_of(dst, static_cast<i64>(r));
   for (const bc::Instr& in : p.lanes) {
-    if (in.op != bc::Op::kLaneDirect) continue;
+    if (in.op != bc::Op::kLaneDirect && in.op != bc::Op::kLaneShift) continue;
     const auto aux = static_cast<std::size_t>(in.aux);
     const Machine::ArrayInfo& a = m_.lookup(p.operands[aux].array, in.line);
     for (std::size_t r = 0; r < ranks; ++r) src[r * nsrc + aux] = local_of(a, static_cast<i64>(r));
@@ -1449,16 +1677,21 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
       src[r * nsrc + p.operands.size() + slot] =
           p.nd() ? scratch_nd[slot]->local(rank).data() : scratch[slot]->local(rank).data();
     }
+  for (std::size_t h = 0; h < halos.size(); ++h)
+    for (std::size_t r = 0; r < ranks; ++r)
+      src[r * nsrc + halo0 + h] = halos[h]->local(static_cast<i64>(r)).data();
 
-  if (arena_.size() < static_cast<std::size_t>(p.ranks))
+  if (arena_.size() < static_cast<std::size_t>(p.ranks)) {
     arena_.resize(static_cast<std::size_t>(p.ranks));
+    fixbuf_.resize(static_cast<std::size_t>(p.ranks));
+  }
   std::vector<double> partial(static_cast<std::size_t>(p.ranks), 0.0);
   std::vector<char> seen(static_cast<std::size_t>(p.ranks), 0);
 
   const auto lanes = [&](i64 rank, Phase phase) {
     const auto r = static_cast<std::size_t>(rank);
-    run_lanes(p, rank, s, src.data() + r * nsrc, dloc[r], arena_[r], partial.data() + rank,
-              seen.data() + rank, phase);
+    run_lanes(p, rank, s, src.data() + r * nsrc, dloc[r], arena_[r], fixbuf_[r],
+              partial.data() + rank, seen.data() + rank, phase);
   };
   const bool guarded = p.lanes_may_throw && term.op != bc::Op::kReduceLanes;
   if (guarded) {
@@ -1491,6 +1724,7 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
 
   for (auto& t : scratch) m_.release_temp(std::move(t));
   for (auto& t : scratch_nd) m_.release_temp(std::move(t));
+  for (auto& t : halos) m_.release_temp(std::move(t));
 }
 
 bool JitEngine::try_assign(const AssignStmt& s) {

@@ -44,6 +44,7 @@ class JitEngine {
 
   Machine& m_;
   std::vector<std::vector<double>> arena_;  // per-rank lane buffers, reused
+  std::vector<std::vector<i64>> fixbuf_;    // per-rank lane.shift fix-up addresses
 };
 
 }  // namespace cyclick::dsl

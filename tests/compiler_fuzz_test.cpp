@@ -581,6 +581,313 @@ TEST(CompilerFuzz, RandomGridProgramsMatchAcrossTiers) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Shifted 1-D operands. An operand that is the target section shifted by a
+// constant delta, 0 < |delta| < k, under the target's mapping, reads its own
+// local span in place and takes only its block-boundary halo from the
+// neighbouring ranks (lane.shift); every other shifted operand keeps the
+// scratch copy. The grid walks delta over -(k+1)..k+1 on P = 1..5 under
+// block, cyclic and cyclic(k), with n off the P*k period and sections that
+// start and end mid-block. Each program runs on both tiers and both
+// executors and is bit-compared to a reference; an `explain` of every
+// assignment pins how many operands took the lane.shift path.
+
+class ShiftFuzzer {
+ public:
+  enum Dist { kBlock, kCyclic, kCyclicK };
+
+  /// `long_runs` makes every rank's share span several lane strips.
+  ShiftFuzzer(u64 seed, i64 procs, Dist dist, bool long_runs) : rng_(seed) {
+    const i64 kk = 2 + pick(8);
+    n_ = long_runs ? 1100 * procs + pick(400) : 40 + pick(120);
+    if (dist == kCyclicK && n_ % (procs * kk) == 0) ++n_;
+    k_ = dist == kBlock ? (n_ + procs - 1) / procs : dist == kCyclic ? 1 : kk;
+    const std::string clause = dist == kBlock    ? std::string("block")
+                               : dist == kCyclic ? std::string("cyclic")
+                                                 : "cyclic(" + std::to_string(k_) + ")";
+    src_ << "processors P(" << procs << ")\n"
+         << "template T(" << n_ << ")\n"
+         << "template T2(" << n_ << ")\n"
+         << "distribute T onto P " << clause << '\n'
+         << "distribute T2 onto P cyclic(" << k_ + 1 << ")\n";
+    // A, B, C share the target mapping; D is the same data under another
+    // distribution, so its shifted operands stay scratch copies.
+    for (int a = 0; a < 4; ++a) {
+      src_ << "array " << name(a) << '(' << n_ << ") align with " << (a == 3 ? "T2" : "T")
+           << "(i)\n";
+      const i64 div = 2 + a;
+      src_ << "forall (i = 0:" << n_ - 1 << ") " << name(a) << "(i) = i / " << div << '\n';
+      ref_[a].resize(static_cast<std::size_t>(n_));
+      for (i64 i = 0; i < n_; ++i)
+        ref_[a][static_cast<std::size_t>(i)] = static_cast<double>(i) / static_cast<double>(div);
+    }
+  }
+
+  i64 block() const { return k_; }
+
+  /// The deltas the grid walks: all of -(k+1)..k+1 for small blocks, the
+  /// edges of that range otherwise, keeping every section at least n/3 long.
+  std::vector<i64> deltas() const {
+    std::vector<i64> out;
+    const auto add = [&](i64 d) {
+      if (3 * (d < 0 ? -d : d) <= n_ && std::find(out.begin(), out.end(), d) == out.end())
+        out.push_back(d);
+    };
+    if (k_ <= 12) {
+      for (i64 d = -(k_ + 1); d <= k_ + 1; ++d) add(d);
+    } else {
+      for (const i64 d : {i64{0}, i64{1}, i64{2}, i64{3}, k_ - 1, k_, k_ + 1}) {
+        add(d);
+        add(-d);
+      }
+    }
+    return out;
+  }
+
+  /// Every shape the grid draws for one primary delta.
+  void add_statements(i64 delta) {
+    add_stencil(delta);
+    add_three_operand(delta);
+    add_descending(delta);
+    add_self_stencil(delta);
+    add_other_mapping(delta);
+    add_masked(delta);
+  }
+
+  void run_and_check() const {
+    const std::string program = src_.str();
+    for (const auto mode : {SpmdExecutor::Mode::kSequential, SpmdExecutor::Mode::kThreads}) {
+      for (const Tier tier : {Tier::kInterp, Tier::kBytecode}) {
+        Machine machine(mode);
+        machine.set_tier(tier);
+        machine.run_source(program);
+        expect_images(machine, tier_name(tier));
+        if (::testing::Test::HasFatalFailure()) return;
+        // The listings are the bytecode compiler's under either tier.
+        const std::string& out = machine.output();
+        i64 shifts = 0;
+        for (auto at = out.find("lane.shift "); at != std::string::npos;
+             at = out.find("lane.shift ", at + 1))
+          ++shifts;
+        ASSERT_EQ(shifts, expected_shifts_) << out << '\n' << program;
+      }
+    }
+  }
+
+  /// Plant a zero in C where a shifted divisor reads it through the halo,
+  /// then divide by it: every tier raises the same error and leaves every
+  /// array untouched.
+  void check_division_by_zero(i64 delta) {
+    const Sec d = section(delta, 0);
+    // A target position at the first boundary offset of its block, whose
+    // source therefore sits in the neighbouring block.
+    const i64 j0 = delta < 0 ? 0 : k_ - delta;
+    i64 g = d.lo;
+    for (i64 t = 0; t < d.size(); ++t)
+      if ((d.at(t) % k_) == j0) {
+        g = d.at(t);
+        break;
+      }
+    std::ostringstream tail;
+    tail << "C(" << g + delta << ':' << g + delta << ") = 0\n"
+         << "B" << d.str() << " = A" << d.str() << " / C" << shifted(d, delta).str() << '\n';
+    ref_[2][static_cast<std::size_t>(g + delta)] = 0.0;
+    const std::string program = src_.str() + tail.str();
+    std::string first_error;
+    for (const auto mode : {SpmdExecutor::Mode::kSequential, SpmdExecutor::Mode::kThreads}) {
+      for (const Tier tier : {Tier::kInterp, Tier::kBytecode}) {
+        Machine machine(mode);
+        machine.set_tier(tier);
+        std::string what;
+        try {
+          machine.run_source(program);
+        } catch (const dsl_error& e) {
+          what = e.what();
+        }
+        ASSERT_NE(what.find("division by zero"), std::string::npos)
+            << tier_name(tier) << '\n' << program;
+        if (first_error.empty()) first_error = what;
+        ASSERT_EQ(what, first_error) << tier_name(tier) << '\n' << program;
+        expect_images(machine, tier_name(tier));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+
+ private:
+  i64 pick(i64 n) { return static_cast<i64>(rng_() % static_cast<u64>(n)); }
+  static const char* name(int a) { return a == 0 ? "A" : a == 1 ? "B" : a == 2 ? "C" : "D"; }
+  std::vector<double>& ref(int a) { return ref_[static_cast<std::size_t>(a)]; }
+
+  /// A random delta from the grid's range.
+  i64 any_delta() {
+    const std::vector<i64> ds = deltas();
+    return ds[static_cast<std::size_t>(pick(static_cast<i64>(ds.size())))];
+  }
+
+  /// A random unit-stride target section, mid-block at both ends, such that
+  /// shifting it by `d1` and by `d2` stays inside the arrays.
+  Sec section(i64 d1, i64 d2) {
+    const i64 lo_min = std::max<i64>({0, -d1, -d2});
+    const i64 hi_max = n_ - 1 - std::max<i64>({0, d1, d2});
+    const i64 span = hi_max - lo_min + 1;
+    const i64 lo = lo_min + pick(std::max<i64>(1, span / 4));
+    const i64 hi = hi_max - pick(std::max<i64>(1, span / 4));
+    return {lo, hi, 1};
+  }
+  static Sec shifted(const Sec& s, i64 delta) { return {s.lo + delta, s.hi + delta, s.st}; }
+
+  /// Whether an operand of array `a` shifted by `delta` takes lane.shift in
+  /// a statement that may use it (target `dst`).
+  bool shift_eligible(int a, int dst, i64 delta) const {
+    return a != dst && a != 3 && delta != 0 && delta > -k_ && delta < k_;
+  }
+
+  /// Store f(t) at every element of dst(d), evaluating the whole right side
+  /// before the first store.
+  template <typename F>
+  void assign(int dst, const Sec& d, F&& f) {
+    std::vector<double> out(static_cast<std::size_t>(d.size()));
+    for (i64 t = 0; t < d.size(); ++t) out[static_cast<std::size_t>(t)] = f(t);
+    for (i64 t = 0; t < d.size(); ++t)
+      ref(dst)[static_cast<std::size_t>(d.at(t))] = out[static_cast<std::size_t>(t)];
+  }
+  double get(int a, const Sec& s, i64 t) { return ref(a)[static_cast<std::size_t>(s.at(t))]; }
+
+  void emit(const std::string& stmt, i64 shifts) {
+    src_ << "explain " << stmt << '\n' << stmt << '\n';
+    expected_shifts_ += shifts;
+  }
+
+  /// dst(d) = (A(d+delta) + A(d+d2)) / c: the jacobi shape.
+  void add_stencil(i64 delta) {
+    const int dst = 1 + static_cast<int>(pick(2));
+    const i64 d2 = any_delta();
+    const Sec d = section(delta, d2);
+    const Sec s1 = shifted(d, delta), s2 = shifted(d, d2);
+    const i64 c = 1 + pick(4);
+    emit(std::string(name(dst)) + d.str() + " = (A" + s1.str() + " + A" + s2.str() + ") / " +
+             std::to_string(c),
+         shift_eligible(0, dst, delta) + shift_eligible(0, dst, d2));
+    assign(dst, d, [&](i64 t) { return (get(0, s1, t) + get(0, s2, t)) / static_cast<double>(c); });
+  }
+
+  /// dst(d) = A(d-|delta|) * c - X(d+e) + A(d+delta): three operands with
+  /// mixed signs. X is sometimes the target itself: shifted, it is a
+  /// scratch copy taken before the lanes run and the A operands still shift
+  /// in place; unshifted, it reads the target directly, which keeps the
+  /// whole statement on scratch copies.
+  void add_three_operand(i64 delta) {
+    const int dst = 1 + static_cast<int>(pick(2));
+    const int x = 1 + static_cast<int>(pick(2));
+    const i64 neg = delta < 0 ? delta : -delta;
+    i64 e = any_delta();
+    if (e < 0) e = -e;
+    const Sec d = section(neg, std::max(e, delta));
+    const Sec s1 = shifted(d, neg), s2 = shifted(d, e), s3 = shifted(d, delta);
+    const i64 c = 1 + pick(9);
+    const bool ok = x != dst || e != 0;
+    emit(std::string(name(dst)) + d.str() + " = A" + s1.str() + " * " + std::to_string(c) +
+             " - " + name(x) + s2.str() + " + A" + s3.str(),
+         ok ? shift_eligible(0, dst, neg) + shift_eligible(x, dst, e) +
+                  shift_eligible(0, dst, delta)
+            : 0);
+    assign(dst, d, [&](i64 t) {
+      return get(0, s1, t) * static_cast<double>(c) - get(x, s2, t) + get(0, s3, t);
+    });
+  }
+
+  /// dst(hi:lo:-1) = -A(hi+delta:lo+delta:-1) * 2 + c: a descending unit
+  /// stride, negated into a fused multiply-add.
+  void add_descending(i64 delta) {
+    const int dst = 1 + static_cast<int>(pick(2));
+    const Sec up = section(delta, 0);
+    const Sec d{up.hi, up.lo, -1};
+    const Sec s1 = shifted(d, delta);
+    const i64 c = pick(11) - 5;
+    emit(std::string(name(dst)) + d.str() + " = -A" + s1.str() + " * 2 + " + std::to_string(c),
+         shift_eligible(0, dst, delta));
+    assign(dst, d, [&](i64 t) { return -get(0, s1, t) * 2.0 + static_cast<double>(c); });
+  }
+
+  /// A(d) = (A(d+delta) + A(d+d2)) / 2: the target read through its own
+  /// shifted operands stays on scratch copies.
+  void add_self_stencil(i64 delta) {
+    const i64 d2 = any_delta();
+    const Sec d = section(delta, d2);
+    const Sec s1 = shifted(d, delta), s2 = shifted(d, d2);
+    emit("A" + d.str() + " = (A" + s1.str() + " + A" + s2.str() + ") / 2", 0);
+    assign(0, d, [&](i64 t) { return (get(0, s1, t) + get(0, s2, t)) / 2.0; });
+  }
+
+  /// dst(d) = D(d+delta) - A(d+delta): D has another mapping (scratch copy)
+  /// while A shifts in place in the same statement.
+  void add_other_mapping(i64 delta) {
+    const int dst = 1 + static_cast<int>(pick(2));
+    const Sec d = section(delta, 0);
+    const Sec s1 = shifted(d, delta);
+    emit(std::string(name(dst)) + d.str() + " = D" + s1.str() + " - A" + s1.str(),
+         shift_eligible(0, dst, delta));
+    assign(dst, d, [&](i64 t) { return get(3, s1, t) - get(0, s1, t); });
+  }
+
+  /// where (dst(d) > c) dst(d) = A(d+delta) + 1: a masked store keeps its
+  /// shifted operands on scratch copies.
+  void add_masked(i64 delta) {
+    const int dst = 1 + static_cast<int>(pick(2));
+    const Sec d = section(delta, 0);
+    const Sec s1 = shifted(d, delta);
+    const i64 c = pick(20);
+    src_ << "where (" << name(dst) << d.str() << " > " << c << ") " << name(dst) << d.str()
+         << " = A" << s1.str() << " + 1\n";
+    for (i64 t = 0; t < d.size(); ++t) {
+      double& slot = ref(dst)[static_cast<std::size_t>(d.at(t))];
+      if (slot > static_cast<double>(c)) slot = get(0, s1, t) + 1.0;
+    }
+  }
+
+  void expect_images(const Machine& machine, const char* tier) const {
+    for (int a = 0; a < 4; ++a)
+      ASSERT_EQ(bits(machine.global_image(name(a))), bits(ref_[static_cast<std::size_t>(a)]))
+          << name(a) << " under " << tier << '\n'
+          << src_.str();
+  }
+
+  std::mt19937_64 rng_;
+  i64 n_ = 0;
+  i64 k_ = 1;
+  i64 expected_shifts_ = 0;
+  std::vector<double> ref_[4];
+  std::ostringstream src_;
+};
+
+TEST(CompilerFuzz, ShiftedOperandGridMatchesAcrossTiers) {
+  i64 shifted_programs = 0;
+  for (i64 procs = 1; procs <= 5; ++procs) {
+    for (const auto dist : {ShiftFuzzer::kBlock, ShiftFuzzer::kCyclic, ShiftFuzzer::kCyclicK}) {
+      for (u64 rep = 0; rep < 2; ++rep) {
+        const u64 seed = (static_cast<u64>(procs) * 3 + static_cast<u64>(dist)) * 2 + rep;
+        ShiftFuzzer fuzzer(seed * 0x9E3779B97F4A7C15ULL + 17, procs, dist, rep == 1);
+        for (const i64 delta : fuzzer.deltas()) fuzzer.add_statements(delta);
+        fuzzer.run_and_check();
+        if (HasFatalFailure()) return;
+        ++shifted_programs;
+        // A zero divisor behind the halo, for the first in-range delta.
+        for (const i64 delta : fuzzer.deltas()) {
+          if (rep == 1) break;
+          if (delta == 0 || delta <= -fuzzer.block() || delta >= fuzzer.block()) continue;
+          ShiftFuzzer copy(seed * 0x9E3779B97F4A7C15ULL + 17, procs, dist, rep == 1);
+          for (const i64 d : copy.deltas()) copy.add_statements(d);
+          copy.check_division_by_zero(delta);
+          if (HasFatalFailure()) return;
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(shifted_programs, 30);
+}
+
 TEST(CompilerFuzz, GridShapesOutsideTheTierFallBack) {
   // cyclic(2) over two columns of ranks: a stride-2 innermost section puts
   // every other local slot in a rank's share, so it is not one run.

@@ -551,6 +551,34 @@ TEST(Tier, ExplainListsCompiledBytecode) {
   EXPECT_NE(out.find("fusion:"), std::string::npos) << out;
 }
 
+TEST(Tier, ExplainListsShiftedOperands) {
+  // The stencil's neighbours are the target section shifted by -1 and +1
+  // under the target's cyclic(8) mapping: both read their own local spans
+  // in place and move only the block-boundary halo, one element per block.
+  Machine machine;
+  machine.run_source(std::string(kPrologue) +
+                     "explain B(1:318) = (A(0:317) + A(2:319)) / 2\n"
+                     "explain A(1:318) = (A(0:317) + A(2:319)) / 2\n");
+  const std::string& out = machine.output();
+  const std::string halo_program = out.substr(0, out.find("bytecode program for A"));
+  EXPECT_NE(halo_program.find("lane.shift   l0 = A(0:317:1)  [delta=-1, halo h0 per rank: "
+                              "9 10 10 10, messages=4, remote=39]"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(halo_program.find("lane.shift   l1 = A(2:319:1)  [delta=1, halo h1 per rank: "
+                              "10 10 10 9, messages=4, remote=39]"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(halo_program.find("loads:"), std::string::npos) << out;
+  // A statement that reads its own target keeps the scratch copies and
+  // says why.
+  EXPECT_NE(out.find("shifted operand A(0:317:1) (delta -1) stays a scratch copy: reads the "
+                     "target array"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("load       t0 = A(0:317:1)"), std::string::npos) << out;
+}
+
 TEST(Tier, ExplainReportsInterpreterFallback) {
   // Targets with a non-identity alignment are not compiled; the explain
   // form says so instead of printing a listing.
