@@ -5,7 +5,7 @@
 // kernel selection) across loop iterations and fusing the interpreter's
 // multi-pass arithmetic into single-pass superinstructions.
 //
-// Four programs, every statement of which the bytecode tier compiles:
+// Five programs, every statement of which the bytecode tier compiles:
 //   jacobi       3-point average ping-pong (the paper's relaxation shape)
 //   jacobi_large the same sweep on 2^20 doubles under cyclic(32): out of
 //                cache, where the shifted operands' lane.shift halos replace
@@ -14,10 +14,15 @@
 //                processor arrangement (stencil neighbors at +-1 and +-W in
 //                the flat index space)
 //   heat2d_grid  the same stencil on a real 256x256 array over a G(2,2)
-//                grid: N-D region loads and one lane pass per local row
+//                grid: four lane.shift operands (two along each dimension)
+//                and one lane pass per local row
+//   heat2d_grid_inner
+//                the same grid under cyclic(32) cyclic(4): few boundary
+//                rows, and a quarter of every row patched from the
+//                innermost halo
 //
 // `--json` writes BENCH_dsl_throughput.json; the CI perf-smoke gate asserts
-// bytecode/interp speedup >= 2x on all four programs.
+// bytecode/interp speedup >= 2x on all five programs.
 #include <sstream>
 #include <string>
 
@@ -70,7 +75,7 @@ Workload heat2d_flat(i64 w, i64 rows) {
   return {"heat2d_flat", n, pro.str(), sweep.str()};
 }
 
-Workload heat2d_grid(i64 n, i64 k1, i64 k2) {
+Workload heat2d_grid(const char* name, i64 n, i64 k1, i64 k2) {
   const std::string all = "0:" + std::to_string(n - 1);
   const std::string in = "1:" + std::to_string(n - 2);
   const std::string lo = "0:" + std::to_string(n - 3);
@@ -87,7 +92,7 @@ Workload heat2d_grid(i64 n, i64 k1, i64 k2) {
   sweep << "V(" << in << ", " << in << ") = (U(" << lo << ", " << in << ") + U(" << hi << ", "
         << in << ") + U(" << in << ", " << lo << ") + U(" << in << ", " << hi << ")) / 4\n"
         << "U(" << in << ", " << in << ") = V(" << in << ", " << in << ")\n";
-  return {"heat2d_grid", n * n, pro.str(), sweep.str()};
+  return {name, n * n, pro.str(), sweep.str()};
 }
 
 /// Run `sweeps` relaxation sweeps under `tier`, returning the best-of-
@@ -131,7 +136,8 @@ int main(int argc, char** argv) {
   Workload large = jacobi("jacobi_large", i64{1} << 20, 32);
   large.sweeps = 10;  // each sweep streams 2^20 doubles per statement
   const Workload workloads[] = {jacobi("jacobi", n, 64), large, heat2d_flat(128, n / 128),
-                                heat2d_grid(256, 8, 4)};
+                                heat2d_grid("heat2d_grid", 256, 8, 4),
+                                heat2d_grid("heat2d_grid_inner", 256, 32, 4)};
 
   std::cout << "DSL statement throughput: interpreter tier vs bytecode tier\n"
             << "(best of " << repeats << " runs of `sweeps` sweeps)\n\n";

@@ -76,11 +76,6 @@ std::string region_text(const Region& region) {
   return out + ')';
 }
 
-/// `A(section)` for 1-D operands, `A(region)` for N-D ones.
-std::string source_text(const Operand& o) {
-  return o.array + (o.region.empty() ? o.sec.to_string() : region_text(o.region));
-}
-
 void format_instr(std::ostringstream& ss, const Instr& in,
                   const std::vector<Operand>& operands) {
   const auto opnd = [&]() -> const Operand& {
@@ -122,9 +117,10 @@ void format_instr(std::ostringstream& ss, const Instr& in,
       ss << " l" << +in.a << " = t" << +in.b;
       break;
     case Op::kLaneShift: {
-      ss << "   l" << +in.a << " = " << source_text(opnd()) << "  [delta=" << opnd().shift
-         << ", halo h" << +in.b << " per rank:";
-      for (const i64 c : opnd().halo_counts) ss << ' ' << c;
+      ss << "   l" << +in.a << " = " << source_text(opnd()) << "  [";
+      if (!opnd().region.empty()) ss << "dim=" << opnd().halo.dim << ", ";
+      ss << "delta=" << opnd().shift << ", halo h" << +in.b << " per rank:";
+      for (const i64 c : opnd().halo.counts) ss << ' ' << c;
       ss << ", messages=" << opnd().plan->message_count()
          << ", remote=" << opnd().plan->remote_elements() << ']';
       break;
@@ -185,6 +181,10 @@ void format_instr(std::ostringstream& ss, const Instr& in,
 }
 
 }  // namespace
+
+std::string source_text(const Operand& o) {
+  return o.array + (o.region.empty() ? o.sec.to_string() : region_text(o.region));
+}
 
 std::string CompiledProgram::shape() const {
   return nd() ? region_text(dregion) : dsec.to_string();

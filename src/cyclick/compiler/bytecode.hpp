@@ -11,11 +11,11 @@
 //   loads    operand communication — each remote operand lands in a
 //            destination-shaped scratch array through a CommPlan (1-D) or
 //            region plan (N-D) resolved at compile time and shared with the
-//            interpreter's plan caches. A 1-D operand that is the target
-//            section shifted by delta (0 < |delta| < k) under the target's
-//            mapping instead reads its own local span in place (lane.shift):
-//            only its block-boundary halo, |delta| elements per block, moves
-//            into a compact per-rank buffer.
+//            interpreter's plan caches. An operand that is the target
+//            section or region shifted by delta in one dimension (0 < |delta|
+//            < k of that dimension) under the target's mapping instead reads
+//            its own local span (lane.shift): only its block-boundary halo
+//            moves, through one plan, into a compact per-rank buffer.
 //   lanes    the per-rank dense phase — every rank walks its share of the
 //            statement section or region as a list of runs, materializes
 //            each run as contiguous "lane" vectors (zero-copy aliases of the
@@ -23,9 +23,11 @@
 //            ending in a store / masked store / reduction fold. A 1-D share
 //            is one run; an N-D share whose innermost dimension is one
 //            contiguous local run per rank is one run per local row.
-//            Programs with lane.shift sources run each run strip by strip:
-//            one span pass over shifted aliases, then the strip's boundary
-//            positions recomputed from the halo while still in cache.
+//            A lane.shift along an outer dimension picks a base pointer per
+//            row (its own row at +delta rows, or the halo row at a block
+//            edge); one along the innermost dimension (or in 1-D) is staged:
+//            the strip is copied from +delta, then its block-boundary
+//            offsets are patched from the halo, in the same single pass.
 //
 // Fused superinstructions (kMulAddVSV, kAddDivVVS, kMulAddVSS, ...) collapse
 // the interpreter's separate transform+combine passes into one loop without
@@ -107,6 +109,31 @@ inline constexpr u8 kMaskValScalar = 1;
 inline constexpr u8 kMaskLhsScalar = 2;
 inline constexpr u8 kMaskRhsScalar = 4;
 
+/// lane.shift read map of one local row (run) of a rank's share.
+struct HaloRun {
+  /// Staged (innermost) shifts: the local address of the row's local
+  /// index 0, so block L of the row starts at origin + L*k.
+  i64 origin = 0;
+  /// Staged: halo index of block 0's first boundary slot (block L's slots
+  /// start at halo + L*|delta|; may be negative, since blocks before the
+  /// share have no slots). Outer shifts: the row's offset in the halo, or
+  /// -1 when the whole row reads its own source row in place.
+  i64 halo = -1;
+};
+
+/// How a lane.shift operand reads its source: in place at local address
+/// la + offset, except where the shifted element sits in a neighbouring
+/// block, whose values the halo plan moves into a per-rank buffer.
+struct Halo {
+  i64 dim = 0;          // shifted dimension (0 for 1-D)
+  i64 offset = 0;       // delta times the dimension's local address stride
+  i64 block = 1;        // block size k of the shifted dimension
+  bool staged = false;  // innermost dimension or 1-D: copy, then patch
+  i64 len = 0;          // per-rank halo buffer length (block(len) array)
+  std::vector<i64> counts;               // halo elements filled per rank
+  std::vector<std::vector<HaloRun>> runs;  // per rank, per run
+};
+
 /// Resolved operand: everything a load or lane-source instruction needs,
 /// including the communication plan built (and cached process-wide) at
 /// compile time. Plans depend only on array mappings, which the program
@@ -122,13 +149,14 @@ struct Operand {
   i64 ramp_stride = 1;            // kLaneRamp
   /// kLoadSection / kLoadShift: the operand copy. kLaneShift: the halo
   /// plan, moving the source elements whose target position sits in a
-  /// neighbouring block into the halo array (cyclic(|shift|), one
-  /// |shift|-wide block per target block).
+  /// neighbouring block into each rank's halo buffer.
   std::shared_ptr<const CommPlan> plan{};
   std::shared_ptr<const RedistributionPlan> region_plan{};  // kLoadRegion
-  i64 halo_size = 0;               // kLaneShift: halo array extent
-  std::vector<i64> halo_counts{};  // kLaneShift: halo elements per rank
+  Halo halo{};                                              // kLaneShift
 };
+
+/// `A(section)` for 1-D operands, `A(region)` for N-D ones.
+[[nodiscard]] std::string source_text(const Operand& o);
 
 struct Instr {
   Op op = Op::kStoreLanes;
@@ -166,16 +194,11 @@ struct CompiledProgram {
   std::vector<SectionPlan> plans;   // per rank (ramps, scalar-class walks)
   /// N-D statements: per rank, the destination share as runs; the lane
   /// program executes once per run. (A 1-D share is its kernel's one run.)
+  /// Programs with lane.shift operands keep one run per local row.
   std::vector<std::vector<Run>> runs;
-
-  /// lane.shift programs: the target's block size k, the boundary residues
-  /// (block offsets any shifted operand takes from its halo, ascending),
-  /// and per rank the local-address window [base, base+len) in which every
-  /// shifted alias stays inside its source's local span. Positions outside
-  /// the window are all boundary positions.
-  i64 block = 0;
-  std::vector<i64> fix_residues;
-  std::vector<Run> shift_window;
+  /// Strip length the lane pass splits each run into (0: whole runs), set
+  /// when a staged lane.shift copies its operand into a lane register.
+  i64 strip = 0;
 
   int n_sregs = 0;
   int n_lanes = 0;
@@ -192,8 +215,8 @@ struct CompiledProgram {
   [[nodiscard]] std::string shape() const;
 
   /// Human-readable disassembly: per-phase instructions, per-rank kernel
-  /// classes (1-D) or run counts (N-D), each lane.shift's delta and per-rank
-  /// halo size, and the fusion decisions taken.
+  /// classes (1-D) or run counts (N-D), each lane.shift's dimension (N-D),
+  /// delta, per-rank halo counts and messages, and the fusion decisions.
   [[nodiscard]] std::string listing() const;
 };
 

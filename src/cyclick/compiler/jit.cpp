@@ -35,10 +35,9 @@ constexpr int kMaxLanes = 16;
 constexpr int kMaxSregs = 64;
 constexpr int kMaxScratch = 32;
 
-/// Strip length of lane.shift programs, in local elements: the span pass
-/// and the boundary fix-ups of one strip touch the same few KiB, so the
-/// fix-ups hit cache (whole blocks when k fits, so a strip's boundary
-/// positions are whole residue columns).
+/// Strip length of programs with a staged lane.shift, in local elements:
+/// the staging copy, its halo patches and the arithmetic over them touch
+/// the same few KiB of lane registers.
 constexpr i64 kStripElems = 1024;
 
 /// Raised for "not bytecode-compilable" (as opposed to dsl_error, which is
@@ -394,15 +393,120 @@ struct JitCompiler {
     return bc::Instr{.op = bc::Op::kLaneScratch, .a = lane, .b = slot, .line = line};
   }
 
+  // -- target layout ---------------------------------------------------------
+
+  /// The target's per-dimension layout, which region_runs and build_halo
+  /// walk: a 1-D target is one dimension over its processor arrangement.
+  struct Layout {
+    std::vector<DimMapping> dims;
+    std::vector<i64> grid;  // processors per dimension
+    std::vector<i64> lext;  // local extent per dimension (row-major addresses)
+  };
+
+  /// One rank's share of a region: the outer dimensions' shares (the same
+  /// detail::dim_share sequences the interpreter walks) and the innermost
+  /// dimension's ascending address plan, walked run by run.
+  struct Share {
+    std::vector<detail::DimShare> outer;
+    SectionPlan inner;
+  };
+
+  [[nodiscard]] Layout layout() const {
+    if (!p.nd())
+      return {{DimMapping(dst->size(), AffineAlignment::identity(), dst->dist())},
+              {p.ranks},
+              {0}};
+    const MultiDimMapping& map = dstn->mapping();
+    Layout lay;
+    for (std::size_t d = 0; d < map.dims(); ++d) {
+      lay.dims.push_back(map.dim(d));
+      lay.grid.push_back(map.grid().extent(d));
+      lay.lext.push_back(map.local_extent(d));
+    }
+    return lay;
+  }
+
+  /// Rank `rank`'s share of `region` (ranks row-major, last dimension
+  /// fastest); nullopt when it owns nothing.
+  static std::optional<Share> share_of(const Layout& lay, const Region& region, i64 rank) {
+    const std::size_t nd = lay.dims.size();
+    std::vector<i64> coords(nd);
+    for (std::size_t d = nd; d-- > 0;) {
+      coords[d] = rank % lay.grid[d];
+      rank /= lay.grid[d];
+    }
+    Share sh;
+    for (std::size_t d = 0; d + 1 < nd; ++d) {
+      sh.outer.push_back(detail::dim_share(lay.dims[d], region[d], coords[d]));
+      if (sh.outer.back().local_idx.empty()) return std::nullopt;
+    }
+    const DimMapping& in = lay.dims[nd - 1];
+    sh.inner = AddressEngine::global().plan(in.dist, in.align.image(region[nd - 1]).ascending(),
+                                            coords[nd - 1]);
+    if (sh.inner.empty()) return std::nullopt;
+    return sh;
+  }
+
+  /// Visit each local row of a share — one per combination of outer
+  /// per-dimension shares, row-major like for_each_owned_region, each
+  /// covering the innermost share — as f(local address of the row's first
+  /// element, index into each outer dimension's share).
+  template <typename F>
+  static void for_each_row(const Layout& lay, const Share& sh, F&& f) {
+    const std::size_t nd = lay.dims.size();
+    std::vector<std::size_t> pos(nd - 1, 0);
+    while (true) {
+      i64 base = 0;
+      for (std::size_t d = 0; d + 1 < nd; ++d)
+        base = base * lay.lext[d] + sh.outer[d].local_idx[pos[d]];
+      base = base * lay.lext[nd - 1] + sh.inner.first_local();
+      f(base, pos);
+      std::size_t d = nd - 1;  // advance the outer odometer, last outer dim fastest
+      while (true) {
+        if (d == 0) return;
+        --d;
+        if (++pos[d] < sh.outer[d].local_idx.size()) break;
+        pos[d] = 0;
+      }
+    }
+  }
+
+  /// Rank `rank`'s share of `region` as runs, one per local row; with
+  /// `merge`, address-adjacent rows merge into one run. Bails unless the
+  /// innermost share is one contiguous local run.
+  static std::vector<bc::Run> region_runs(const Layout& lay, const Region& region, i64 rank,
+                                          bool merge) {
+    const std::optional<Share> sh = share_of(lay, region, rank);
+    if (!sh) return {};
+    const i64 first = sh->inner.first_local();
+    i64 len = 0;
+    sh->inner.for_each_run([&](i64, i64 la, i64 n) {
+      if (la != first + len) throw BailOut{};  // strided innermost share
+      len += n;
+    });
+    std::vector<bc::Run> runs;
+    for_each_row(lay, *sh, [&](i64 base, const std::vector<std::size_t>&) {
+      if (merge && !runs.empty() && runs.back().base + runs.back().len == base) {
+        runs.back().len += len;
+      } else {
+        runs.push_back({base, len});
+      }
+    });
+    return runs;
+  }
+
   // -- shifted operands (lane.shift) -----------------------------------------
   //
-  // Under cyclic(k), an operand whose section is the target section shifted
-  // by a constant delta (0 < |delta| < k), with the target's mapping, sits
-  // at local address la + delta of the target element at la on the same
-  // rank — except at the |delta| block offsets per block whose source lies
-  // in a neighbouring block, i.e. on another rank. Those boundary elements
-  // form |delta| stride-k sections; they move into a compact halo array and
-  // the lane phase patches them in (run_lanes).
+  // Under cyclic(k) in some dimension, an operand that is the target shifted
+  // by a constant delta along that dimension alone (0 < |delta| < k), with
+  // the target's mapping, sits on the same rank as the target element it
+  // feeds, at local address la + delta * (the dimension's local stride) —
+  // except at the |delta| block offsets per block whose source lies in the
+  // neighbouring block, on another rank. Only those boundary elements move,
+  // into a compact per-rank halo buffer. Along an outer dimension they are
+  // whole local rows, and the lane picks a base pointer per row; along the
+  // innermost dimension (and in 1-D) they are |delta| elements per block of
+  // every row, and the lane stages its strip and patches them in (run_lanes).
 
   /// Why operand `ssec` of `src` cannot be a lane.shift source, or null.
   const char* shift_blocker(const DistributedArray<double>& src, const RegularSection& ssec) {
@@ -418,43 +522,80 @@ struct JitCompiler {
     return nullptr;
   }
 
+  /// The N-D counterpart: why region operand `sreg` of `src` cannot be a
+  /// lane.shift source, or null. (Operand regions already match the target
+  /// region's extents.) `dim` is set only when `sreg` is the target region
+  /// moved along some dimension with the same strides — a shift, whose
+  /// demotion gets a note — to the (last) moved dimension.
+  const char* region_shift_blocker(const MultiDimArray<double>& src, const Region& sreg,
+                                   std::size_t& dim) {
+    std::size_t moved = 0;
+    std::size_t at = 0;
+    for (std::size_t d = 0; d < sreg.size(); ++d) {
+      if (sreg[d].stride != p.dregion[d].stride) return "not the target's stride";
+      if (sreg[d].lower != p.dregion[d].lower) {
+        ++moved;
+        at = d;
+      }
+    }
+    if (moved == 0) return "same region under another mapping";
+    dim = at;
+    if (moved > 1) return "shifted in more than one dimension";
+    if (&src == dstn) return "reads the target array";
+    if (src.mapping() != dstn->mapping()) return "mapping differs from the target's";
+    const i64 delta = sreg[dim].lower - p.dregion[dim].lower;
+    const i64 k = dstn->mapping().dim(dim).dist.block_size();
+    if (delta <= -k || delta >= k) return "|delta| >= the block size";
+    return nullptr;
+  }
+
   void note_shift_fallback(int line, const bc::Operand& o, const char* why) {
-    note_fusion(line, "shifted operand " + o.array + o.sec.to_string() + " (delta " +
-                          std::to_string(o.sec.lower - p.dsec.lower) +
+    std::string delta;
+    if (o.region.empty()) {
+      delta = std::to_string(o.sec.lower - p.dsec.lower);
+    } else {
+      for (std::size_t d = 0; d < o.region.size(); ++d)
+        delta += (d ? ", " : "") + std::to_string(o.region[d].lower - p.dregion[d].lower);
+    }
+    note_fusion(line, "shifted operand " + bc::source_text(o) + " (delta " + delta +
                           ") stays a scratch copy: " + why);
   }
 
-  /// Keep every provisional lane.shift (why == null: build its halo plans)
+  /// Keep every provisional lane.shift (why == null: build its halo plan)
   /// or demote each to a scratch load, noting `why`.
   void resolve_shifts(const char* why) {
+    if (why != nullptr) {
+      for (bc::Instr& in : p.lanes) {
+        if (in.op != bc::Op::kLaneShift) continue;
+        const bc::Operand& o = p.operands[static_cast<std::size_t>(in.aux)];
+        note_shift_fallback(in.line, o, why);
+        in = p.nd() ? load_region(in.a, in.aux, *findnd(o.array), in.line)
+                    : load_section(in.a, in.aux, *find1d(o.array), in.line);
+      }
+      return;
+    }
     const auto is_shift = [](const bc::Instr& in) { return in.op == bc::Op::kLaneShift; };
     if (std::none_of(p.lanes.begin(), p.lanes.end(), is_shift)) return;
-    if (why == nullptr) {
-      p.block = dst->dist().block_size();
+    const Layout lay = layout();
+    if (p.nd()) {
+      // The halo read maps are per local row: unmerge the runs.
       for (i64 r = 0; r < p.ranks; ++r)
-        p.shift_window.push_back({0, static_cast<i64>(dst->local(r).size())});
+        p.runs[static_cast<std::size_t>(r)] = region_runs(lay, p.dregion, r, /*merge=*/false);
     }
     for (bc::Instr& in : p.lanes) {
       if (in.op != bc::Op::kLaneShift) continue;
       bc::Operand& o = p.operands[static_cast<std::size_t>(in.aux)];
-      if (why != nullptr) {
-        note_shift_fallback(in.line, o, why);
-        in = load_section(in.a, in.aux, *find1d(o.array), in.line);
-        continue;
-      }
       if (p.n_halo >= kMaxScratch) throw BailOut{};
-      build_halo(o, *find1d(o.array));
+      build_halo(o, lay);
+      if (o.halo.staged) p.strip = kStripElems;
       in.b = static_cast<u8>(p.n_halo++);
     }
-    std::sort(p.fix_residues.begin(), p.fix_residues.end());
-    p.fix_residues.erase(std::unique(p.fix_residues.begin(), p.fix_residues.end()),
-                         p.fix_residues.end());
   }
 
-  /// Why a store program may not overwrite its target in place (span pass,
-  /// then boundary recomputation), or null. The span pass leaves wrong
-  /// values at boundary positions until the fix-up pass rewrites them, so
-  /// nothing may read the target, and nothing may throw on those values.
+  /// Why a store program may not read shifted operands through halos, or
+  /// null. The lane pass writes the target run by run while later runs
+  /// still read their sources, so nothing may read the target; guarded
+  /// stores and strided kernels keep their own passes.
   const char* shift_statement_blocker() const {
     if (p.lanes_may_throw) return "a lane instruction may divide by zero";
     for (const bc::Instr& in : p.lanes) {
@@ -469,43 +610,111 @@ struct JitCompiler {
     return nullptr;
   }
 
-  /// The halo of shifted operand `o`: target block m's boundary offsets
-  /// j0..j0+w-1 land at halo elements m*w + (j - j0), so under cyclic(w)
-  /// each rank's halo is a dense buffer, one w-wide slot per local block.
-  void build_halo(bc::Operand& o, const DistributedArray<double>& src) {
-    const i64 k = dst->dist().block_size();
+  /// The halo of shifted operand `o` and its per-row read map. Along
+  /// dimension d, target index g reads g + delta, which lies in the
+  /// neighbouring block exactly when g's block offset is in [j0, j0 + w).
+  /// Each rank's halo is one buffer of a block(len) array: for an outer d,
+  /// every boundary row in turn; for the innermost d, every row in turn,
+  /// one w-wide slot per local block from the first to the last block that
+  /// holds a boundary element of the share.
+  void build_halo(bc::Operand& o, const Layout& lay) const {
+    bc::Halo& h = o.halo;
+    const Region region = p.nd() ? p.dregion : Region{p.dsec};
+    const std::size_t nd = lay.dims.size();
+    const auto d = static_cast<std::size_t>(h.dim);
+    const BlockCyclic& dist = lay.dims[d].dist;
+    const i64 k = dist.block_size();
     const i64 delta = o.shift;
     const i64 w = delta < 0 ? -delta : delta;
     const i64 j0 = delta < 0 ? 0 : k - delta;
-    const i64 lo = std::min(p.dsec.lower, p.dsec.last());
-    const i64 hi = std::max(p.dsec.lower, p.dsec.last());
-    o.halo_size = w * ceil_div(dst->size(), k);
-    o.halo_counts.assign(static_cast<std::size_t>(p.ranks), 0);
-    std::vector<RegularSection> from, to;
-    for (i64 jj = 0; jj < w; ++jj) {
-      const i64 j = j0 + jj;
-      const i64 m_lo = ceil_div(lo - j, k);
-      const i64 m_hi = floor_div(hi - j, k);
-      if (m_lo > m_hi) continue;
-      for (i64 blk = m_lo; blk <= m_hi; ++blk)
-        ++o.halo_counts[static_cast<std::size_t>(blk % p.ranks)];
-      from.push_back({j + m_lo * k + delta, j + m_hi * k + delta, k});
-      to.push_back({m_lo * w + jj, m_hi * w + jj, w});
+    i64 rank_step = 1;  // rank and local-address distance of one step along d
+    i64 addr_step = 1;
+    for (std::size_t e = d + 1; e < nd; ++e) {
+      rank_step *= lay.grid[e];
+      addr_step *= lay.lext[e];
     }
-    DistributedArray<double> halo(BlockCyclic(p.ranks, w), o.halo_size);
-    o.plan = std::make_shared<const CommPlan>(build_copy_plan(
-        src, std::span<const RegularSection>(from), halo, std::span<const RegularSection>(to),
-        *exec));
-    for (i64 jj = 0; jj < w; ++jj) p.fix_residues.push_back(j0 + jj);
-    // The span-pass window: every alias la + delta inside [0, capacity).
+    h.offset = delta * addr_step;
+    h.block = k;
+    h.staged = d + 1 == nd;
+    h.counts.assign(static_cast<std::size_t>(p.ranks), 0);
+    h.runs.assign(static_cast<std::size_t>(p.ranks), {});
+    // Local index l (block offset l % k, as under identity alignment) is a
+    // boundary index.
+    const auto boundary = [&](i64 l) { return l % k >= j0 && l % k < j0 + w; };
+    // Rank and local-address distance from index g (local index l) to the
+    // source index g + delta, which has the same mapping.
+    const auto source = [&](i64 g, i64 l) {
+      const i64 s = g + delta;
+      return std::pair<i64, i64>{(dist.owner(s) - dist.owner(g)) * rank_step,
+                                 (dist.local_index(s) - l) * addr_step};
+    };
+    const auto ranks = static_cast<std::size_t>(p.ranks);
+    std::vector<detail::ChannelAccum> accum(ranks * ranks);
+    i64 len = 1;
     for (i64 r = 0; r < p.ranks; ++r) {
-      const i64 cap = static_cast<i64>(src.local(r).size());
-      bc::Run& win = p.shift_window[static_cast<std::size_t>(r)];
-      const i64 b = std::max(win.base, -delta);
-      const i64 e = std::min(win.base + win.len, cap - delta);
-      win = {b, std::max<i64>(e - b, 0)};
+      const std::optional<Share> sh = share_of(lay, region, r);
+      if (!sh) continue;
+      detail::ChannelAccum* row = accum.data() + static_cast<std::size_t>(r) * ranks;
+      std::vector<bc::HaloRun>& runs = h.runs[static_cast<std::size_t>(r)];
+      i64& count = h.counts[static_cast<std::size_t>(r)];
+      const i64 first = sh->inner.first_local();
+      i64 used = 0;  // this rank's halo length so far
+      if (!h.staged) {
+        const i64 row_len = sh->inner.last_local() - first + 1;  // contiguous (region_runs)
+        const detail::DimShare& sd = sh->outer[d];
+        for_each_row(lay, *sh, [&](i64 base, const std::vector<std::size_t>& pos) {
+          const i64 l = sd.local_idx[pos[d]];
+          if (!boundary(l)) {
+            runs.push_back({0, -1});
+            return;
+          }
+          const auto [dr, da] = source(sd.index[pos[d]], l);
+          row[static_cast<std::size_t>(r + dr)].append_run(base + da, used, row_len);
+          runs.push_back({0, used});
+          used += row_len;
+        });
+        count = used;
+      } else {
+        // The boundary elements of one row, found block by block along the
+        // runs of the innermost share (global and local index advance
+        // together within a run).
+        struct Edge {
+          i64 at;     // local index in the row
+          i64 rank;   // source rank
+          i64 shift;  // source local address minus the target's
+        };
+        std::vector<Edge> edges;
+        sh->inner.for_each_run([&](i64 g, i64 la, i64 n) {
+          for (i64 b = la - la % k; b < la + n; b += k)
+            for (i64 l = std::max(b + j0, la); l < std::min(b + j0 + w, la + n); ++l) {
+              const auto [dr, da] = source(g + l - la, l);
+              edges.push_back({l, r + dr, da});
+            }
+        });
+        // Slots run from the first block with a boundary element in the
+        // share to the last, so full rows leave no gaps between them.
+        const i64 first_block = edges.empty() ? 0 : edges.front().at / k;
+        const i64 row_slots = edges.empty() ? 0 : (edges.back().at / k - first_block + 1) * w;
+        for_each_row(lay, *sh, [&](i64 base, const std::vector<std::size_t>&) {
+          for (const Edge& e : edges)
+            row[static_cast<std::size_t>(e.rank)].append(
+                base + e.at - first + e.shift,
+                used + (e.at / k - first_block) * w + e.at % k - j0);
+          runs.push_back({base - first, used - first_block * w});
+          count += static_cast<i64>(edges.size());
+          used += row_slots;
+        });
+      }
+      len = std::max(len, used);
     }
+    h.len = len;
+    CommPlan plan;
+    plan.ranks = p.ranks;
+    plan.adopt_channels(std::move(accum));
+    o.plan = std::make_shared<const CommPlan>(std::move(plan));
   }
+
+  // -- N-D operands ------------------------------------------------------------
 
   /// The source region of an N-D operand, validated against the target
   /// region. Anything the interpreter would reject bails (or raises the
@@ -524,26 +733,42 @@ struct JitCompiler {
     if (src == nullptr) throw BailOut{};  // mixed dimensionality
     const Region sreg = operand_region(e.section, *src);
     const u8 lane = alloc_lane();
+    const i32 aux = add_operand(bc::Operand{.array = e.section.array, .region = sreg});
     if (src->mapping() == dstn->mapping() && sreg == p.dregion) {
       // Same mapping, same region: the operand already sits at the
       // destination's local addresses, run for run.
-      const i32 aux = add_operand(bc::Operand{.array = e.section.array, .region = sreg});
       p.lanes.push_back(
           bc::Instr{.op = bc::Op::kLaneDirect, .a = lane, .aux = aux, .line = e.line});
       return lane;
     }
+    std::size_t dim = sreg.size();
+    const char* why = region_shift_blocker(*src, sreg, dim);
+    if (why == nullptr) {
+      // Provisional, as in 1-D: resolve_shifts keeps or demotes it.
+      bc::Operand& o = p.operands.back();
+      o.shift = sreg[dim].lower - p.dregion[dim].lower;
+      o.halo.dim = static_cast<i64>(dim);
+      p.lanes.push_back(
+          bc::Instr{.op = bc::Op::kLaneShift, .a = lane, .aux = aux, .line = e.line});
+      return lane;
+    }
+    if (dim < sreg.size()) note_shift_fallback(e.line, p.operands.back(), why);
+    p.lanes.push_back(load_region(lane, aux, *src, e.line));
+    return lane;
+  }
+
+  /// A region-plan copy of N-D operand `aux` into a destination-mapped
+  /// scratch slot; returns the lane instruction that reads the slot. The
+  /// interpreter copies into the same kind of temporary, so the plan is the
+  /// very RegionPlanCache entry its copy_region replays.
+  bc::Instr load_region(u8 lane, i32 aux, const MultiDimArray<double>& src, int line) {
     if (p.n_scratch >= kMaxScratch) throw BailOut{};
     const u8 slot = static_cast<u8>(p.n_scratch++);
-    // The interpreter copies into a destination-mapped temporary, so this
-    // plan is the very RegionPlanCache entry its copy_region replays.
-    auto plan = cached_region_plan(*src, sreg, *dstn, p.dregion, *exec);
-    const i32 aux = add_operand(
-        bc::Operand{.array = e.section.array, .region = sreg, .region_plan = std::move(plan)});
+    bc::Operand& o = p.operands[static_cast<std::size_t>(aux)];
+    o.region_plan = cached_region_plan(src, o.region, *dstn, p.dregion, *exec);
     p.loads.push_back(
-        bc::Instr{.op = bc::Op::kLoadRegion, .a = slot, .aux = aux, .line = e.line});
-    p.lanes.push_back(
-        bc::Instr{.op = bc::Op::kLaneScratch, .a = lane, .b = slot, .line = e.line});
-    return lane;
+        bc::Instr{.op = bc::Op::kLoadRegion, .a = slot, .aux = aux, .line = line});
+    return bc::Instr{.op = bc::Op::kLaneScratch, .a = lane, .b = slot, .line = line};
   }
 
   u8 lane_from_shift(const Expr& e) {
@@ -780,46 +1005,9 @@ struct JitCompiler {
     p.ranks = map.grid().rank_count();
     p.lane_count = region_size(p.dregion);
     exec.emplace(p.ranks, m.mode_);
-    for (i64 r = 0; r < p.ranks; ++r) p.runs.push_back(region_runs(map, p.dregion, r));
-  }
-
-  /// Rank `rank`'s share of `region` as runs: one per combination of outer
-  /// per-dimension shares (row-major, like for_each_owned_region), each
-  /// covering the innermost share; address-adjacent runs merge. Built from
-  /// the same detail::dim_share sequences the interpreter walks.
-  static std::vector<bc::Run> region_runs(const MultiDimMapping& map, const Region& region,
-                                          i64 rank) {
-    const std::vector<i64> coords = map.grid().coords_of(rank);
-    const std::size_t nd = map.dims();
-    std::vector<detail::DimShare> shares;
-    for (std::size_t d = 0; d < nd; ++d) {
-      shares.push_back(detail::dim_share(map.dim(d), region[d], coords[d]));
-      if (shares.back().local_idx.empty()) return {};  // this rank owns nothing
-    }
-    const std::vector<i64>& inner = shares.back().local_idx;
-    for (std::size_t i = 1; i < inner.size(); ++i)
-      if (inner[i] != inner[i - 1] + 1) throw BailOut{};  // strided innermost share
-    const i64 len = static_cast<i64>(inner.size());
-    std::vector<bc::Run> runs;
-    std::vector<std::size_t> pos(nd - 1, 0);
-    while (true) {
-      i64 base = 0;
-      for (std::size_t d = 0; d + 1 < nd; ++d)
-        base = base * map.local_extent(d) + shares[d].local_idx[pos[d]];
-      base = base * map.local_extent(nd - 1) + inner.front();
-      if (!runs.empty() && runs.back().base + runs.back().len == base) {
-        runs.back().len += len;
-      } else {
-        runs.push_back({base, len});
-      }
-      std::size_t d = nd - 1;  // advance the outer odometer, last outer dim fastest
-      while (true) {
-        if (d == 0) return runs;
-        --d;
-        if (++pos[d] < shares[d].local_idx.size()) break;
-        pos[d] = 0;
-      }
-    }
+    const Layout lay = layout();
+    for (i64 r = 0; r < p.ranks; ++r)
+      p.runs.push_back(region_runs(lay, p.dregion, r, /*merge=*/true));
   }
 
   void build_kernels() {
@@ -998,8 +1186,8 @@ namespace {
 enum class Phase { kAll, kArith, kTerminal };
 
 void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>& s,
-               const double* const* src, double* dloc, std::vector<double>& arena,
-               std::vector<i64>& fixbuf, double* partial, char* seen, Phase phase) {
+               const double* const* src, const i64* len, double* dloc,
+               std::vector<double>& arena, double* partial, char* seen, Phase phase) {
   // A 1-D share is its kernel's one run: span mode when the kernel is a
   // dense run, else gathered and scattered through the kernel. An N-D
   // share is its compile-time run list, always in span mode, where lane
@@ -1013,25 +1201,13 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
   const bool span_mode = kp == nullptr || kp->cls() == KernelClass::kRunCopy;
   const std::size_t scratch0 = p.operands.size();  // src index of scratch slot 0
   const std::size_t halo0 = scratch0 + static_cast<std::size_t>(p.n_scratch);
-  // lane.shift programs (1-D, span mode, plain store) run strip by strip:
-  // a span pass over the part of the strip inside the shift window, then a
-  // fix-up pass over the strip's boundary positions, gathered by address.
-  const bool halo = p.n_halo > 0;
-  const i64 k = p.block;
-  const i64 strip = !halo ? 0 : k <= kStripElems ? k * (kStripElems / k) : kStripElems;
-  const bc::Run win = halo ? p.shift_window[static_cast<std::size_t>(rank)] : bc::Run{};
   std::size_t widest = 0;
   std::size_t total = 0;
   for (const bc::Run& run : runs) {
     widest = std::max(widest, static_cast<std::size_t>(run.len));
     total += static_cast<std::size_t>(run.len);
   }
-  if (halo) {
-    widest = std::min(widest, static_cast<std::size_t>(strip));
-    // At most strip/k + 2 blocks touch a strip, each with every residue.
-    const i64 fix_max = (strip / k + 2) * static_cast<i64>(p.fix_residues.size());
-    fixbuf.resize(static_cast<std::size_t>(fix_max));
-  }
+  if (p.strip > 0) widest = std::min(widest, static_cast<std::size_t>(p.strip));
   // Guarded store programs keep the store register of every run in one
   // full-share stash, so kTerminal stores exactly what kArith computed.
   // (Masked stores and reductions are 1-D: one run, whose registers stay
@@ -1046,9 +1222,9 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
   };
   Reg regs[kMaxLanes];
   std::size_t cnt = 0;      // current pass's length
-  i64 base = 0;             // current span pass's first local address
-  double* dspan = nullptr;  // current span pass's destination span
-  const i64* pos = nullptr;  // fix-up pass: the local address of each lane
+  i64 base = 0;             // current pass's first local address
+  std::size_t ri = 0;       // current run's index
+  double* dspan = nullptr;  // current pass's destination span
   const bc::Instr* ip = nullptr;
 
   const auto materialize = [&](u8 r) {
@@ -1090,51 +1266,29 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
     VM_DISPATCH; \
   } while (0)
 
-  // One pass of the lane program per run; a 1-D share is a single run.
-  // lane.shift programs split each run into strips of two passes each.
-  std::size_t off = 0;  // current run's offset in the stash
-  for (const bc::Run& run : runs) {
-    const i64 run_end = run.base + run.len;
-    for (i64 s0 = run.base, s1 = 0; s0 < run_end; s0 = s1) {
-      s1 = halo ? std::min(run_end, (s0 / strip + 1) * strip) : run_end;
-      for (int pass = 0; pass < (halo ? 2 : 1); ++pass) {
-        if (pass == 0) {
-          // Span pass, clipped to the shift window (the positions it drops
-          // are boundary positions, which the fix-up pass computes).
-          base = halo ? std::max(s0, win.base) : s0;
-          const i64 end = halo ? std::min(s1, win.base + win.len) : s1;
-          if (end <= base) continue;
-          cnt = static_cast<std::size_t>(end - base);
-          pos = nullptr;
-        } else {
-          // Fix-up pass: the strip's positions at boundary block offsets,
-          // in ascending address order.
-          std::size_t n = 0;
-          for (i64 blk = s0 / k; blk * k < s1; ++blk)
-            for (const i64 j : p.fix_residues) {
-              const i64 la = blk * k + j;
-              if (la >= s0 && la < s1) fixbuf[n++] = la;
-            }
-          if (n == 0) continue;
-          cnt = n;
-          pos = fixbuf.data();
-          base = 0;
-        }
-        dspan = dloc + base;
-        for (int i = 0; i < p.n_lanes; ++i) {
-          regs[i].buf = arena.data() + static_cast<std::size_t>(i) * widest;
-          regs[i].cur = regs[i].buf;
-        }
-        if (stash_store) {
-          regs[p.store_reg].buf = stash + off;
-          regs[p.store_reg].cur = regs[p.store_reg].buf;
-        } else if (p.store_fused && span_mode && pos == nullptr) {
-          // Store fusion: the final arithmetic instruction targeting the
-          // store register writes the destination span directly (span
-          // passes only, and only when no lane instruction can throw).
-          regs[p.store_reg].buf = dspan;
-        }
-        ip = phase == Phase::kTerminal ? &p.lanes.back() : p.lanes.data();
+  // One pass of the lane program per run (a 1-D share is a single run),
+  // or per strip of it when a staged lane.shift copies into a register.
+  std::size_t off = 0;  // current pass's offset in the stash
+  for (ri = 0; ri < runs.size(); ++ri) {
+    const i64 run_end = runs[ri].base + runs[ri].len;
+    for (base = runs[ri].base; base < run_end; base += static_cast<i64>(cnt)) {
+      cnt = static_cast<std::size_t>(p.strip > 0 ? std::min(run_end - base, p.strip)
+                                                 : run_end - base);
+      dspan = dloc + base;
+      for (int i = 0; i < p.n_lanes; ++i) {
+        regs[i].buf = arena.data() + static_cast<std::size_t>(i) * widest;
+        regs[i].cur = regs[i].buf;
+      }
+      if (stash_store) {
+        regs[p.store_reg].buf = stash + off;
+        regs[p.store_reg].cur = regs[p.store_reg].buf;
+      } else if (p.store_fused && span_mode) {
+        // Store fusion: the final arithmetic instruction targeting the
+        // store register writes the destination span directly (span mode
+        // only, and only when no lane instruction can throw).
+        regs[p.store_reg].buf = dspan;
+      }
+      ip = phase == Phase::kTerminal ? &p.lanes.back() : p.lanes.data();
 #if defined(__GNUC__) && !defined(CYCLICK_NO_COMPUTED_GOTO)
     VM_DISPATCH;
 #else
@@ -1169,10 +1323,7 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
 vm_lane_direct: {
   Reg& r = regs[ip->a];
   const double* sl = src[ip->aux];
-  if (pos != nullptr) {
-    for (std::size_t i = 0; i < cnt; ++i) r.buf[i] = sl[pos[i]];
-    r.cur = r.buf;
-  } else if (span_mode) {
+  if (span_mode) {
     r.cur = sl + base;
   } else {
     kernel_gather(*kp, sl, r.buf);
@@ -1184,10 +1335,7 @@ vm_lane_direct: {
 vm_lane_scratch: {
   Reg& r = regs[ip->a];
   const double* sl = src[scratch0 + ip->b];
-  if (pos != nullptr) {
-    for (std::size_t i = 0; i < cnt; ++i) r.buf[i] = sl[pos[i]];
-    r.cur = r.buf;
-  } else if (span_mode) {
+  if (span_mode) {
     r.cur = sl + base;
   } else {
     kernel_gather(*kp, sl, r.buf);
@@ -1198,23 +1346,46 @@ vm_lane_scratch: {
 
 vm_lane_shift: {
   Reg& r = regs[ip->a];
+  const bc::Operand& o = p.operands[static_cast<std::size_t>(ip->aux)];
+  const bc::Halo& h = o.halo;
+  const bc::HaloRun& hr = h.runs[static_cast<std::size_t>(rank)][ri];
   const double* sl = src[ip->aux];
-  const i64 delta = p.operands[static_cast<std::size_t>(ip->aux)].shift;
-  if (pos == nullptr) {
-    r.cur = sl + base + delta;  // inside the source span: base is windowed
+  const double* hl = src[halo0 + ip->b];
+  if (!h.staged) {
+    // Outer dimension: the row reads its own source row in place, or its
+    // halo row at a block edge.
+    r.cur = hr.halo < 0 ? sl + base + h.offset : hl + hr.halo + (base - runs[ri].base);
   } else {
-    // Boundary offsets [j0, j0 + w) of each block read the halo (slot
-    // blk*w + j - j0); any other fix-up position is local at la + delta.
-    const double* hl = src[halo0 + ip->b];
-    const i64 w = delta < 0 ? -delta : delta;
-    const i64 j0 = delta < 0 ? 0 : k - delta;
-    for (std::size_t i = 0; i < cnt; ++i) {
-      const i64 la = pos[i];
-      const i64 blk = la / k;
-      const i64 j = la - blk * k - j0;
-      r.buf[i] = j >= 0 && j < w ? hl[blk * w + j] : sl[la + delta];
+    // Innermost dimension: stage the strip from base + offset, clipped to
+    // this source's own local span (every clipped position is a boundary
+    // position, whatever the source's length),
+    // then patch boundary offset j0 + jj of every block from its halo slot
+    // (block L's slots start at halo + L*w): one strided loop per offset.
+    // The stage is the register's own arena slot, even when store fusion
+    // points its writes at the destination span: copying into the cold
+    // destination first is measurably slower.
+    double* const stage = arena.data() + static_cast<std::size_t>(ip->a) * widest;
+    const i64 end = base + static_cast<i64>(cnt);
+    const i64 from = base + h.offset;
+    const i64 lo = std::max<i64>(from, 0);
+    const i64 hi = std::min(end + h.offset, len[ip->aux]);
+    if (hi > lo)
+      std::memcpy(stage + (lo - from), sl + lo,
+                  static_cast<std::size_t>(hi - lo) * sizeof(double));
+    const i64 k = h.block;
+    const i64 w = o.shift < 0 ? -o.shift : o.shift;
+    const i64 blk = (base - hr.origin) / k;  // the block holding base
+    const i64 first = hr.origin + blk * k + (o.shift < 0 ? 0 : k - o.shift);
+    for (i64 jj = 0; jj < w; ++jj) {
+      i64 a = first + jj;
+      i64 slot = hr.halo + blk * w + jj;
+      if (a < base) {
+        a += k;
+        slot += w;
+      }
+      for (; a < end; a += k, slot += w) stage[a - base] = hl[slot];
     }
-    r.cur = r.buf;
+    r.cur = stage;
   }
 }
   VM_NEXT;
@@ -1413,9 +1584,7 @@ vm_store: {
     goto vm_run_done;
   }
   const double* x = regs[ip->a].cur;
-  if (pos != nullptr) {
-    for (std::size_t i = 0; i < cnt; ++i) dloc[pos[i]] = x[i];
-  } else if (span_mode) {
+  if (span_mode) {
     if (x != dspan) std::memcpy(dspan, x, cnt * sizeof(double));
   } else {
     kernel_scatter(*kp, dloc, x);
@@ -1481,7 +1650,6 @@ vm_reduce: {
 
       vm_run_done:
         off += cnt;
-      }
     }
   }
   return;
@@ -1644,13 +1812,18 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
       static_cast<std::size_t>(p.n_halo));
   for (const bc::Instr& in : p.lanes) {
     if (in.op != bc::Op::kLaneShift) continue;
+    CYCLICK_SPAN("jit.halo", obs::kMainTid);
     const bc::Operand& o = p.operands[static_cast<std::size_t>(in.aux)];
-    const DistributedArray<double>& from = *m_.lookup(o.array, in.line).d1;
-    auto h = m_.acquire_temp(BlockCyclic(p.ranks, o.shift < 0 ? -o.shift : o.shift),
-                             o.halo_size, AffineAlignment::identity());
-    execute_copy_plan(*o.plan, from, *h, exec);
+    const Machine::ArrayInfo& from = m_.lookup(o.array, in.line);
+    auto h = m_.acquire_temp(BlockCyclic(p.ranks, o.halo.len), p.ranks * o.halo.len,
+                             AffineAlignment::identity());
+    if (from.is_1d()) {
+      execute_copy_plan(*o.plan, *from.d1, *h, exec);
+    } else {
+      execute_copy_plan(*o.plan, *from.dn, *h, exec);
+    }
     for (i64 r = 0; r < p.ranks; ++r)
-      CYCLICK_COUNT("jit.halo_elems", r, o.halo_counts[static_cast<std::size_t>(r)]);
+      CYCLICK_COUNT("jit.halo_elems", r, o.halo.counts[static_cast<std::size_t>(r)]);
     halos[in.b] = std::move(h);
   }
 
@@ -1660,16 +1833,21 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
   const std::size_t halo0 = p.operands.size() + static_cast<std::size_t>(p.n_scratch);
   const std::size_t nsrc = halo0 + static_cast<std::size_t>(p.n_halo);
   const auto local_of = [](const Machine::ArrayInfo& a, i64 rank) {
-    return a.is_1d() ? a.d1->local(rank).data() : a.dn->local(rank).data();
+    return a.is_1d() ? a.d1->local(rank) : a.dn->local(rank);
   };
   std::vector<const double*> src(ranks * nsrc, nullptr);
+  std::vector<i64> len(ranks * nsrc, 0);  // local span lengths, read by lane.shift
   std::vector<double*> dloc(ranks);
-  for (std::size_t r = 0; r < ranks; ++r) dloc[r] = local_of(dst, static_cast<i64>(r));
+  for (std::size_t r = 0; r < ranks; ++r) dloc[r] = local_of(dst, static_cast<i64>(r)).data();
   for (const bc::Instr& in : p.lanes) {
     if (in.op != bc::Op::kLaneDirect && in.op != bc::Op::kLaneShift) continue;
     const auto aux = static_cast<std::size_t>(in.aux);
     const Machine::ArrayInfo& a = m_.lookup(p.operands[aux].array, in.line);
-    for (std::size_t r = 0; r < ranks; ++r) src[r * nsrc + aux] = local_of(a, static_cast<i64>(r));
+    for (std::size_t r = 0; r < ranks; ++r) {
+      const std::span<double> l = local_of(a, static_cast<i64>(r));
+      src[r * nsrc + aux] = l.data();
+      len[r * nsrc + aux] = static_cast<i64>(l.size());
+    }
   }
   for (std::size_t slot = 0; slot < static_cast<std::size_t>(p.n_scratch); ++slot)
     for (std::size_t r = 0; r < ranks; ++r) {
@@ -1681,19 +1859,18 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
     for (std::size_t r = 0; r < ranks; ++r)
       src[r * nsrc + halo0 + h] = halos[h]->local(static_cast<i64>(r)).data();
 
-  if (arena_.size() < static_cast<std::size_t>(p.ranks)) {
+  if (arena_.size() < static_cast<std::size_t>(p.ranks))
     arena_.resize(static_cast<std::size_t>(p.ranks));
-    fixbuf_.resize(static_cast<std::size_t>(p.ranks));
-  }
   std::vector<double> partial(static_cast<std::size_t>(p.ranks), 0.0);
   std::vector<char> seen(static_cast<std::size_t>(p.ranks), 0);
 
   const auto lanes = [&](i64 rank, Phase phase) {
     const auto r = static_cast<std::size_t>(rank);
-    run_lanes(p, rank, s, src.data() + r * nsrc, dloc[r], arena_[r], fixbuf_[r],
+    run_lanes(p, rank, s, src.data() + r * nsrc, len.data() + r * nsrc, dloc[r], arena_[r],
               partial.data() + rank, seen.data() + rank, phase);
   };
   const bool guarded = p.lanes_may_throw && term.op != bc::Op::kReduceLanes;
+  CYCLICK_SPAN("jit.lanes", obs::kMainTid);
   if (guarded) {
     exec.run([&](i64 rank) { lanes(rank, Phase::kArith); });
     exec.run([&](i64 rank) { lanes(rank, Phase::kTerminal); });

@@ -3,6 +3,11 @@
 // executes them with a computed-goto dispatch loop over per-rank lane
 // vectors backed by the pattern kernels.
 //
+// Stencil operands — the target section or region shifted by less than a
+// block along one dimension, like heat2d's U(i±1, j) and U(i, j±1) — read
+// their own local rows (lane.shift); only the block-boundary halo moves,
+// and the lane pass takes it in the same single pass over each row.
+//
 // The engine is deliberately conservative: any statement shape it cannot
 // prove equivalent to the interpreter (non-identity-aligned targets, N-D
 // targets with a strided innermost share, N-D reductions, mismatched
@@ -44,7 +49,6 @@ class JitEngine {
 
   Machine& m_;
   std::vector<std::vector<double>> arena_;  // per-rank lane buffers, reused
-  std::vector<std::vector<i64>> fixbuf_;    // per-rank lane.shift fix-up addresses
 };
 
 }  // namespace cyclick::dsl

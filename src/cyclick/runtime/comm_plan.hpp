@@ -368,49 +368,6 @@ CommPlan build_copy_plan(const DistributedArray<T>& src, const RegularSection& s
   return plan;
 }
 
-/// One plan for several disjoint copies dst(dsecs[i]) = src(ssecs[i]),
-/// executed together. Each channel streams its elements in ascending
-/// destination address, whichever copy they belong to, so a destination
-/// filled by interleaved strided sections (a halo buffer fed by one
-/// stride-k section per block offset) still compresses to a short period.
-template <typename T>
-CommPlan build_copy_plan(const DistributedArray<T>& src, std::span<const RegularSection> ssecs,
-                         DistributedArray<T>& dst, std::span<const RegularSection> dsecs,
-                         const SpmdExecutor& exec) {
-  CYCLICK_REQUIRE(ssecs.size() == dsecs.size(), "section list size mismatch in copy");
-  for (std::size_t i = 0; i < dsecs.size(); ++i)
-    CYCLICK_REQUIRE(ssecs[i].size() == dsecs[i].size(), "section size mismatch in copy");
-  CYCLICK_REQUIRE(exec.ranks() == dst.dist().procs(), "executor/destination rank mismatch");
-  CYCLICK_REQUIRE(exec.ranks() == src.dist().procs(), "executor/source rank mismatch");
-  const i64 p = exec.ranks();
-  CYCLICK_COUNT("commplan.builds", 0, 1);
-  CYCLICK_TIME_SCOPE("commplan.build_us", 0);
-  std::vector<detail::ChannelAccum> accum(static_cast<std::size_t>(p * p));
-  exec.run([&](i64 m) {
-    CYCLICK_SPAN("plan_build", m);
-    struct Hit {
-      i64 dst_local, owner, src_local;
-    };
-    std::vector<Hit> hits;
-    for (std::size_t i = 0; i < dsecs.size(); ++i) {
-      if (dsecs[i].empty()) continue;
-      OwnerCursor cur(src, ssecs[i]);
-      for_each_owned(dst, dsecs[i], m, [&](i64 t, i64 la) {
-        const auto hit = cur.at(t);
-        hits.push_back({la, hit.owner, hit.local});
-      });
-    }
-    std::sort(hits.begin(), hits.end(),
-              [](const Hit& a, const Hit& b) { return a.dst_local < b.dst_local; });
-    detail::ChannelAccum* row = accum.data() + m * p;
-    for (const Hit& h : hits) row[h.owner].append(h.src_local, h.dst_local);
-  });
-  CommPlan plan;
-  plan.ranks = p;
-  plan.adopt_channels(std::move(accum));
-  return plan;
-}
-
 // ---------------------------------------------------------------------------
 // Legacy per-item representation. Kept verbatim as the differential-testing
 // reference and the benchmarks' baseline; new code should use CommPlan.

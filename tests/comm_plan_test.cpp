@@ -237,40 +237,5 @@ TEST(CommPlan, GapPeriodIsCompact) {
     }
 }
 
-TEST(CommPlan, SeveralSectionsMatchOneCopyEach) {
-  // A halo fill: the last three offsets of every cyclic(8) block (three
-  // stride-8 sections) land in a cyclic(3) buffer holding one 3-wide slot
-  // per block. One plan over all three sections moves exactly what three
-  // single-section plans move, and its channels, streamed in destination
-  // order, keep a short period.
-  const i64 p = 4, k = 8, w = 3, blocks = 40;
-  std::vector<RegularSection> from, to;
-  for (i64 jj = 0; jj < w; ++jj) {
-    from.push_back({k - w + jj, (blocks - 2) * k + k - w + jj, k});
-    to.push_back({w + jj, (blocks - 1) * w + jj, w});
-  }
-  for (const auto mode : {SpmdExecutor::Mode::kSequential, SpmdExecutor::Mode::kThreads}) {
-    const SpmdExecutor exec(p, mode);
-    DistributedArray<double> src(BlockCyclic(p, k), blocks * k);
-    src.scatter(iota_image(blocks * k));
-    DistributedArray<double> one(BlockCyclic(p, w), blocks * w);
-    DistributedArray<double> each(BlockCyclic(p, w), blocks * w);
-    const CommPlan plan = build_copy_plan(src, std::span<const RegularSection>(from), one,
-                                          std::span<const RegularSection>(to), exec);
-    execute_copy_plan(plan, src, one, exec);
-    i64 total = 0;
-    for (std::size_t i = 0; i < from.size(); ++i) {
-      const CommPlan single = build_copy_plan(src, from[i], each, to[i], exec);
-      execute_copy_plan(single, src, each, exec);
-      total += single.total_elements();
-    }
-    EXPECT_EQ(one.gather(), each.gather());
-    EXPECT_EQ(plan.total_elements(), total);
-    for (i64 m = 0; m < p; ++m)
-      for (i64 q = 0; q < p; ++q)
-        EXPECT_LE(plan.channel(m, q).period, w) << "(" << m << "," << q << ")";
-  }
-}
-
 }  // namespace
 }  // namespace cyclick

@@ -597,28 +597,36 @@ class ShiftFuzzer {
   enum Dist { kBlock, kCyclic, kCyclicK };
 
   /// `long_runs` makes every rank's share span several lane strips.
-  ShiftFuzzer(u64 seed, i64 procs, Dist dist, bool long_runs) : rng_(seed) {
+  /// `other_lengths` adds E, longer than A..D, and F, shorter, both on T's
+  /// distribution with identity alignment (T grows to E's length): their
+  /// shifted operands take lane.shift beside targets of another length.
+  ShiftFuzzer(u64 seed, i64 procs, Dist dist, bool long_runs, bool other_lengths = false)
+      : rng_(seed) {
     const i64 kk = 2 + pick(8);
     n_ = long_runs ? 1100 * procs + pick(400) : 40 + pick(120);
     if (dist == kCyclicK && n_ % (procs * kk) == 0) ++n_;
-    k_ = dist == kBlock ? (n_ + procs - 1) / procs : dist == kCyclic ? 1 : kk;
+    const i64 extra = other_lengths ? 1 + pick(3 * kk) : 0;
+    const i64 tn = n_ + extra;  // T's extent
+    k_ = dist == kBlock ? (tn + procs - 1) / procs : dist == kCyclic ? 1 : kk;
     const std::string clause = dist == kBlock    ? std::string("block")
                                : dist == kCyclic ? std::string("cyclic")
                                                  : "cyclic(" + std::to_string(k_) + ")";
     src_ << "processors P(" << procs << ")\n"
-         << "template T(" << n_ << ")\n"
+         << "template T(" << tn << ")\n"
          << "template T2(" << n_ << ")\n"
          << "distribute T onto P " << clause << '\n'
          << "distribute T2 onto P cyclic(" << k_ + 1 << ")\n";
     // A, B, C share the target mapping; D is the same data under another
     // distribution, so its shifted operands stay scratch copies.
-    for (int a = 0; a < 4; ++a) {
-      src_ << "array " << name(a) << '(' << n_ << ") align with " << (a == 3 ? "T2" : "T")
+    arrays_ = other_lengths ? 6 : 4;
+    for (int a = 0; a < arrays_; ++a) {
+      const i64 n = a == 4 ? tn : a == 5 ? n_ - 1 - pick(3 * kk) : n_;
+      src_ << "array " << name(a) << '(' << n << ") align with " << (a == 3 ? "T2" : "T")
            << "(i)\n";
       const i64 div = 2 + a;
-      src_ << "forall (i = 0:" << n_ - 1 << ") " << name(a) << "(i) = i / " << div << '\n';
-      ref_[a].resize(static_cast<std::size_t>(n_));
-      for (i64 i = 0; i < n_; ++i)
+      src_ << "forall (i = 0:" << n - 1 << ") " << name(a) << "(i) = i / " << div << '\n';
+      ref_[a].resize(static_cast<std::size_t>(n));
+      for (i64 i = 0; i < n; ++i)
         ref_[a][static_cast<std::size_t>(i)] = static_cast<double>(i) / static_cast<double>(div);
     }
   }
@@ -652,6 +660,35 @@ class ShiftFuzzer {
     add_self_stencil(delta);
     add_other_mapping(delta);
     add_masked(delta);
+  }
+
+  /// dst(d) = (X(d+delta) + Y(d+d2)) * c with the target and the sources
+  /// drawn from A, E (longer) and F (shorter), X and Y never the target: a
+  /// staged strip is clipped to its own source's local span. The section
+  /// often runs to the target's last element, where the clip matters.
+  void add_other_lengths(i64 delta) {
+    const int pool[] = {0, 4, 5};
+    const int dst = pool[pick(3)];
+    int x = pool[pick(3)];
+    int y = pool[pick(3)];
+    if (x == dst) x = dst == 4 ? 5 : 4;
+    if (y == dst) y = dst == 0 ? 5 : 0;
+    const i64 d2 = any_delta();
+    const auto len = [&](int a) { return static_cast<i64>(ref(a).size()); };
+    const i64 lo_min = std::max<i64>({0, -delta, -d2});
+    const i64 hi_max = std::min({len(dst), len(x) - delta, len(y) - d2}) - 1;
+    if (hi_max < lo_min) return;  // F too short for this pair of shifts
+    const i64 room = std::max<i64>(1, (hi_max - lo_min + 1) / 4);
+    const i64 lo = lo_min + pick(room);
+    const i64 hi = pick(2) == 0 ? hi_max : hi_max - pick(room);
+    const Sec d{lo, hi, 1};
+    const Sec s1 = shifted(d, delta), s2 = shifted(d, d2);
+    const i64 c = 1 + pick(5);
+    emit(std::string(name(dst)) + d.str() + " = (" + name(x) + s1.str() + " + " + name(y) +
+             s2.str() + ") * " + std::to_string(c),
+         shift_eligible(x, dst, delta) + shift_eligible(y, dst, d2));
+    assign(dst, d,
+           [&](i64 t) { return (get(x, s1, t) + get(y, s2, t)) * static_cast<double>(c); });
   }
 
   void run_and_check() const {
@@ -716,7 +753,10 @@ class ShiftFuzzer {
 
  private:
   i64 pick(i64 n) { return static_cast<i64>(rng_() % static_cast<u64>(n)); }
-  static const char* name(int a) { return a == 0 ? "A" : a == 1 ? "B" : a == 2 ? "C" : "D"; }
+  static const char* name(int a) {
+    static const char* const names[] = {"A", "B", "C", "D", "E", "F"};
+    return names[a];
+  }
   std::vector<double>& ref(int a) { return ref_[static_cast<std::size_t>(a)]; }
 
   /// A random delta from the grid's range.
@@ -847,7 +887,7 @@ class ShiftFuzzer {
   }
 
   void expect_images(const Machine& machine, const char* tier) const {
-    for (int a = 0; a < 4; ++a)
+    for (int a = 0; a < arrays_; ++a)
       ASSERT_EQ(bits(machine.global_image(name(a))), bits(ref_[static_cast<std::size_t>(a)]))
           << name(a) << " under " << tier << '\n'
           << src_.str();
@@ -857,7 +897,8 @@ class ShiftFuzzer {
   i64 n_ = 0;
   i64 k_ = 1;
   i64 expected_shifts_ = 0;
-  std::vector<double> ref_[4];
+  int arrays_ = 4;
+  std::vector<double> ref_[6];
   std::ostringstream src_;
 };
 
@@ -888,6 +929,343 @@ TEST(CompilerFuzz, ShiftedOperandGridMatchesAcrossTiers) {
   EXPECT_EQ(shifted_programs, 30);
 }
 
+TEST(CompilerFuzz, ShiftedOperandOfAnotherLengthMatchesAcrossTiers) {
+  i64 programs = 0;
+  for (i64 procs = 1; procs <= 5; ++procs) {
+    for (const auto dist : {ShiftFuzzer::kBlock, ShiftFuzzer::kCyclicK}) {
+      for (u64 rep = 0; rep < 2; ++rep) {
+        const u64 seed = (static_cast<u64>(procs) * 3 + static_cast<u64>(dist)) * 2 + rep;
+        ShiftFuzzer fuzzer(seed * 0xD1B54A32D192ED03ULL + 5, procs, dist, rep == 1, true);
+        for (const i64 delta : fuzzer.deltas()) fuzzer.add_other_lengths(delta);
+        fuzzer.run_and_check();
+        if (HasFatalFailure()) return;
+        ++programs;
+      }
+    }
+  }
+  EXPECT_EQ(programs, 20);
+}
+
+// ---------------------------------------------------------------------------
+// Shifted 2-D operands. An operand that is the target region shifted by a
+// constant delta along exactly one dimension, 0 < |delta| < k of that
+// dimension, under the target's mapping, reads its own local rows
+// (lane.shift): along the outer dimension each row picks its own source row
+// or its halo row, along the innermost dimension each strip is staged and
+// its block-boundary offsets are patched from the halo. Diagonal shifts,
+// |delta| >= k, other mappings, the target array itself and statements
+// that read their target keep the scratch copy (load.region). The grid
+// walks delta along each dimension over -(k+1)..k+1 on G(1,4), G(4,1),
+// G(2,2) and G(3,2) under block, cyclic and cyclic(k) per dimension, with
+// regions that start and end mid-block and, in the long-row programs, rows
+// longer than one lane strip. Each program runs on both tiers and both
+// executors and is bit-compared to a reference; an `explain` before every
+// assignment pins how many operands took the lane.shift path and how many
+// diagonal shifts were demoted.
+
+class RegionShiftFuzzer {
+ public:
+  enum Dist { kBlock, kCyclic, kCyclicK };
+
+  /// `long_rows` makes every rank's rows span several lane strips; those
+  /// programs walk the stencil and diagonal shapes only.
+  RegionShiftFuzzer(u64 seed, i64 g1, i64 g2, Dist d1, Dist d2, bool long_rows)
+      : rng_(seed), long_rows_(long_rows) {
+    n_[0] = long_rows ? 2 * g1 + 2 + pick(3) : 14 + pick(30);
+    n_[1] = long_rows ? 1100 * g2 + pick(300) : 14 + pick(30);
+    const i64 procs[2] = {g1, g2};
+    const Dist dists[2] = {d1, d2};
+    std::string clause[2], other[2];
+    for (int d = 0; d < 2; ++d) {
+      const i64 kk = 2 + pick(6);
+      k_[d] = dists[d] == kBlock    ? (n_[d] + procs[d] - 1) / procs[d]
+              : dists[d] == kCyclic ? 1
+                                    : kk;
+      clause[d] = dists[d] == kBlock    ? std::string("block")
+                  : dists[d] == kCyclic ? std::string("cyclic")
+                                        : "cyclic(" + std::to_string(k_[d]) + ")";
+      other[d] = "cyclic(" + std::to_string(k_[d] + 1) + ")";
+    }
+    src_ << "processors G(" << g1 << ", " << g2 << ")\n"
+         << "template T(" << n_[0] << ", " << n_[1] << ")\n"
+         << "template T2(" << n_[0] << ", " << n_[1] << ")\n"
+         << "distribute T onto G " << clause[0] << ' ' << clause[1] << '\n'
+         << "distribute T2 onto G " << other[0] << ' ' << other[1] << '\n';
+    // A, B, C share the target mapping; D holds the same data under another
+    // distribution, so its shifted operands stay scratch copies.
+    for (int a = 0; a < 4; ++a) {
+      src_ << "array " << name(a) << '(' << n_[0] << ", " << n_[1] << ") align with "
+           << (a == 3 ? "T2" : "T") << "(i, j)\n";
+      ref(a).assign(static_cast<std::size_t>(n_[0] * n_[1]), 0.0);
+    }
+    // Distinct values everywhere, so a wrong halo slot shows: column 0
+    // filled row by row, then doubled rightwards, X(i, j) = X(i, 0) + j.
+    for (int a = 0; a < 4; ++a) {
+      const std::string rows = "0:" + std::to_string(n_[0] - 1);
+      for (i64 i = 0; i < n_[0]; ++i) {
+        const i64 v = i * 10007 + (a + 1) * 1000003;
+        src_ << name(a) << '(' << i << ':' << i << ", 0:0) = " << v << '\n';
+        for (i64 j = 0; j < n_[1]; ++j) at(a, i, j) = static_cast<double>(v + j);
+      }
+      for (i64 s = 1; s < n_[1]; s *= 2) {
+        const i64 len = std::min(s, n_[1] - s);
+        src_ << name(a) << '(' << rows << ", " << s << ':' << s + len - 1 << ") = " << name(a)
+             << '(' << rows << ", 0:" << len - 1 << ") + " << s << '\n';
+      }
+    }
+  }
+
+  /// The deltas walked along dimension d: all of -(k+1)..k+1 for small
+  /// blocks, the edges of that range otherwise, keeping every region at
+  /// least a third of the extent.
+  std::vector<i64> deltas(int d) const {
+    std::vector<i64> out;
+    const i64 k = k_[d];
+    const auto add = [&](i64 v) {
+      if (3 * (v < 0 ? -v : v) <= n_[d] && std::find(out.begin(), out.end(), v) == out.end())
+        out.push_back(v);
+    };
+    if (k <= 8) {
+      for (i64 v = -(k + 1); v <= k + 1; ++v) add(v);
+    } else {
+      for (const i64 v : {i64{0}, i64{1}, i64{2}, k - 1, k, k + 1}) {
+        add(v);
+        add(-v);
+      }
+    }
+    return out;
+  }
+
+  /// Every shape the grid draws for one primary shift.
+  void add_statements(int d, i64 delta) {
+    add_stencil(d, delta);
+    add_diagonal(d, delta);
+    if (long_rows_) return;
+    add_other_mapping(d, delta);
+    add_self(d, delta);
+    add_reads_target(d, delta);
+  }
+
+  void run_and_check() const {
+    const std::string program = src_.str();
+    for (const auto mode : {SpmdExecutor::Mode::kSequential, SpmdExecutor::Mode::kThreads}) {
+      for (const Tier tier : {Tier::kInterp, Tier::kBytecode}) {
+        Machine machine(mode);
+        machine.set_tier(tier);
+        machine.run_source(program);
+        for (int a = 0; a < 4; ++a)
+          ASSERT_EQ(bits(machine.global_image(name(a))),
+                    bits(ref_[static_cast<std::size_t>(a)]))
+              << name(a) << " under " << tier_name(tier) << '\n'
+              << program;
+        const std::string& out = machine.output();
+        ASSERT_EQ(occurrences(out, "lane.shift "), expected_shifts_) << out << '\n' << program;
+        ASSERT_EQ(occurrences(out, "stays a scratch copy: shifted in more than one dimension"),
+                  expected_diagonals_)
+            << out << '\n'
+            << program;
+      }
+    }
+  }
+
+ private:
+  struct Box {
+    Sec r, c;
+  };
+  /// An operand: array `a` over the target box shifted by (dr, dc).
+  struct Opnd {
+    int a;
+    i64 dr, dc;
+  };
+
+  i64 pick(i64 n) { return static_cast<i64>(rng_() % static_cast<u64>(n)); }
+  static const char* name(int a) { return a == 0 ? "A" : a == 1 ? "B" : a == 2 ? "C" : "D"; }
+  std::vector<double>& ref(int a) { return ref_[static_cast<std::size_t>(a)]; }
+  double& at(int a, i64 i, i64 j) { return ref(a)[static_cast<std::size_t>(i * n_[1] + j)]; }
+
+  static i64 occurrences(const std::string& out, const std::string& what) {
+    i64 n = 0;
+    for (auto p = out.find(what); p != std::string::npos; p = out.find(what, p + 1)) ++n;
+    return n;
+  }
+
+  /// Whether operand `o` takes lane.shift in a plain store to `dst`.
+  bool eligible(const Opnd& o, int dst) const {
+    if (o.a == dst || o.a == 3 || (o.dr != 0) == (o.dc != 0)) return false;
+    const i64 v = o.dr != 0 ? o.dr : o.dc;
+    const i64 k = k_[o.dr != 0 ? 0 : 1];
+    return v > -k && v < k;
+  }
+  static bool diagonal(const Opnd& o) { return o.dr != 0 && o.dc != 0; }
+
+  /// A random target box such that every operand's shift stays in bounds:
+  /// mid-block at both ends, the outer dimension sometimes of stride 2.
+  Box box(const std::vector<Opnd>& ops) {
+    Sec s[2];
+    for (int d = 0; d < 2; ++d) {
+      i64 lo_min = 0;
+      i64 hi_max = n_[d] - 1;
+      for (const Opnd& o : ops) {
+        const i64 v = d == 0 ? o.dr : o.dc;
+        lo_min = std::max(lo_min, -v);
+        hi_max = std::min(hi_max, n_[d] - 1 - v);
+      }
+      const i64 span = hi_max - lo_min + 1;
+      const i64 lo = lo_min + pick(std::max<i64>(1, span / 4));
+      i64 hi = hi_max - pick(std::max<i64>(1, span / 4));
+      const i64 st = d == 0 && hi - lo >= 2 && pick(3) == 0 ? 2 : 1;
+      hi -= (hi - lo) % st;
+      s[d] = {lo, hi, st};
+    }
+    return {s[0], s[1]};
+  }
+  static Sec moved(const Sec& s, i64 v) { return {s.lo + v, s.hi + v, s.st}; }
+  static std::string text(int a, const Box& b, i64 dr = 0, i64 dc = 0) {
+    return std::string(name(a)) + '(' + moved(b.r, dr).triplet() + ", " +
+           moved(b.c, dc).triplet() + ')';
+  }
+  double get(int a, const Box& b, i64 t, i64 u, i64 dr = 0, i64 dc = 0) {
+    return at(a, b.r.at(t) + dr, b.c.at(u) + dc);
+  }
+  Opnd shift_along(int a, int d, i64 v) const { return d == 0 ? Opnd{a, v, 0} : Opnd{a, 0, v}; }
+  i64 any_delta(int d) {
+    const std::vector<i64> ds = deltas(d);
+    return ds[static_cast<std::size_t>(pick(static_cast<i64>(ds.size())))];
+  }
+
+  /// Store f(t, u) at every element of dst(b), evaluating the whole right
+  /// side before the first store.
+  template <typename F>
+  void assign(int dst, const Box& b, F&& f) {
+    const i64 rs = b.r.size();
+    const i64 cs = b.c.size();
+    std::vector<double> out(static_cast<std::size_t>(rs * cs));
+    for (i64 t = 0; t < rs; ++t)
+      for (i64 u = 0; u < cs; ++u) out[static_cast<std::size_t>(t * cs + u)] = f(t, u);
+    for (i64 t = 0; t < rs; ++t)
+      for (i64 u = 0; u < cs; ++u)
+        at(dst, b.r.at(t), b.c.at(u)) = out[static_cast<std::size_t>(t * cs + u)];
+  }
+
+  void emit(const std::string& stmt, const std::vector<Opnd>& ops, int dst, bool blocked) {
+    src_ << "explain " << stmt << '\n' << stmt << '\n';
+    for (const Opnd& o : ops) {
+      if (!blocked && eligible(o, dst)) ++expected_shifts_;
+      if (diagonal(o)) ++expected_diagonals_;
+    }
+  }
+
+  /// dst(b) = (A(b + delta along d) + A(b + delta2 along d2)) / c: the
+  /// heat-stencil shape, one or both operands shifted.
+  void add_stencil(int d, i64 delta) {
+    const int dst = 1 + static_cast<int>(pick(2));
+    const int d2 = static_cast<int>(pick(2));
+    const Opnd o1 = shift_along(0, d, delta);
+    const Opnd o2 = shift_along(0, d2, any_delta(d2));
+    const Box b = box({o1, o2});
+    const i64 c = 1 + pick(5);
+    emit(text(dst, b) + " = (" + text(0, b, o1.dr, o1.dc) + " + " + text(0, b, o2.dr, o2.dc) +
+             ") / " + std::to_string(c),
+         {o1, o2}, dst, false);
+    assign(dst, b, [&](i64 t, i64 u) {
+      return (get(0, b, t, u, o1.dr, o1.dc) + get(0, b, t, u, o2.dr, o2.dc)) /
+             static_cast<double>(c);
+    });
+  }
+
+  /// dst(b) = A(b + (delta, e)) * c - C(b + delta along d): a diagonal
+  /// shift (demoted) beside a one-dimensional one.
+  void add_diagonal(int d, i64 delta) {
+    const int dst = 1;
+    i64 e = any_delta(1 - d);
+    if (e == 0) e = 1;
+    const Opnd diag = d == 0 ? Opnd{0, delta, e} : Opnd{0, e, delta};
+    const Opnd one = shift_along(2, d, delta);
+    const Box b = box({diag, one});
+    const i64 c = 1 + pick(9);
+    emit(text(dst, b) + " = " + text(0, b, diag.dr, diag.dc) + " * " + std::to_string(c) +
+             " - " + text(2, b, one.dr, one.dc),
+         {diag, one}, dst, false);
+    assign(dst, b, [&](i64 t, i64 u) {
+      return get(0, b, t, u, diag.dr, diag.dc) * static_cast<double>(c) -
+             get(2, b, t, u, one.dr, one.dc);
+    });
+  }
+
+  /// dst(b) = D(b + delta along d) + A(b + delta along d): D has another
+  /// mapping (scratch copy) while A shifts in place.
+  void add_other_mapping(int d, i64 delta) {
+    const int dst = 1 + static_cast<int>(pick(2));
+    const Opnd od = shift_along(3, d, delta);
+    const Opnd oa = shift_along(0, d, delta);
+    const Box b = box({od, oa});
+    emit(text(dst, b) + " = " + text(3, b, od.dr, od.dc) + " + " + text(0, b, oa.dr, oa.dc),
+         {od, oa}, dst, false);
+    assign(dst, b, [&](i64 t, i64 u) {
+      return get(3, b, t, u, od.dr, od.dc) + get(0, b, t, u, oa.dr, oa.dc);
+    });
+  }
+
+  /// A(b) = (A(b + delta along d) + A(b - delta along d)) / 2: the target
+  /// read through its own shifted operands stays on scratch copies.
+  void add_self(int d, i64 delta) {
+    const Opnd o1 = shift_along(0, d, delta);
+    const Opnd o2 = shift_along(0, d, -delta);
+    const Box b = box({o1, o2});
+    emit(text(0, b) + " = (" + text(0, b, o1.dr, o1.dc) + " + " + text(0, b, o2.dr, o2.dc) +
+             ") / 2",
+         {o1, o2}, 0, false);
+    assign(0, b, [&](i64 t, i64 u) {
+      return (get(0, b, t, u, o1.dr, o1.dc) + get(0, b, t, u, o2.dr, o2.dc)) / 2.0;
+    });
+  }
+
+  /// dst(b) = A(b + delta along d) - dst(b): a statement that reads its
+  /// target keeps every shifted operand a scratch copy.
+  void add_reads_target(int d, i64 delta) {
+    const int dst = 1 + static_cast<int>(pick(2));
+    const Opnd o = shift_along(0, d, delta);
+    const Box b = box({o});
+    emit(text(dst, b) + " = " + text(0, b, o.dr, o.dc) + " - " + text(dst, b), {o}, dst,
+         true);
+    assign(dst, b,
+           [&](i64 t, i64 u) { return get(0, b, t, u, o.dr, o.dc) - get(dst, b, t, u); });
+  }
+
+  std::mt19937_64 rng_;
+  bool long_rows_;
+  i64 n_[2] = {0, 0};
+  i64 k_[2] = {1, 1};
+  i64 expected_shifts_ = 0;
+  i64 expected_diagonals_ = 0;
+  std::vector<double> ref_[4];
+  std::ostringstream src_;
+};
+
+TEST(CompilerFuzz, ShiftedRegionGridMatchesAcrossTiers) {
+  using F = RegionShiftFuzzer;
+  const i64 grids[][2] = {{1, 4}, {4, 1}, {2, 2}, {3, 2}};
+  const F::Dist kinds[] = {F::kBlock, F::kCyclic, F::kCyclicK};
+  i64 programs = 0;
+  for (u64 g = 0; g < 4; ++g) {
+    for (u64 i = 0; i < 3; ++i) {
+      // Each dimension sees every distribution kind across the loop.
+      const F::Dist d1 = kinds[i];
+      const F::Dist d2 = kinds[(i + g + 1) % 3];
+      for (u64 rep = 0; rep < 2; ++rep) {
+        const u64 seed = ((g * 3 + i) * 2 + rep) * 0xA24BAED4963EE407ULL + 29;
+        F fuzzer(seed, grids[g][0], grids[g][1], d1, d2, rep == 1);
+        for (int d = 0; d < 2; ++d)
+          for (const i64 delta : fuzzer.deltas(d)) fuzzer.add_statements(d, delta);
+        fuzzer.run_and_check();
+        if (HasFatalFailure()) return;
+        ++programs;
+      }
+    }
+  }
+  EXPECT_EQ(programs, 24);
+}
+
 TEST(CompilerFuzz, GridShapesOutsideTheTierFallBack) {
   // cyclic(2) over two columns of ranks: a stride-2 innermost section puts
   // every other local slot in a rank's share, so it is not one run.
@@ -909,8 +1287,19 @@ explain U(1:10, 1:14) = (U(0:9, 1:14) + W(2:11, 1:14)) / 2
             std::string::npos)
       << out;
   // The dense, identity-aligned target compiles, with W as a region load.
+  // Neither shifted operand may take lane.shift: one reads the target
+  // array, the other has another mapping, and the listing says so.
   EXPECT_NE(out.find("bytecode program for U(1:10:1, 1:14:1)"), std::string::npos) << out;
   EXPECT_NE(out.find("load.region t"), std::string::npos) << out;
+  EXPECT_EQ(out.find("lane.shift"), std::string::npos) << out;
+  EXPECT_NE(out.find("shifted operand U(0:9:1, 1:14:1) (delta -1, 0) stays a scratch copy: "
+                     "reads the target array"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("shifted operand W(2:11:1, 1:14:1) (delta 1, 0) stays a scratch copy: "
+                     "mapping differs from the target's"),
+            std::string::npos)
+      << out;
 }
 
 }  // namespace

@@ -577,6 +577,40 @@ TEST(Tier, ExplainListsShiftedOperands) {
             std::string::npos)
       << out;
   EXPECT_NE(out.find("load       t0 = A(0:317:1)"), std::string::npos) << out;
+
+  // N-D: under cyclic(2) on two ranks per axis, a shift along the outer
+  // dimension moves whole boundary rows (rank 0 owns rows {1, 4, 5}, of
+  // which 1 and 5 end a block: two rows of three), one along the innermost
+  // dimension one element per row and block. The listing names the
+  // shifted dimension.
+  Machine grid;
+  grid.run_source(R"(
+processors G(2, 2)
+template T(8, 8)
+distribute T onto G cyclic(2) cyclic(2)
+array M(8, 8) align with T(i, j)
+array N(8, 8) align with T(i, j)
+explain M(1:6, 1:6) = (N(2:7, 1:6) + N(1:6, 0:5)) / 3
+explain M(1:6, 1:6) = (M(1:6, 0:5) + N(1:6, 2:7)) / 3
+)");
+  const std::string& nd = grid.output();
+  const std::string shifted = nd.substr(0, nd.find("bytecode program for", 1));
+  EXPECT_NE(shifted.find("lane.shift   l0 = N(2:7:1, 1:6:1)  [dim=0, delta=1, halo h0 per rank: "
+                         "6 6 3 3, messages=4, remote=18]"),
+            std::string::npos)
+      << nd;
+  EXPECT_NE(shifted.find("lane.shift   l1 = N(1:6:1, 0:5:1)  [dim=1, delta=-1, halo h1 per rank: "
+                         "3 6 3 6, messages=4, remote=18]"),
+            std::string::npos)
+      << nd;
+  EXPECT_EQ(shifted.find("loads:"), std::string::npos) << nd;
+  // Reading the target array demotes the whole statement's shifts, each
+  // with its reason.
+  EXPECT_NE(nd.find("shifted operand M(1:6:1, 0:5:1) (delta 0, -1) stays a scratch copy: "
+                    "reads the target array"),
+            std::string::npos)
+      << nd;
+  EXPECT_NE(nd.find("load.region t0 = M(1:6:1, 0:5:1)"), std::string::npos) << nd;
 }
 
 TEST(Tier, ExplainReportsInterpreterFallback) {
@@ -605,7 +639,7 @@ template T(8, 8)
 distribute T onto G cyclic(2) cyclic(2)
 array M(8, 8) align with T(i, j)
 array N(8, 8) align with T(i, j)
-explain M(1:6, 1:6) = (N(0:5, 1:6) + N(2:7, 1:6)) / 2
+explain M(1:6, 1:6) = (N(0:5, 0:5) + N(2:7, 2:7)) / 3
 )");
   const std::string& out = machine.output();
   EXPECT_NE(out.find("bytecode program for M(1:6:1, 1:6:1) on 4 ranks (36 lanes"),
@@ -615,8 +649,13 @@ explain M(1:6, 1:6) = (N(0:5, 1:6) + N(2:7, 1:6)) / 2
   // columns {1, 4, 5} (local columns 1..3): three local rows of one run.
   EXPECT_NE(out.find("runs:"), std::string::npos) << out;
   EXPECT_NE(out.find("rank 0: 3 runs, 9 lanes"), std::string::npos) << out;
-  EXPECT_NE(out.find("load.region t0 = N(0:5:1, 1:6:1)"), std::string::npos) << out;
-  EXPECT_NE(out.find("load.region t1 = N(2:7:1, 1:6:1)"), std::string::npos) << out;
+  // Diagonal shifts stay region loads, and say why.
+  EXPECT_NE(out.find("load.region t0 = N(0:5:1, 0:5:1)"), std::string::npos) << out;
+  EXPECT_NE(out.find("load.region t1 = N(2:7:1, 2:7:1)"), std::string::npos) << out;
+  EXPECT_NE(out.find("shifted operand N(2:7:1, 2:7:1) (delta 1, 1) stays a scratch copy: "
+                     "shifted in more than one dimension"),
+            std::string::npos)
+      << out;
   EXPECT_NE(out.find("adddiv.vvs"), std::string::npos) << out;
 }
 
