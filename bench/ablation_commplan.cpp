@@ -16,6 +16,7 @@
 // lookup on top of that.
 #include "bench_common.hpp"
 #include "cyclick/runtime/section_ops.hpp"
+#include "support/legacy_comm_plan.hpp"
 
 namespace {
 

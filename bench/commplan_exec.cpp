@@ -19,6 +19,7 @@
 
 #include "bench_common.hpp"
 #include "cyclick/runtime/section_ops.hpp"
+#include "support/legacy_comm_plan.hpp"
 
 // --- global allocation counter -------------------------------------------
 // Counts every operator new in the process; the bench reads the delta

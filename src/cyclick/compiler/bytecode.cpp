@@ -231,51 +231,22 @@ std::string CompiledProgram::listing() const {
   return ss.str();
 }
 
-bool ProgramCache::find(const std::string& key,
-                        std::shared_ptr<const CompiledProgram>& out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = map_.find(key);
-  if (it == map_.end()) {
-    ++stats_.misses;
+std::optional<std::shared_ptr<const CompiledProgram>> ProgramCache::find(
+    const std::string& key) {
+  auto hit = cache_.find(key);
+  if (hit) {
+    CYCLICK_COUNT("jitcache.hits", 0, 1);
+  } else {
     CYCLICK_COUNT("jitcache.misses", 0, 1);
-    return false;
   }
-  order_.splice(order_.begin(), order_, it->second);
-  ++stats_.hits;
-  CYCLICK_COUNT("jitcache.hits", 0, 1);
-  out = it->second->second;
-  return true;
+  return hit;
 }
 
 void ProgramCache::insert(const std::string& key,
                           std::shared_ptr<const CompiledProgram> program) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = map_.find(key);
-  if (it != map_.end()) {
-    it->second->second = std::move(program);
-    order_.splice(order_.begin(), order_, it->second);
-    return;
-  }
-  order_.emplace_front(key, std::move(program));
-  map_[key] = order_.begin();
-  if (map_.size() > capacity_) {
-    map_.erase(order_.back().first);
-    order_.pop_back();
-    ++stats_.evictions;
-    CYCLICK_COUNT("jitcache.evictions", 0, 1);
-  }
-}
-
-ProgramCache::Stats ProgramCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-void ProgramCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  order_.clear();
-  map_.clear();
-  stats_ = Stats{};
+  bool evicted = false;
+  cache_.insert(key, std::move(program), &evicted);
+  if (evicted) CYCLICK_COUNT("jitcache.evictions", 0, 1);
 }
 
 ProgramCache& ProgramCache::global() {

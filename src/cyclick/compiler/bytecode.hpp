@@ -36,17 +36,16 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cyclick/core/engine.hpp"
 #include "cyclick/core/kernels.hpp"
 #include "cyclick/runtime/multidim_array.hpp"
 #include "cyclick/runtime/redistribute.hpp"
+#include "cyclick/support/lru_cache.hpp"
 #include "cyclick/support/types.hpp"
 
 namespace cyclick::dsl {
@@ -226,29 +225,24 @@ struct CompiledProgram {
 /// seen and declined, so repeat loops don't re-attempt compilation.
 class ProgramCache {
  public:
-  explicit ProgramCache(std::size_t capacity = 128) : capacity_(capacity) {}
+  using Stats = LruStats;
 
-  /// True when `key` is cached (out may be null: negative entry).
-  bool find(const std::string& key, std::shared_ptr<const CompiledProgram>& out);
+  explicit ProgramCache(std::size_t capacity = 128) : cache_(capacity) {}
+
+  /// The cached entry for `key` (possibly null: negative entry), or nullopt
+  /// on a miss.
+  [[nodiscard]] std::optional<std::shared_ptr<const CompiledProgram>> find(
+      const std::string& key);
   void insert(const std::string& key, std::shared_ptr<const CompiledProgram> program);
 
-  struct Stats {
-    i64 hits = 0;
-    i64 misses = 0;
-    i64 evictions = 0;
-  };
-  [[nodiscard]] Stats stats() const;
-  void clear();
+  [[nodiscard]] Stats stats() const { return cache_.stats(); }
+  /// Drop every program and zero the counters.
+  void clear() { cache_.clear(); }
 
   static ProgramCache& global();
 
  private:
-  using Entry = std::pair<std::string, std::shared_ptr<const CompiledProgram>>;
-  mutable std::mutex mu_;
-  std::size_t capacity_;
-  std::list<Entry> order_;  // front = most recent
-  std::unordered_map<std::string, std::list<Entry>::iterator> map_;
-  Stats stats_;
+  LruCache<std::string, std::shared_ptr<const CompiledProgram>> cache_;
 };
 
 }  // namespace cyclick::dsl::bc

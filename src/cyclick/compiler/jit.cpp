@@ -1672,8 +1672,8 @@ vm_bad:
 std::shared_ptr<const bc::CompiledProgram> JitEngine::program_for(
     const std::string& key, const AssignStmt* assign, const WhereStmt* where,
     const ScalarAssignStmt* scalar_assign) {
+  if (auto hit = bc::ProgramCache::global().find(key)) return std::move(*hit);
   std::shared_ptr<const bc::CompiledProgram> prog;
-  if (bc::ProgramCache::global().find(key, prog)) return prog;
   CYCLICK_SPAN("jit.compile", obs::kMainTid);
   JitCompiler jc(m_);
   try {

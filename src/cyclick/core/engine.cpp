@@ -150,8 +150,7 @@ OffsetTables SectionPlan::offset_tables() const {
   return t;
 }
 
-AddressEngine::AddressEngine(std::size_t table_capacity, std::size_t table_shards)
-    : cache_(table_capacity, table_shards) {}
+AddressEngine::AddressEngine(std::size_t table_capacity) : cache_(table_capacity) {}
 
 AddressStrategy AddressEngine::classify(const BlockCyclic& dist, i64 stride) noexcept {
   const i64 mag = stride > 0 ? stride : -stride;
@@ -170,7 +169,7 @@ std::shared_ptr<const EngineTables> AddressEngine::tables(const BlockCyclic& dis
   const TableKey key{dist.procs(), dist.block_size(), mag};
   if (auto hit = cache_.find(key)) {
     CYCLICK_COUNT("engine.tables.hits", 0, 1);
-    return hit;
+    return std::move(*hit);
   }
   CYCLICK_COUNT("engine.tables.misses", 0, 1);
   auto built = build_tables(dist, mag);
@@ -270,10 +269,7 @@ LocalAccessIterator AddressEngine::stream(const BlockCyclic& dist, i64 lower, i6
   return LocalAccessIterator(dist, lower, stride, proc);
 }
 
-AddressEngine::CacheStats AddressEngine::cache_stats() const {
-  const auto st = cache_.stats();
-  return CacheStats{st.hits, st.misses, st.evictions, st.size};
-}
+AddressEngine::CacheStats AddressEngine::cache_stats() const { return cache_.stats(); }
 
 void AddressEngine::clear_cache() const { cache_.clear(); }
 

@@ -33,7 +33,7 @@
 #include "cyclick/core/lattice_addresser.hpp"
 #include "cyclick/hpf/distribution.hpp"
 #include "cyclick/hpf/section.hpp"
-#include "cyclick/support/shard_cache.hpp"
+#include "cyclick/support/lru_cache.hpp"
 
 namespace cyclick {
 
@@ -279,20 +279,13 @@ class SectionPlan {
   i64 al_global_ = 0, al_local_ = 0;  ///< ascending-last owned access
 };
 
-/// The dispatch facade. Stateless except for the (p, k, |s|)-keyed sharded
-/// LRU table cache; thread-safe. Most callers use the process-wide global().
+/// The dispatch facade. Stateless except for the (p, k, |s|)-keyed LRU
+/// table cache; thread-safe. Most callers use the process-wide global().
 class AddressEngine {
  public:
-  struct CacheStats {
-    i64 hits = 0;
-    i64 misses = 0;
-    i64 evictions = 0;
-    std::size_t size = 0;
-  };
+  using CacheStats = LruStats;
 
-  /// `table_shards` == 0 picks the automatic shard count for the capacity
-  /// (1 for small caches, so exact-LRU semantics hold; striped for large).
-  explicit AddressEngine(std::size_t table_capacity = 256, std::size_t table_shards = 0);
+  explicit AddressEngine(std::size_t table_capacity = 256);
 
   /// Strategy classification from the distribution and (signed) stride
   /// alone — no tables touched.
@@ -319,9 +312,9 @@ class AddressEngine {
                                            i64 proc) const;
 
   [[nodiscard]] CacheStats cache_stats() const;
+  /// Drop every cached table and zero the counters.
   void clear_cache() const;
   [[nodiscard]] std::size_t cache_capacity() const noexcept { return cache_.capacity(); }
-  [[nodiscard]] std::size_t cache_shards() const noexcept { return cache_.shard_count(); }
 
   /// The process-wide engine every runtime layer dispatches through.
   static AddressEngine& global();
@@ -344,7 +337,7 @@ class AddressEngine {
       return static_cast<std::size_t>(h);
     }
   };
-  mutable ShardedCache<TableKey, EngineTables, TableKeyHash> cache_;
+  mutable LruCache<TableKey, std::shared_ptr<const EngineTables>, TableKeyHash> cache_;
 };
 
 }  // namespace cyclick

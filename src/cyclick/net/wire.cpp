@@ -34,20 +34,6 @@ u64 fnv1a64(const std::byte* data, std::size_t n) noexcept {
   return h;
 }
 
-u64 fnv1a64w(const std::byte* data, std::size_t n) noexcept {
-  u64 h = 0xcbf29ce484222325ULL;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    h ^= get_n(data + i, 8);
-    h *= 0x100000001b3ULL;
-  }
-  for (; i < n; ++i) {
-    h ^= static_cast<u64>(data[i]);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 void encode_header(const FrameHeader& h, std::byte* out) noexcept {
   put_u32(out + 0, h.magic);
   put_u16(out + 4, h.version);
@@ -58,26 +44,15 @@ void encode_header(const FrameHeader& h, std::byte* out) noexcept {
   put_u64(out + 24, h.checksum);
 }
 
-namespace {
-
-/// Shared field extraction for both decode paths; validates nothing.
-[[nodiscard]] FrameHeader read_fields(const std::byte* in, u64& raw_type) noexcept {
+std::optional<FrameHeader> decode_header(const std::byte* in, std::string& error) {
   FrameHeader h;
   h.magic = get_n(in + 0, 4);
   h.version = get_n(in + 4, 2);
-  raw_type = get_n(in + 6, 2);
+  const u64 type = get_n(in + 6, 2);
   h.from = static_cast<i64>(get_n(in + 8, 4));
   h.to = static_cast<i64>(get_n(in + 12, 4));
   h.payload_bytes = get_n(in + 16, 8);
   h.checksum = get_n(in + 24, 8);
-  return h;
-}
-
-}  // namespace
-
-std::optional<FrameHeader> decode_header(const std::byte* in, std::string& error) {
-  u64 type = 0;
-  FrameHeader h = read_fields(in, type);
   if (h.magic != kWireMagic) {
     error = "bad frame magic 0x" + std::to_string(h.magic) + " (stream desynchronized?)";
     return std::nullopt;
@@ -87,7 +62,7 @@ std::optional<FrameHeader> decode_header(const std::byte* in, std::string& error
             std::to_string(kWireVersion) + ")";
     return std::nullopt;
   }
-  if (type > static_cast<u64>(FrameType::kError)) {
+  if (type > static_cast<u64>(FrameType::kData)) {
     error = "unknown frame type " + std::to_string(type);
     return std::nullopt;
   }
@@ -97,26 +72,6 @@ std::optional<FrameHeader> decode_header(const std::byte* in, std::string& error
             " exceeds the protocol maximum";
     return std::nullopt;
   }
-  return h;
-}
-
-std::optional<FrameHeader> decode_header_lenient(const std::byte* in, std::string& error) {
-  u64 type = 0;
-  FrameHeader h = read_fields(in, type);
-  if (h.magic != kWireMagic) {
-    error = "bad frame magic 0x" + std::to_string(h.magic) + " (stream desynchronized?)";
-    return std::nullopt;
-  }
-  if (h.payload_bytes > kMaxPayloadBytes) {
-    error = "frame payload length " + std::to_string(h.payload_bytes) +
-            " exceeds the protocol maximum";
-    return std::nullopt;
-  }
-  // Version and type deliberately unvalidated: the plan-service daemon reads
-  // a mismatched peer's header this way so it can *reply* with a named
-  // kError rejection before closing, instead of dropping the stream mid-
-  // handshake. Clamp the enum to keep the stored value well-defined.
-  h.type = static_cast<FrameType>(type);
   return h;
 }
 

@@ -39,11 +39,8 @@ inline constexpr std::size_t kHeaderBytes = 32;
 inline constexpr u64 kMaxPayloadBytes = u64{1} << 40;
 
 enum class FrameType : u64 {
-  kHello = 0,        ///< connection handshake: identifies the sending rank
-  kData = 1,         ///< one Transport message
-  kPlanRequest = 2,  ///< plan service: batch of PlanQuery records
-  kPlanResponse = 3, ///< plan service: batch of serialized plan replies
-  kError = 4,        ///< plan service: connection-fatal error, UTF-8 text payload
+  kHello = 0,  ///< connection handshake: identifies the sending rank
+  kData = 1,   ///< one Transport message
 };
 
 struct FrameHeader {
@@ -59,14 +56,6 @@ struct FrameHeader {
 /// FNV-1a 64-bit checksum (dependency-free, byte-order independent).
 [[nodiscard]] u64 fnv1a64(const std::byte* data, std::size_t n) noexcept;
 
-/// Word-folded FNV-1a: one multiply per 8-byte little-endian word (byte-wise
-/// over the tail). ~8x cheaper than the byte-wise variant on large payloads;
-/// the plan-service frames (kPlanRequest / kPlanResponse and their hello /
-/// error traffic) use it because a batched response runs to hundreds of
-/// kilobytes and the checksum would otherwise dominate the serving cost.
-/// kData transport frames keep the byte-wise checksum.
-[[nodiscard]] u64 fnv1a64w(const std::byte* data, std::size_t n) noexcept;
-
 /// Serialize `h` into exactly kHeaderBytes at `out`.
 void encode_header(const FrameHeader& h, std::byte* out) noexcept;
 
@@ -76,15 +65,5 @@ void encode_header(const FrameHeader& h, std::byte* out) noexcept;
 /// need the world size and the payload).
 [[nodiscard]] std::optional<FrameHeader> decode_header(const std::byte* in,
                                                        std::string& error);
-
-/// Lenient parse for servers that must *answer* a bad peer rather than drop
-/// the connection silently: validates only the magic and the payload bound
-/// (the two properties needed to keep the stream framed), and passes the
-/// version and type through unchecked so the caller can reject a
-/// version-mismatched or unknown-type frame with a named error reply. The
-/// returned header's `type` is the raw field value; callers must range-check
-/// it before switching on it.
-[[nodiscard]] std::optional<FrameHeader> decode_header_lenient(const std::byte* in,
-                                                               std::string& error);
 
 }  // namespace cyclick::net

@@ -314,7 +314,7 @@ std::shared_ptr<const RedistributionPlan> cached_region_plan(
   // Keep-existing insert: if another thread raced this build and cached its
   // plan first, ours is dropped. Safe because the key fully determines the
   // plan's content — returning either copy is equivalent; inserting here is
-  // never a refresh. See ShardedCache::insert for the contract.
+  // never a refresh. See LruCache::insert for the contract.
   cache.insert(key, plan);
   return plan;
 }

@@ -17,7 +17,7 @@
 
 #include "cyclick/obs/metrics.hpp"
 #include "cyclick/runtime/redistribute.hpp"
-#include "cyclick/support/shard_cache.hpp"
+#include "cyclick/support/lru_cache.hpp"
 
 namespace cyclick {
 
@@ -64,23 +64,14 @@ PlanKey make_plan_key(const DistributedArray<T>& src, const RegularSection& ssec
                  dsec.lower, dsec.upper, dsec.stride};
 }
 
-/// Bounded sharded-LRU cache PlanKey -> shared immutable CommPlan, with
-/// hit / miss / eviction counters for the bench harness. Thread-safe (lock
-/// scope is one shard of ShardedCache); evicted plans stay alive for
-/// as long as callers hold their shared_ptr.
+/// Bounded LRU cache PlanKey -> shared immutable CommPlan, with hit / miss /
+/// eviction counters for the bench harness. Thread-safe; evicted plans stay
+/// alive for as long as callers hold their shared_ptr.
 class PlanCache {
  public:
-  struct Stats {
-    i64 hits = 0;
-    i64 misses = 0;
-    i64 evictions = 0;
-    std::size_t size = 0;
-  };
+  using Stats = LruStats;
 
-  /// `shards` == 0 picks the automatic shard count for the capacity (1 for
-  /// small caches, preserving exact global LRU order).
-  explicit PlanCache(std::size_t capacity = 128, std::size_t shards = 0)
-      : cache_(capacity, shards) {
+  explicit PlanCache(std::size_t capacity = 128) : cache_(capacity) {
     CYCLICK_REQUIRE(capacity >= 1, "plan cache needs capacity >= 1");
   }
 
@@ -89,16 +80,16 @@ class PlanCache {
   /// sees the same increments so `--metrics` aggregates across caches.
   [[nodiscard]] std::shared_ptr<const CommPlan> find(const PlanKey& key) {
     auto hit = cache_.find(key);
-    if (hit == nullptr) {
+    if (!hit) {
       CYCLICK_COUNT("plancache.misses", 0, 1);
       return nullptr;
     }
     CYCLICK_COUNT("plancache.hits", 0, 1);
-    return hit;
+    return std::move(*hit);
   }
 
-  /// Insert a plan, evicting the shard's least recently used entry when
-  /// over capacity. Keep-existing: a plan already cached under `key` stays
+  /// Insert a plan, evicting the least recently used entry when over
+  /// capacity. Keep-existing: a plan already cached under `key` stays
   /// canonical, so racing builders converge on one object.
   void insert(const PlanKey& key, std::shared_ptr<const CommPlan> plan) {
     bool evicted = false;
@@ -106,18 +97,12 @@ class PlanCache {
     if (evicted) CYCLICK_COUNT("plancache.evictions", 0, 1);
   }
 
-  [[nodiscard]] Stats stats() const {
-    const auto st = cache_.stats();
-    return {st.hits, st.misses, st.evictions, st.size};
-  }
+  [[nodiscard]] Stats stats() const { return cache_.stats(); }
 
-  void clear() {
-    cache_.clear();
-    cache_.reset_stats();
-  }
+  /// Drop every plan and zero the counters.
+  void clear() { cache_.clear(); }
 
   [[nodiscard]] std::size_t capacity() const noexcept { return cache_.capacity(); }
-  [[nodiscard]] std::size_t shard_count() const noexcept { return cache_.shard_count(); }
 
   /// The process-wide cache copy_section consults.
   static PlanCache& global() {
@@ -126,7 +111,7 @@ class PlanCache {
   }
 
  private:
-  ShardedCache<PlanKey, CommPlan, PlanKeyHash> cache_;
+  LruCache<PlanKey, std::shared_ptr<const CommPlan>, PlanKeyHash> cache_;
 };
 
 /// Key for N-D region plans: arbitrary arity means a flat i64 vector
@@ -153,19 +138,20 @@ struct RegionPlanKeyHash {
 /// same scratch-arena sharing caveat as PlanCache applies.
 class RegionPlanCache {
  public:
-  explicit RegionPlanCache(std::size_t capacity = 128, std::size_t shards = 0)
-      : cache_(capacity, shards) {
+  using Stats = LruStats;
+
+  explicit RegionPlanCache(std::size_t capacity = 128) : cache_(capacity) {
     CYCLICK_REQUIRE(capacity >= 1, "plan cache needs capacity >= 1");
   }
 
   [[nodiscard]] std::shared_ptr<const RedistributionPlan> find(const RegionPlanKey& key) {
     auto hit = cache_.find(key);
-    if (hit == nullptr) {
+    if (!hit) {
       CYCLICK_COUNT("regioncache.misses", 0, 1);
       return nullptr;
     }
     CYCLICK_COUNT("regioncache.hits", 0, 1);
-    return hit;
+    return std::move(*hit);
   }
 
   void insert(const RegionPlanKey& key, std::shared_ptr<const RedistributionPlan> plan) {
@@ -174,9 +160,10 @@ class RegionPlanCache {
     if (evicted) CYCLICK_COUNT("regioncache.evictions", 0, 1);
   }
 
-  void clear() { cache_.clear(); }
+  [[nodiscard]] Stats stats() const { return cache_.stats(); }
 
-  [[nodiscard]] std::size_t size() const { return cache_.stats().size; }
+  /// Drop every plan and zero the counters.
+  void clear() { cache_.clear(); }
 
   /// The process-wide cache copy_region / spread_region consult.
   static RegionPlanCache& global() {
@@ -185,7 +172,7 @@ class RegionPlanCache {
   }
 
  private:
-  ShardedCache<RegionPlanKey, RedistributionPlan, RegionPlanKeyHash> cache_;
+  LruCache<RegionPlanKey, std::shared_ptr<const RedistributionPlan>, RegionPlanKeyHash> cache_;
 };
 
 /// Cache-aware plan lookup: returns the shared plan for dst(dsec) =
@@ -203,7 +190,7 @@ std::shared_ptr<const CommPlan> cached_copy_plan(const DistributedArray<T>& src,
   // Keep-existing insert: if another thread raced this build and cached its
   // plan first, ours is dropped. Safe because PlanKey fully determines the
   // plan's content — returning either copy is equivalent; inserting here is
-  // never a refresh. See ShardedCache::insert for the contract.
+  // never a refresh. See LruCache::insert for the contract.
   cache.insert(key, plan);
   return plan;
 }

@@ -9,6 +9,7 @@
 #include <numeric>
 
 #include "cyclick/runtime/section_ops.hpp"
+#include "support/legacy_comm_plan.hpp"
 
 namespace cyclick {
 namespace {

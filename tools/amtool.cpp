@@ -18,13 +18,6 @@
 //                 balance (max/mean per-link bytes), incast high-water and
 //                 the top-N hottest links. p can be thousands of virtual
 //                 ranks; the run is single-process and deterministic.
-//   amtool serve  --socket=PATH [--cap=N] [--shards=N] [--duration-ms=N]
-//                 run the address-plan daemon: answer batched
-//                 (p, k, |s|, section) queries with serialized EngineTables
-//                 / CommPlan run descriptors from a sharded concurrent
-//                 reply cache (capacity --cap / CYCLICK_SERVE_CAP, shard
-//                 count --shards / CYCLICK_SERVE_SHARDS, 0 = automatic).
-//                 Runs until SIGINT/SIGTERM, or --duration-ms elapses.
 //
 // Unknown subcommands are rejected by name with the valid list (same
 // discipline as unknown --backend values).
@@ -39,9 +32,6 @@
 // --metrics[=json] (telemetry report on stderr) and --trace=FILE.json
 // (chrome://tracing export). `simulate` additionally honours the
 // CYCLICK_SIM_* environment knobs; --topology/--straggler override them.
-#include <atomic>
-#include <chrono>
-#include <csignal>
 #include <cstdlib>
 #include <algorithm>
 #include <cstring>
@@ -52,7 +42,6 @@
 #include <sstream>
 #include <string>
 #include <map>
-#include <thread>
 #include <vector>
 
 #include "cyclick/codegen/node_loop.hpp"
@@ -66,7 +55,6 @@
 #include "cyclick/net/socket_transport.hpp"
 #include "cyclick/obs/report.hpp"
 #include "cyclick/runtime/redistribute.hpp"
-#include "cyclick/serve/service.hpp"
 #include "cyclick/sim/sim_transport.hpp"
 
 namespace {
@@ -81,16 +69,15 @@ struct Options {
 };
 
 constexpr const char* kSubcommands =
-    "table, basis, walk, owners, layout, stats, xfer, simulate, serve";
+    "table, basis, walk, owners, layout, stats, xfer, simulate";
 
 [[noreturn]] void usage() {
   std::cerr <<
-      "usage: amtool <table|basis|walk|owners|layout|stats|xfer|simulate|serve>\n"
+      "usage: amtool <table|basis|walk|owners|layout|stats|xfer|simulate>\n"
       "              -p <procs> -k <block> -s <stride>\n"
       "              [-l <lower>] [-u <upper>] [-m <proc>] [-d <dst block>]\n"
       "              [--strategy] [--tier=interp|bytecode] [--backend=inproc|proc|sim]\n"
-      "              [--topology=full|ring|mesh2d] [--straggler=rank:mult,..] [--top=N]\n"
-      "       amtool serve --socket=<path> [--cap=N] [--shards=N] [--duration-ms=N]\n";
+      "              [--topology=full|ring|mesh2d] [--straggler=rank:mult,..] [--top=N]\n";
   std::exit(2);
 }
 
@@ -407,53 +394,6 @@ int cmd_simulate(const Options& opt, const SimulateCli& cli) {
   return ok ? 0 : 1;
 }
 
-// --- amtool serve -----------------------------------------------------------
-
-struct ServeCli {
-  std::string socket;
-  std::size_t cap = serve::serve_cap_from_env();
-  std::size_t shards = serve::serve_shards_from_env();
-  i64 duration_ms = 0;  ///< 0: run until SIGINT/SIGTERM
-};
-
-std::atomic<bool> g_serve_stop{false};
-
-void handle_serve_signal(int) { g_serve_stop.store(true); }
-
-int cmd_serve(const ServeCli& cli) {
-  if (cli.socket.empty()) {
-    std::cerr << "serve requires --socket=<path>\n";
-    return 2;
-  }
-  serve::ServeDaemon::Options opt;
-  opt.socket_path = cli.socket;
-  opt.cache_capacity = cli.cap == 0 ? 1 : cli.cap;
-  opt.cache_shards = cli.shards;
-  serve::ServeDaemon daemon(opt);
-  daemon.start();
-  std::signal(SIGINT, handle_serve_signal);
-  std::signal(SIGTERM, handle_serve_signal);
-  std::cout << "amtool serve: listening on " << cli.socket << " (cache capacity "
-            << opt.cache_capacity << ", " << daemon.service().cache_shards() << " shards)"
-            << std::endl;
-  const auto start = std::chrono::steady_clock::now();
-  while (!g_serve_stop.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    if (cli.duration_ms > 0) {
-      const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-      if (elapsed >= cli.duration_ms) break;
-    }
-  }
-  daemon.stop();
-  const auto st = daemon.service().cache_stats();
-  std::cout << "amtool serve: handled " << daemon.accepted() << " connections, "
-            << (st.hits + st.misses) << " queries (" << st.hits << " hits, " << st.misses
-            << " misses, " << st.evictions << " evictions)\n";
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -464,7 +404,6 @@ int main(int argc, char** argv) {
   net::Backend backend = net::Backend::kInProc;
   dsl::Tier tier = dsl::tier_from_env(dsl::Tier::kBytecode);
   SimulateCli sim_cli;
-  ServeCli serve_cli;
   std::vector<char*> args;
   args.reserve(static_cast<std::size_t>(argc));
   try {
@@ -486,23 +425,6 @@ int main(int argc, char** argv) {
       if (i >= 1 && arg.rfind("--top=", 0) == 0) {
         sim_cli.top_n = std::atoll(argv[i] + 6);
         if (sim_cli.top_n < 0) usage();
-        continue;
-      }
-      if (i >= 1 && arg.rfind("--socket=", 0) == 0) {
-        serve_cli.socket = std::string(arg.substr(9));
-        continue;
-      }
-      if (i >= 1 && arg.rfind("--cap=", 0) == 0) {
-        serve_cli.cap = static_cast<std::size_t>(std::atoll(argv[i] + 6));
-        continue;
-      }
-      if (i >= 1 && arg.rfind("--shards=", 0) == 0) {
-        serve_cli.shards = static_cast<std::size_t>(std::atoll(argv[i] + 9));
-        continue;
-      }
-      if (i >= 1 && arg.rfind("--duration-ms=", 0) == 0) {
-        serve_cli.duration_ms = std::atoll(argv[i] + 14);
-        if (serve_cli.duration_ms < 0) usage();
         continue;
       }
       if (i >= 1 && net::parse_backend_flag(arg, backend)) continue;
@@ -562,7 +484,6 @@ int main(int argc, char** argv) {
     else if (cmd == "stats") rc = cmd_stats(dist, opt);
     else if (cmd == "xfer") rc = cmd_xfer(opt, backend);
     else if (cmd == "simulate") rc = cmd_simulate(opt, sim_cli);
-    else if (cmd == "serve") rc = cmd_serve(serve_cli);
     else {
       std::cerr << "amtool: unknown subcommand '" << cmd << "' (valid subcommands are: "
                 << kSubcommands << ")\n";
