@@ -1,9 +1,5 @@
 #include "cyclick/core/engine.hpp"
 
-#include <chrono>
-#include <limits>
-
-#include "cyclick/baselines/hiranandani.hpp"
 #include "cyclick/obs/metrics.hpp"
 #include "cyclick/support/math.hpp"
 
@@ -47,32 +43,6 @@ void count_strategy(AddressStrategy s, i64 proc) {
       CYCLICK_COUNT("engine.strategy.general_lattice", proc, 1);
       break;
   }
-}
-
-// Measure whether the ICS'94 O(k) pattern construction actually beats the
-// signed Figure-5 path for this (p, k, |s|) on the machine at hand. Both
-// constructions are O(k), so the duel costs a few microseconds and runs
-// once per table build (the result is cached with the tables). Calibrating
-// instead of assuming keeps the classifier's promise that no specialized
-// path is ever slower than the general one.
-bool ics94_pattern_wins(const BlockCyclic& dist, i64 mag) {
-  using clock = std::chrono::steady_clock;
-  const auto best_of_3 = [](auto&& fn) {
-    auto best = std::numeric_limits<clock::duration::rep>::max();
-    for (int round = 0; round < 3; ++round) {
-      const auto t0 = clock::now();
-      fn();
-      const auto t1 = clock::now();
-      best = std::min(best, (t1 - t0).count());
-    }
-    return best;
-  };
-  // Warm both paths once so first-touch allocator effects don't bias round 1.
-  (void)hiranandani_access_pattern(dist, 0, mag, 0);
-  (void)compute_access_pattern_signed(dist, 0, mag, 0);
-  const auto ics94 = best_of_3([&] { (void)hiranandani_access_pattern(dist, 0, mag, 0); });
-  const auto general = best_of_3([&] { (void)compute_access_pattern_signed(dist, 0, mag, 0); });
-  return ics94 < general;
 }
 
 // Proc-independent table construction for one (p, k, |s|) problem: the
@@ -127,8 +97,6 @@ std::shared_ptr<const EngineTables> build_tables(const BlockCyclic& dist, i64 ma
     const i64 nq = t->offsets.next_offset[static_cast<std::size_t>(q)];
     t->prev_offset[static_cast<std::size_t>(nq)] = q;
   }
-  if (t->strategy == AddressStrategy::kHiranandani)
-    t->ics94_pattern_wins = ics94_pattern_wins(dist, mag);
   return t;
 }
 
@@ -251,16 +219,6 @@ SectionPlan AddressEngine::plan(const BlockCyclic& dist, const RegularSection& s
 
 AccessPattern AddressEngine::pattern(const BlockCyclic& dist, i64 lower, i64 stride,
                                      i64 proc) const {
-  if (stride > 0 && hiranandani_applicable(dist, stride) &&
-      classify(dist, stride) == AddressStrategy::kHiranandani &&
-      tables(dist, stride)->ics94_pattern_wins) {
-    // The ICS'94 O(k) construction — used only where build-time calibration
-    // measured it faster than the general signed path, so the specialized
-    // class can never regress below general-lattice.
-    CYCLICK_COUNT("engine.pattern.hiranandani", proc, 1);
-    return hiranandani_access_pattern(dist, lower, stride, proc);
-  }
-  CYCLICK_COUNT("engine.pattern.general", proc, 1);
   return compute_access_pattern_signed(dist, lower, stride, proc);
 }
 

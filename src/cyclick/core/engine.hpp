@@ -15,7 +15,7 @@
 //   |s| == 1             dense-runs        (start, len) block runs
 //   k == 1               pure-cyclic       fixed global/local step
 //   gcd(|s|, pk) >= k    fixed-step        fixed global/local step
-//   |s| mod pk < k       hiranandani       nav tables; O(k) pattern (ICS'94)
+//   |s| mod pk < k       hiranandani       nav tables (the ICS'94 case)
 //   otherwise            general-lattice   nav tables (Figure 5 / Theorem 3)
 //
 // Consumers receive a SectionPlan: the chosen strategy plus a uniform
@@ -43,7 +43,7 @@ enum class AddressStrategy {
   kDenseRuns,       ///< |s| == 1: owned elements form k-wide contiguous runs
   kPureCyclic,      ///< k == 1: one offset per row, fixed step
   kFixedStep,       ///< gcd(|s|, pk) >= k: at most one offset per block
-  kHiranandani,     ///< |s| mod pk < k: nav tables + O(k) pattern (ICS'94)
+  kHiranandani,     ///< |s| mod pk < k: nav tables (the ICS'94 case)
   kGeneralLattice,  ///< the general Figure-5 lattice path
 };
 
@@ -67,11 +67,6 @@ struct EngineTables {
   bool degenerate = false;       ///< gcd(|s|, pk) >= k (includes k == 1)
   i64 fixed_dglobal = 0;         ///< degenerate global step, lcm(|s|, pk)
   i64 fixed_dlocal = 0;          ///< degenerate local step, k * (|s|/d)
-  /// Calibration result: the ICS'94 O(k) pattern construction measured
-  /// faster than the signed Figure-5 path for this (p, k, |s|). Set once at
-  /// table-build time; pattern() consults it so no specialized construction
-  /// is ever promoted when it loses on the actual hardware.
-  bool ics94_pattern_wins = false;
   /// Kernel-layer cache: one compiled PeriodicPattern per start offset q0
   /// (kernels.hpp). Lazily sized to `block`; guarded by kernel_mu because
   /// plans sharing the tables compile kernels concurrently.
@@ -203,8 +198,7 @@ class SectionPlan {
   }
 
   /// Materialize the classic AccessPattern (start + cyclic AM gap table)
-  /// for this plan, routed through the engine's classification: the ICS'94
-  /// O(k) construction when applicable, else the signed Figure-5 path.
+  /// for this plan, from the signed Figure-5 construction.
   [[nodiscard]] AccessPattern make_pattern() const;
 
   /// The full offset tables phased to this plan's start element, shaped for
@@ -301,8 +295,9 @@ class AddressEngine {
                                                            i64 stride) const;
 
   /// Signed-stride AccessPattern for the unbounded progression
-  /// lower, lower+stride, ...: the ICS'94 O(k) fast path when s mod pk < k,
-  /// else the signed Figure-5 construction.
+  /// lower, lower+stride, ...: the signed Figure-5 construction for every
+  /// strategy. (The ICS'94 construction returns the same pattern and stays
+  /// in baselines/ as a reference.)
   [[nodiscard]] AccessPattern pattern(const BlockCyclic& dist, i64 lower, i64 stride,
                                       i64 proc) const;
 

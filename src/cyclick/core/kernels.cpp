@@ -1,25 +1,9 @@
 #include "cyclick/core/kernels.hpp"
 
 #include <cstddef>
-#include <cstdint>
 
 #include "cyclick/obs/metrics.hpp"
 #include "cyclick/obs/trace.hpp"
-
-// Explicit-SIMD policy: the library is built without arch flags, so the
-// x86 vector variants are emitted per-function via the GCC/Clang `target`
-// attribute and selected at runtime with __builtin_cpu_supports — no
-// global -mavx2 requirement, and the scalar fallbacks stay the baseline
-// ISA. NEON needs no runtime probe (it is baseline on aarch64), so those
-// variants gate on __ARM_NEON alone. -DCYCLICK_FORCE_SCALAR compiles all
-// of it out for differential testing.
-#if (defined(__x86_64__) || defined(__i386__)) && !defined(CYCLICK_FORCE_SCALAR)
-#define CYCLICK_KERNELS_X86 1
-#include <immintrin.h>
-#elif defined(__ARM_NEON) && !defined(CYCLICK_FORCE_SCALAR)
-#define CYCLICK_KERNELS_NEON 1
-#include <arm_neon.h>
-#endif
 
 namespace cyclick {
 
@@ -32,500 +16,6 @@ const char* kernel_class_name(KernelClass c) noexcept {
   }
   return "unknown";
 }
-
-namespace kdetail {
-namespace {
-
-// The typed views the primitives move elements through. may_alias because
-// callers hand us double/float/struct storage reinterpreted as the
-// same-width unsigned integer; the attribute makes those accesses legal
-// under strict aliasing. 16-byte elements move as a pair of 8-byte lanes.
-using u8a = unsigned char __attribute__((__may_alias__));
-using u16a = std::uint16_t __attribute__((__may_alias__));
-using u32a = std::uint32_t __attribute__((__may_alias__));
-using u64a = std::uint64_t __attribute__((__may_alias__));
-struct B16 {
-  u64a lo;
-  u64a hi;
-};
-
-// --- portable scalar variants (always compiled; unrolled by 8 / 4) ------
-
-template <typename U>
-void gather_strided_t(const U* base, i64 step, i64 n, U* out) {
-  i64 i = 0;
-  const U* p = base;
-  for (; i + 8 <= n; i += 8, p += 8 * step) {
-    out[i + 0] = p[0];
-    out[i + 1] = p[step];
-    out[i + 2] = p[2 * step];
-    out[i + 3] = p[3 * step];
-    out[i + 4] = p[4 * step];
-    out[i + 5] = p[5 * step];
-    out[i + 6] = p[6 * step];
-    out[i + 7] = p[7 * step];
-  }
-  for (; i < n; ++i) out[i] = base[i * step];
-}
-
-template <typename U>
-void scatter_strided_t(U* base, i64 step, i64 n, const U* in) {
-  i64 i = 0;
-  U* p = base;
-  for (; i + 8 <= n; i += 8, p += 8 * step) {
-    p[0] = in[i + 0];
-    p[step] = in[i + 1];
-    p[2 * step] = in[i + 2];
-    p[3 * step] = in[i + 3];
-    p[4 * step] = in[i + 4];
-    p[5 * step] = in[i + 5];
-    p[6 * step] = in[i + 6];
-    p[7 * step] = in[i + 7];
-  }
-  for (; i < n; ++i) base[i * step] = in[i];
-}
-
-template <typename U>
-void gather_offsets_t(const U* base, const i64* off, i64 tile, i64 adv, i64 n, U* out) {
-  i64 i = 0;
-  while (i < n) {
-    const i64 lim = tile < n - i ? tile : n - i;
-    i64 j = 0;
-    for (; j + 4 <= lim; j += 4) {
-      out[i + j + 0] = base[off[j + 0]];
-      out[i + j + 1] = base[off[j + 1]];
-      out[i + j + 2] = base[off[j + 2]];
-      out[i + j + 3] = base[off[j + 3]];
-    }
-    for (; j < lim; ++j) out[i + j] = base[off[j]];
-    i += lim;
-    base += adv;
-  }
-}
-
-template <typename U>
-void scatter_offsets_t(U* base, const i64* off, i64 tile, i64 adv, i64 n, const U* in) {
-  i64 i = 0;
-  while (i < n) {
-    const i64 lim = tile < n - i ? tile : n - i;
-    i64 j = 0;
-    for (; j + 4 <= lim; j += 4) {
-      base[off[j + 0]] = in[i + j + 0];
-      base[off[j + 1]] = in[i + j + 1];
-      base[off[j + 2]] = in[i + j + 2];
-      base[off[j + 3]] = in[i + j + 3];
-    }
-    for (; j < lim; ++j) base[off[j]] = in[i + j];
-    i += lim;
-    base += adv;
-  }
-}
-
-// Arbitrary element sizes (non-power-of-two structs): per-element memcpy.
-void gather_strided_bytes(std::size_t esize, const std::byte* base, i64 step, i64 n,
-                          std::byte* out) {
-  const i64 es = static_cast<i64>(esize);
-  for (i64 i = 0; i < n; ++i) std::memcpy(out + i * es, base + i * step * es, esize);
-}
-
-void scatter_strided_bytes(std::size_t esize, std::byte* base, i64 step, i64 n,
-                           const std::byte* in) {
-  const i64 es = static_cast<i64>(esize);
-  for (i64 i = 0; i < n; ++i) std::memcpy(base + i * step * es, in + i * es, esize);
-}
-
-void gather_offsets_bytes(std::size_t esize, const std::byte* base, const i64* off, i64 tile,
-                          i64 adv, i64 n, std::byte* out) {
-  const i64 es = static_cast<i64>(esize);
-  i64 i = 0;
-  while (i < n) {
-    const i64 lim = tile < n - i ? tile : n - i;
-    for (i64 j = 0; j < lim; ++j) std::memcpy(out + (i + j) * es, base + off[j] * es, esize);
-    i += lim;
-    base += adv * es;
-  }
-}
-
-void scatter_offsets_bytes(std::size_t esize, std::byte* base, const i64* off, i64 tile,
-                           i64 adv, i64 n, const std::byte* in) {
-  const i64 es = static_cast<i64>(esize);
-  i64 i = 0;
-  while (i < n) {
-    const i64 lim = tile < n - i ? tile : n - i;
-    for (i64 j = 0; j < lim; ++j) std::memcpy(base + off[j] * es, in + (i + j) * es, esize);
-    i += lim;
-    base += adv * es;
-  }
-}
-
-#if CYCLICK_KERNELS_X86
-
-bool has_avx2() noexcept {
-  static const bool v = __builtin_cpu_supports("avx2");
-  return v;
-}
-
-bool has_avx512() noexcept {
-  static const bool v =
-      __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl");
-  return v;
-}
-
-__attribute__((target("avx2"))) void gather_strided_u64_avx2(const u64a* base, i64 step,
-                                                             i64 n, u64a* out) {
-  const __m256i idx = _mm256_setr_epi64x(0, step, 2 * step, 3 * step);
-  i64 i = 0;
-  const u64a* p = base;
-  for (; i + 4 <= n; i += 4, p += 4 * step)
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i),
-        _mm256_i64gather_epi64(reinterpret_cast<const long long*>(p), idx, 8));
-  for (; i < n; ++i) out[i] = base[i * step];
-}
-
-__attribute__((target("avx2"))) void gather_strided_u32_avx2(const u32a* base, i64 step,
-                                                             i64 n, u32a* out) {
-  const __m256i idx = _mm256_setr_epi64x(0, step, 2 * step, 3 * step);
-  i64 i = 0;
-  const u32a* p = base;
-  for (; i + 4 <= n; i += 4, p += 4 * step)
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm256_i64gather_epi32(reinterpret_cast<const int*>(p), idx, 4));
-  for (; i < n; ++i) out[i] = base[i * step];
-}
-
-__attribute__((target("avx2"))) void gather_offsets_u64_avx2(const u64a* base,
-                                                             const i64* off, i64 tile,
-                                                             i64 adv, i64 n, u64a* out) {
-  i64 i = 0;
-  while (i < n) {
-    const i64 lim = tile < n - i ? tile : n - i;
-    i64 j = 0;
-    for (; j + 4 <= lim; j += 4) {
-      const __m256i idx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(off + j));
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(out + i + j),
-          _mm256_i64gather_epi64(reinterpret_cast<const long long*>(base), idx, 8));
-    }
-    for (; j < lim; ++j) out[i + j] = base[off[j]];
-    i += lim;
-    base += adv;
-  }
-}
-
-__attribute__((target("avx2"))) void gather_offsets_u32_avx2(const u32a* base,
-                                                             const i64* off, i64 tile,
-                                                             i64 adv, i64 n, u32a* out) {
-  i64 i = 0;
-  while (i < n) {
-    const i64 lim = tile < n - i ? tile : n - i;
-    i64 j = 0;
-    for (; j + 4 <= lim; j += 4) {
-      const __m256i idx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(off + j));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + j),
-                       _mm256_i64gather_epi32(reinterpret_cast<const int*>(base), idx, 4));
-    }
-    for (; j < lim; ++j) out[i + j] = base[off[j]];
-    i += lim;
-    base += adv;
-  }
-}
-
-__attribute__((target("avx512f,avx512vl"))) void scatter_strided_u64_avx512(u64a* base,
-                                                                            i64 step, i64 n,
-                                                                            const u64a* in) {
-  const __m256i idx = _mm256_setr_epi64x(0, step, 2 * step, 3 * step);
-  i64 i = 0;
-  u64a* p = base;
-  for (; i + 4 <= n; i += 4, p += 4 * step)
-    _mm256_i64scatter_epi64(reinterpret_cast<void*>(p), idx,
-                            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i)), 8);
-  for (; i < n; ++i) base[i * step] = in[i];
-}
-
-__attribute__((target("avx512f,avx512vl"))) void scatter_strided_u32_avx512(u32a* base,
-                                                                            i64 step, i64 n,
-                                                                            const u32a* in) {
-  const __m256i idx = _mm256_setr_epi64x(0, step, 2 * step, 3 * step);
-  i64 i = 0;
-  u32a* p = base;
-  for (; i + 4 <= n; i += 4, p += 4 * step)
-    _mm256_i64scatter_epi32(reinterpret_cast<void*>(p), idx,
-                            _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i)), 4);
-  for (; i < n; ++i) base[i * step] = in[i];
-}
-
-__attribute__((target("avx512f,avx512vl"))) void scatter_offsets_u64_avx512(
-    u64a* base, const i64* off, i64 tile, i64 adv, i64 n, const u64a* in) {
-  i64 i = 0;
-  while (i < n) {
-    const i64 lim = tile < n - i ? tile : n - i;
-    i64 j = 0;
-    for (; j + 4 <= lim; j += 4) {
-      const __m256i idx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(off + j));
-      _mm256_i64scatter_epi64(
-          reinterpret_cast<void*>(base), idx,
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i + j)), 8);
-    }
-    for (; j < lim; ++j) base[off[j]] = in[i + j];
-    i += lim;
-    base += adv;
-  }
-}
-
-__attribute__((target("avx512f,avx512vl"))) void scatter_offsets_u32_avx512(
-    u32a* base, const i64* off, i64 tile, i64 adv, i64 n, const u32a* in) {
-  i64 i = 0;
-  while (i < n) {
-    const i64 lim = tile < n - i ? tile : n - i;
-    i64 j = 0;
-    for (; j + 4 <= lim; j += 4) {
-      const __m256i idx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(off + j));
-      _mm256_i64scatter_epi32(reinterpret_cast<void*>(base), idx,
-                              _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i + j)),
-                              4);
-    }
-    for (; j < lim; ++j) base[off[j]] = in[i + j];
-    i += lim;
-    base += adv;
-  }
-}
-
-#elif CYCLICK_KERNELS_NEON
-
-// NEON has no hardware gather/scatter; the win over plain scalar code is
-// batching four 32-bit lane loads into one 128-bit store (and vice versa),
-// which keeps the store port fed. 64-bit elements gain nothing over the
-// unrolled scalar template, so only the 32-bit variants are specialized.
-void gather_strided_u32_neon(const u32a* base, i64 step, i64 n, u32a* out) {
-  i64 i = 0;
-  const u32a* p = base;
-  for (; i + 4 <= n; i += 4, p += 4 * step) {
-    uint32x4_t v = vdupq_n_u32(p[0]);
-    v = vsetq_lane_u32(p[step], v, 1);
-    v = vsetq_lane_u32(p[2 * step], v, 2);
-    v = vsetq_lane_u32(p[3 * step], v, 3);
-    vst1q_u32(reinterpret_cast<std::uint32_t*>(out + i), v);
-  }
-  for (; i < n; ++i) out[i] = base[i * step];
-}
-
-void gather_offsets_u32_neon(const u32a* base, const i64* off, i64 tile, i64 adv, i64 n,
-                             u32a* out) {
-  i64 i = 0;
-  while (i < n) {
-    const i64 lim = tile < n - i ? tile : n - i;
-    i64 j = 0;
-    for (; j + 4 <= lim; j += 4) {
-      uint32x4_t v = vdupq_n_u32(base[off[j + 0]]);
-      v = vsetq_lane_u32(base[off[j + 1]], v, 1);
-      v = vsetq_lane_u32(base[off[j + 2]], v, 2);
-      v = vsetq_lane_u32(base[off[j + 3]], v, 3);
-      vst1q_u32(reinterpret_cast<std::uint32_t*>(out + i + j), v);
-    }
-    for (; j < lim; ++j) out[i + j] = base[off[j]];
-    i += lim;
-    base += adv;
-  }
-}
-
-#endif  // CYCLICK_KERNELS_X86 / CYCLICK_KERNELS_NEON
-
-}  // namespace
-
-void gather_strided(std::size_t esize, const void* base, i64 step, i64 count, void* out) {
-  if (count <= 0) return;
-  switch (esize) {
-    case 1:
-      gather_strided_t(static_cast<const u8a*>(base), step, count, static_cast<u8a*>(out));
-      return;
-    case 2:
-      gather_strided_t(static_cast<const u16a*>(base), step, count,
-                       static_cast<u16a*>(out));
-      return;
-    case 4:
-#if CYCLICK_KERNELS_X86
-      if (has_avx2()) {
-        gather_strided_u32_avx2(static_cast<const u32a*>(base), step, count,
-                                static_cast<u32a*>(out));
-        return;
-      }
-#elif CYCLICK_KERNELS_NEON
-      gather_strided_u32_neon(static_cast<const u32a*>(base), step, count,
-                              static_cast<u32a*>(out));
-      return;
-#endif
-      gather_strided_t(static_cast<const u32a*>(base), step, count,
-                       static_cast<u32a*>(out));
-      return;
-    case 8:
-#if CYCLICK_KERNELS_X86
-      if (has_avx2()) {
-        gather_strided_u64_avx2(static_cast<const u64a*>(base), step, count,
-                                static_cast<u64a*>(out));
-        return;
-      }
-#endif
-      gather_strided_t(static_cast<const u64a*>(base), step, count,
-                       static_cast<u64a*>(out));
-      return;
-    case 16:
-      gather_strided_t(static_cast<const B16*>(base), step, count, static_cast<B16*>(out));
-      return;
-    default:
-      gather_strided_bytes(esize, static_cast<const std::byte*>(base), step, count,
-                           static_cast<std::byte*>(out));
-      return;
-  }
-}
-
-void scatter_strided(std::size_t esize, void* base, i64 step, i64 count, const void* in) {
-  if (count <= 0) return;
-  switch (esize) {
-    case 1:
-      scatter_strided_t(static_cast<u8a*>(base), step, count, static_cast<const u8a*>(in));
-      return;
-    case 2:
-      scatter_strided_t(static_cast<u16a*>(base), step, count,
-                        static_cast<const u16a*>(in));
-      return;
-    case 4:
-#if CYCLICK_KERNELS_X86
-      if (has_avx512()) {
-        scatter_strided_u32_avx512(static_cast<u32a*>(base), step, count,
-                                   static_cast<const u32a*>(in));
-        return;
-      }
-#endif
-      scatter_strided_t(static_cast<u32a*>(base), step, count,
-                        static_cast<const u32a*>(in));
-      return;
-    case 8:
-#if CYCLICK_KERNELS_X86
-      if (has_avx512()) {
-        scatter_strided_u64_avx512(static_cast<u64a*>(base), step, count,
-                                   static_cast<const u64a*>(in));
-        return;
-      }
-#endif
-      scatter_strided_t(static_cast<u64a*>(base), step, count,
-                        static_cast<const u64a*>(in));
-      return;
-    case 16:
-      scatter_strided_t(static_cast<B16*>(base), step, count, static_cast<const B16*>(in));
-      return;
-    default:
-      scatter_strided_bytes(esize, static_cast<std::byte*>(base), step, count,
-                            static_cast<const std::byte*>(in));
-      return;
-  }
-}
-
-void gather_offsets(std::size_t esize, const void* base, const i64* off, i64 tile,
-                    i64 advance, i64 count, void* out) {
-  if (count <= 0) return;
-  switch (esize) {
-    case 1:
-      gather_offsets_t(static_cast<const u8a*>(base), off, tile, advance, count,
-                       static_cast<u8a*>(out));
-      return;
-    case 2:
-      gather_offsets_t(static_cast<const u16a*>(base), off, tile, advance, count,
-                       static_cast<u16a*>(out));
-      return;
-    case 4:
-#if CYCLICK_KERNELS_X86
-      if (has_avx2()) {
-        gather_offsets_u32_avx2(static_cast<const u32a*>(base), off, tile, advance, count,
-                                static_cast<u32a*>(out));
-        return;
-      }
-#elif CYCLICK_KERNELS_NEON
-      gather_offsets_u32_neon(static_cast<const u32a*>(base), off, tile, advance, count,
-                              static_cast<u32a*>(out));
-      return;
-#endif
-      gather_offsets_t(static_cast<const u32a*>(base), off, tile, advance, count,
-                       static_cast<u32a*>(out));
-      return;
-    case 8:
-#if CYCLICK_KERNELS_X86
-      if (has_avx2()) {
-        gather_offsets_u64_avx2(static_cast<const u64a*>(base), off, tile, advance, count,
-                                static_cast<u64a*>(out));
-        return;
-      }
-#endif
-      gather_offsets_t(static_cast<const u64a*>(base), off, tile, advance, count,
-                       static_cast<u64a*>(out));
-      return;
-    case 16:
-      gather_offsets_t(static_cast<const B16*>(base), off, tile, advance, count,
-                       static_cast<B16*>(out));
-      return;
-    default:
-      gather_offsets_bytes(esize, static_cast<const std::byte*>(base), off, tile, advance,
-                           count, static_cast<std::byte*>(out));
-      return;
-  }
-}
-
-void scatter_offsets(std::size_t esize, void* base, const i64* off, i64 tile, i64 advance,
-                     i64 count, const void* in) {
-  if (count <= 0) return;
-  switch (esize) {
-    case 1:
-      scatter_offsets_t(static_cast<u8a*>(base), off, tile, advance, count,
-                        static_cast<const u8a*>(in));
-      return;
-    case 2:
-      scatter_offsets_t(static_cast<u16a*>(base), off, tile, advance, count,
-                        static_cast<const u16a*>(in));
-      return;
-    case 4:
-#if CYCLICK_KERNELS_X86
-      if (has_avx512()) {
-        scatter_offsets_u32_avx512(static_cast<u32a*>(base), off, tile, advance, count,
-                                   static_cast<const u32a*>(in));
-        return;
-      }
-#endif
-      scatter_offsets_t(static_cast<u32a*>(base), off, tile, advance, count,
-                        static_cast<const u32a*>(in));
-      return;
-    case 8:
-#if CYCLICK_KERNELS_X86
-      if (has_avx512()) {
-        scatter_offsets_u64_avx512(static_cast<u64a*>(base), off, tile, advance, count,
-                                   static_cast<const u64a*>(in));
-        return;
-      }
-#endif
-      scatter_offsets_t(static_cast<u64a*>(base), off, tile, advance, count,
-                        static_cast<const u64a*>(in));
-      return;
-    case 16:
-      scatter_offsets_t(static_cast<B16*>(base), off, tile, advance, count,
-                        static_cast<const B16*>(in));
-      return;
-    default:
-      scatter_offsets_bytes(esize, static_cast<std::byte*>(base), off, tile, advance, count,
-                            static_cast<const std::byte*>(in));
-      return;
-  }
-}
-
-bool simd_active() noexcept {
-#if CYCLICK_KERNELS_X86
-  return has_avx2();
-#elif CYCLICK_KERNELS_NEON
-  return true;
-#else
-  return false;
-#endif
-}
-
-}  // namespace kdetail
 
 namespace {
 

@@ -8,7 +8,7 @@
 //   class          plan shape                     lowering
 //   run-copy       dense-runs / trivial |s|==1    memcpy / std::fill_n span
 //   strided        degenerate lattice             stride-g gather/scatter,
-//                  (k==1, gcd(|s|,pk)>=k, p==1)   unroll-by-8 + SIMD
+//                  (k==1, gcd(|s|,pk)>=k, p==1)   unroll-by-8
 //   periodic-gap   general nav tables             per-period offset vector
 //                                                 (<= k entries) replayed
 //                                                 with an unrolled
@@ -17,16 +17,13 @@
 // The periodic-gap offset vector is tiled: the period is replicated (with
 // the per-period local advance folded in) until it covers at least
 // kKernelTileTarget elements, so short periods still amortize loop
-// overhead and feed whole SIMD lanes. Compiled patterns are cached on the
-// EngineTables they derive from — one per start offset q0 — so all ranks
-// and phases of an SPMD loop share one compilation.
+// overhead. Compiled patterns are cached on the EngineTables they derive
+// from — one per start offset q0 — so all ranks and phases of an SPMD loop
+// share one compilation.
 //
-// SIMD policy: the size-dispatched primitives in kdetail use AVX2 gathers
-// (and AVX512VL scatters) on x86 via function multi-versioning with a
-// runtime CPU check, NEON lane loads on arm, and always carry an unrolled
-// scalar fallback. Building with -DCYCLICK_FORCE_SCALAR=ON compiles the
-// explicit SIMD out entirely (differential-testing toggle; see
-// docs/RUNTIME.md).
+// The movers are plain scalar loops, as in the paper's node code
+// (Figure 8), instantiated on the element type T: one path for every T,
+// with no run-time CPU dispatch.
 #pragma once
 
 #include <algorithm>
@@ -72,8 +69,8 @@ struct PeriodicPattern {
 
 /// The compiled kernel for one SectionPlan: class, element count, the
 /// ascending-first local address, and the class-specific replay state.
-/// Element-type-agnostic; the typed entry points below dispatch on
-/// sizeof/alignof at the call site.
+/// Element-type-agnostic; the typed entry points below instantiate the
+/// movers on the element type at the call site.
 class KernelPlan {
  public:
   KernelPlan() = default;
@@ -112,38 +109,8 @@ class KernelPlan {
 /// only, no tables touched (for amtool / interp explain output).
 [[nodiscard]] KernelClass kernel_class_for(const BlockCyclic& dist, i64 stride) noexcept;
 
-namespace kdetail {
-
-/// True for element types the size-dispatched primitives can move as raw
-/// integers of the same width: trivially copyable and naturally aligned
-/// (an element-aligned base then guarantees every access is aligned for
-/// the integer type used, which matters under -fsanitize=alignment).
-template <typename T>
-inline constexpr bool lowerable_v =
-    std::is_trivially_copyable_v<T> &&
-    (sizeof(T) == 1 || (sizeof(T) == 2 && alignof(T) == 2) ||
-     (sizeof(T) == 4 && alignof(T) == 4) || (sizeof(T) == 8 && alignof(T) == 8) ||
-     (sizeof(T) == 16 && alignof(T) >= 8));
-
-/// out[i] = base[i * step] for i in [0, count).
-void gather_strided(std::size_t esize, const void* base, i64 step, i64 count, void* out);
-/// base[i * step] = in[i] for i in [0, count).
-void scatter_strided(std::size_t esize, void* base, i64 step, i64 count, const void* in);
-/// out[j*tile + r] = base[j*advance + off[r]]; off holds `tile` entries,
-/// base advances by `advance` elements per whole tile, tail handled.
-void gather_offsets(std::size_t esize, const void* base, const i64* off, i64 tile,
-                    i64 advance, i64 count, void* out);
-/// base[j*advance + off[r]] = in[j*tile + r] (scatter mirror).
-void scatter_offsets(std::size_t esize, void* base, const i64* off, i64 tile, i64 advance,
-                     i64 count, const void* in);
-/// True when the build + CPU will use explicit SIMD for 4/8-byte moves.
-[[nodiscard]] bool simd_active() noexcept;
-
-}  // namespace kdetail
-
 /// Replay the kernel's local addresses in ascending order: body(la) per
-/// element. The scalar escape hatch every typed kernel shares; also the
-/// generic path for non-lowerable element types.
+/// element. The per-element walk the fill, copy and dot kernels share.
 template <typename Body>
 i64 kernel_for_each_local(const KernelPlan& kp, Body&& body) {
   const i64 n = kp.count();
@@ -201,6 +168,87 @@ i64 kernel_copy_same(const KernelPlan& kp, const T* in, T* out) {
   return kernel_for_each_local(kp, [&](i64 la) { out[la] = in[la]; });
 }
 
+/// Constant-stride gather: out[i] = base[i * step], unrolled by 8.
+template <typename T>
+void kernel_gather_strided(const T* base, i64 step, i64 count, T* out) {
+  i64 i = 0;
+  const T* p = base;
+  for (; i + 8 <= count; i += 8, p += 8 * step) {
+    out[i + 0] = p[0];
+    out[i + 1] = p[step];
+    out[i + 2] = p[2 * step];
+    out[i + 3] = p[3 * step];
+    out[i + 4] = p[4 * step];
+    out[i + 5] = p[5 * step];
+    out[i + 6] = p[6 * step];
+    out[i + 7] = p[7 * step];
+  }
+  for (; i < count; ++i) out[i] = base[i * step];
+}
+
+/// Constant-stride scatter: base[i * step] = in[i], unrolled by 8.
+template <typename T>
+void kernel_scatter_strided(T* base, i64 step, i64 count, const T* in) {
+  i64 i = 0;
+  T* p = base;
+  for (; i + 8 <= count; i += 8, p += 8 * step) {
+    p[0] = in[i + 0];
+    p[step] = in[i + 1];
+    p[2 * step] = in[i + 2];
+    p[3 * step] = in[i + 3];
+    p[4 * step] = in[i + 4];
+    p[5 * step] = in[i + 5];
+    p[6 * step] = in[i + 6];
+    p[7 * step] = in[i + 7];
+  }
+  for (; i < count; ++i) base[i * step] = in[i];
+}
+
+/// Periodic-offset gather outside a KernelPlan: out[j*period + r] =
+/// base[j*advance + off[r]], unrolled by 4; the tail period is partial.
+/// This is also the comm-plan channel pack primitive — a channel's gap
+/// table is exactly such an offset vector (prefix sums of the gaps), so
+/// wire packing shares this loop with section_ops.
+template <typename T>
+void kernel_gather_offsets(const T* base, const i64* off, i64 period, i64 advance,
+                           i64 count, T* out) {
+  i64 i = 0;
+  while (i < count) {
+    const i64 lim = period < count - i ? period : count - i;
+    i64 j = 0;
+    for (; j + 4 <= lim; j += 4) {
+      out[i + j + 0] = base[off[j + 0]];
+      out[i + j + 1] = base[off[j + 1]];
+      out[i + j + 2] = base[off[j + 2]];
+      out[i + j + 3] = base[off[j + 3]];
+    }
+    for (; j < lim; ++j) out[i + j] = base[off[j]];
+    i += lim;
+    base += advance;
+  }
+}
+
+/// Periodic-offset scatter (comm-plan channel unpack primitive):
+/// base[j*advance + off[r]] = in[j*period + r].
+template <typename T>
+void kernel_scatter_offsets(T* base, const i64* off, i64 period, i64 advance, i64 count,
+                            const T* in) {
+  i64 i = 0;
+  while (i < count) {
+    const i64 lim = period < count - i ? period : count - i;
+    i64 j = 0;
+    for (; j + 4 <= lim; j += 4) {
+      base[off[j + 0]] = in[i + j + 0];
+      base[off[j + 1]] = in[i + j + 1];
+      base[off[j + 2]] = in[i + j + 2];
+      base[off[j + 3]] = in[i + j + 3];
+    }
+    for (; j < lim; ++j) base[off[j]] = in[i + j];
+    i += lim;
+    base += advance;
+  }
+}
+
 /// out[i] = local[address i] — densify the kernel's elements into a packed
 /// buffer (the pack-side primitive comm plans and reductions build on).
 template <typename T>
@@ -216,23 +264,17 @@ i64 kernel_gather(const KernelPlan& kp, const T* local, T* out) {
       }
       return n;
     case KernelClass::kStrided:
-      if constexpr (kdetail::lowerable_v<T>) {
-        kdetail::gather_strided(sizeof(T), local + kp.first_local(), kp.step(), n, out);
-        return n;
-      }
-      break;
-    case KernelClass::kPeriodicGap:
-      if constexpr (kdetail::lowerable_v<T>) {
-        const PeriodicPattern& pat = *kp.pattern();
-        kdetail::gather_offsets(sizeof(T), local + kp.first_local(), pat.tile_off.data(),
-                                pat.tile_len, pat.tile_advance, n, out);
-        return n;
-      }
-      break;
-    case KernelClass::kScalar: return 0;
+      kernel_gather_strided(local + kp.first_local(), kp.step(), n, out);
+      return n;
+    case KernelClass::kPeriodicGap: {
+      const PeriodicPattern& pat = *kp.pattern();
+      kernel_gather_offsets(local + kp.first_local(), pat.tile_off.data(), pat.tile_len,
+                            pat.tile_advance, n, out);
+      return n;
+    }
+    case KernelClass::kScalar: break;
   }
-  i64 i = 0;
-  return kernel_for_each_local(kp, [&](i64 la) { out[i++] = local[la]; });
+  return 0;
 }
 
 /// local[address i] = in[i] — the unpack-side mirror of kernel_gather.
@@ -249,23 +291,17 @@ i64 kernel_scatter(const KernelPlan& kp, T* local, const T* in) {
       }
       return n;
     case KernelClass::kStrided:
-      if constexpr (kdetail::lowerable_v<T>) {
-        kdetail::scatter_strided(sizeof(T), local + kp.first_local(), kp.step(), n, in);
-        return n;
-      }
-      break;
-    case KernelClass::kPeriodicGap:
-      if constexpr (kdetail::lowerable_v<T>) {
-        const PeriodicPattern& pat = *kp.pattern();
-        kdetail::scatter_offsets(sizeof(T), local + kp.first_local(), pat.tile_off.data(),
-                                 pat.tile_len, pat.tile_advance, n, in);
-        return n;
-      }
-      break;
-    case KernelClass::kScalar: return 0;
+      kernel_scatter_strided(local + kp.first_local(), kp.step(), n, in);
+      return n;
+    case KernelClass::kPeriodicGap: {
+      const PeriodicPattern& pat = *kp.pattern();
+      kernel_scatter_offsets(local + kp.first_local(), pat.tile_off.data(), pat.tile_len,
+                             pat.tile_advance, n, in);
+      return n;
+    }
+    case KernelClass::kScalar: break;
   }
-  i64 i = 0;
-  return kernel_for_each_local(kp, [&](i64 la) { local[la] = in[i++]; });
+  return 0;
 }
 
 /// sum over the kernel's addresses of a[la] * b[la] (dot_product core).
@@ -282,63 +318,6 @@ T kernel_dot(const KernelPlan& kp, const T* a, const T* b) {
   }
   kernel_for_each_local(kp, [&](i64 la) { acc += a[la] * b[la]; });
   return acc;
-}
-
-/// Periodic-offset gather outside a KernelPlan: out[j*period + r] =
-/// base[j*advance + off[r]]. This is the comm-plan channel pack primitive —
-/// a channel's gap table is exactly such an offset vector (prefix sums of
-/// the gaps), so wire packing shares the SIMD path with section_ops.
-template <typename T>
-void kernel_gather_offsets(const T* base, const i64* off, i64 period, i64 advance,
-                           i64 count, T* out) {
-  if constexpr (kdetail::lowerable_v<T>) {
-    kdetail::gather_offsets(sizeof(T), base, off, period, advance, count, out);
-  } else {
-    i64 i = 0;
-    while (i < count) {
-      const i64 lim = std::min(period, count - i);
-      for (i64 j = 0; j < lim; ++j) out[i + j] = base[off[j]];
-      i += lim;
-      base += advance;
-    }
-  }
-}
-
-/// Periodic-offset scatter (comm-plan channel unpack primitive).
-template <typename T>
-void kernel_scatter_offsets(T* base, const i64* off, i64 period, i64 advance, i64 count,
-                            const T* in) {
-  if constexpr (kdetail::lowerable_v<T>) {
-    kdetail::scatter_offsets(sizeof(T), base, off, period, advance, count, in);
-  } else {
-    i64 i = 0;
-    while (i < count) {
-      const i64 lim = std::min(period, count - i);
-      for (i64 j = 0; j < lim; ++j) base[off[j]] = in[i + j];
-      i += lim;
-      base += advance;
-    }
-  }
-}
-
-/// Constant-stride gather: out[i] = base[i * step].
-template <typename T>
-void kernel_gather_strided(const T* base, i64 step, i64 count, T* out) {
-  if constexpr (kdetail::lowerable_v<T>) {
-    kdetail::gather_strided(sizeof(T), base, step, count, out);
-  } else {
-    for (i64 i = 0; i < count; ++i) out[i] = base[i * step];
-  }
-}
-
-/// Constant-stride scatter: base[i * step] = in[i].
-template <typename T>
-void kernel_scatter_strided(T* base, i64 step, i64 count, const T* in) {
-  if constexpr (kdetail::lowerable_v<T>) {
-    kdetail::scatter_strided(sizeof(T), base, step, count, in);
-  } else {
-    for (i64 i = 0; i < count; ++i) base[i * step] = in[i];
-  }
 }
 
 }  // namespace cyclick

@@ -12,7 +12,7 @@
 // where the offset tables hold the prefix sums of the shortest period of
 // the local-address delta streams on both sides. Plan size is O(p^2 + sum
 // of channel periods) — O(p^2 + k)-shaped in practice — and pack/unpack
-// replay the offsets through the kernel layer's SIMD gather/scatter
+// replay the offsets through the kernel layer's gather/scatter loops
 // (core/kernels.hpp): no owner_of / local_address calls, and no serially
 // dependent address chain either.
 //
@@ -207,8 +207,8 @@ i64 smallest_gap_period(std::span<const i64> a, std::span<const i64> b);
 /// Pack `count` values from `local` into `out`. The channel's address
 /// stream is start + j*advance + off[r] (off = prefix sums of the gap
 /// period), so packing is exactly the kernel layer's periodic gather:
-/// contiguous channels memcpy, period-1 channels take the strided SIMD
-/// path, everything else replays the offset vector — the same primitives
+/// contiguous channels memcpy, period-1 channels take the strided
+/// loop, everything else replays the offset vector — the same primitives
 /// section_ops runs on.
 template <typename T>
 void pack_channel(i64 count, i64 start, const i64* off, i64 period, i64 advance,
