@@ -726,12 +726,18 @@ void Machine::exec(const RedistributeStmt& s) {
       new_dist = BlockCyclic::block(old.size(), p);
       break;
   }
-  trace("redistribute " + s.array + " -> cyclic(" + std::to_string(new_dist.block_size()) +
-        ") [index-free symmetric copy of " + std::to_string(old.size()) + " elements]");
   auto fresh = std::make_unique<DistributedArray<double>>(new_dist, old.size());
   const RegularSection whole{0, old.size() - 1, 1};
   const SpmdExecutor exec_ctx(p, mode_);
-  symmetric_copy_section(old, whole, *fresh, whole, exec_ctx);
+  // A remap is one-shot: its plan is built, run once, and not cached.
+  const RedistributionPlan plan = build_redistribution_plan(old, whole, *fresh, whole, exec_ctx);
+  if (tracing_) {
+    trace("redistribute " + s.array + " -> cyclic(" + std::to_string(new_dist.block_size()) +
+          ")  [messages=" + std::to_string(plan.message_count()) +
+          ", remote=" + std::to_string(plan.remote_elements()) + "/" +
+          std::to_string(old.size()) + ", phases=" + std::to_string(plan.phases) + "]");
+  }
+  execute_redistribution(plan, old, *fresh, exec_ctx);
   it->second.d1 = std::move(fresh);
   it->second.tmpl.clear();  // the array now lives on an anonymous template
 }

@@ -70,7 +70,6 @@ void CommPlan::adopt_channels(std::vector<detail::ChannelAccum>&& accum) {
       if (q != m) {
         remote_elements_ += acc.count;
         ++message_count_;
-        if (acc.count > max_channel_elements_) max_channel_elements_ = acc.count;
       }
     }
   }

@@ -282,10 +282,6 @@ struct CommPlan {
   [[nodiscard]] i64 remote_elements() const noexcept { return remote_elements_; }
   /// Total elements moved (equals the section size).
   [[nodiscard]] i64 total_elements() const noexcept { return total_elements_; }
-  /// Largest single remote channel, in elements (0 when all traffic is
-  /// local) — the dominant per-phase payload the adaptive pipeline window
-  /// is sized against. Precomputed so executors read it in O(1).
-  [[nodiscard]] i64 max_channel_elements() const noexcept { return max_channel_elements_; }
 
   /// Heap bytes held by the plan's descriptors and gap tables (the scratch
   /// arena, an execution buffer equivalent to the wire payloads any
@@ -308,7 +304,6 @@ struct CommPlan {
   i64 message_count_ = 0;
   i64 remote_elements_ = 0;
   i64 total_elements_ = 0;
-  i64 max_channel_elements_ = 0;
   mutable std::vector<std::vector<std::byte>> scratch_;  ///< [m * ranks + q]
 };
 

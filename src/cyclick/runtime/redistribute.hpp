@@ -52,10 +52,8 @@
 //
 // Whole-machine entry points run each stage as one exec.run phase, so the
 // barriers order every pack before any unpack; the in-process fused copy
-// needs only the consume phase. W is resolve_redist_window for all of
-// them: CYCLICK_REDIST_WINDOW fixes the depth, unset lets the sim cost
-// model size it, and CYCLICK_TRANSPORT_CREDITS caps it. W = 1 is simply
-// the shallowest window.
+// needs only the consume phase. W is the constant kRedistWindow for all
+// of them, and it is also each receiver's CompletionQueue credit limit.
 //
 // The executor is generic over the array type: anything with local(rank)
 // spans of a trivially copyable element works (DistributedArray,
@@ -118,16 +116,12 @@ struct RedistributionPlan {
 /// count once; O(p^2) over the channel grid).
 [[nodiscard]] RedistributionPlan finish_redistribution_plan(CommPlan&& comm, i64 dims);
 
-/// Pipeline depth predicted from the sim cost model for this plan's
-/// dominant per-phase payload: 1 + ceil(wire_time / pack_time), clamped to
-/// [2, 8]. Reads the same CYCLICK_SIM_* knobs the simulated mesh uses.
-[[nodiscard]] i64 adaptive_redist_window(const CommPlan& plan, i64 elem_bytes);
-
-/// The receive window one plan execution runs with: CYCLICK_REDIST_WINDOW
-/// when set (0 counts as 1), else the adaptive prediction, clamped to
-/// [1, CYCLICK_TRANSPORT_CREDITS] — no rank ever posts more receives than
-/// its completion queue has credits.
-[[nodiscard]] i64 resolve_redist_window(const CommPlan& plan, i64 elem_bytes);
+/// Receives each rank keeps posted at once (W), and the credit limit of its
+/// completion queue. On a 4-core x86-64 host, depths 2, 4 and 8 measure
+/// within run-to-run noise of each other on the socket and simulated
+/// meshes (transport_throughput's nonblocking rows, the proc and sim
+/// example wall clocks), so the depth is one constant, not tuned per plan.
+inline constexpr i64 kRedistWindow = 4;
 
 /// Build the scheduled plan for the 1-D copy dst(dsec) = src(ssec).
 template <typename T>
@@ -289,7 +283,6 @@ class Exchange {
     CYCLICK_COUNT("redist.execs", counter_rank, 1);
     if (ends.wire != nullptr) {
       CYCLICK_REQUIRE(ends.wire->ranks() == plan.ranks, "transport/plan rank mismatch");
-      window_ = resolve_redist_window(plan, static_cast<i64>(sizeof(T)));
       CYCLICK_COUNT("redist.pipelined_execs", counter_rank, 1);
     } else if (!ends.staged) {
       CYCLICK_COUNT("redist.fused_execs", counter_rank, 1);
@@ -304,9 +297,9 @@ class Exchange {
       if (ends_.receives(m, q) && plan_.channel(m, q).count > 0) w.phases.push_back(f);
     }
     if (w.phases.empty()) return;
-    w.cq = std::make_unique<CompletionQueue>(window_);
+    w.cq = std::make_unique<CompletionQueue>(kRedistWindow);
     w.posted_ns.assign(static_cast<std::size_t>(p_), -1);
-    for (i64 i = 0; i < window_; ++i) post_next(m, w);
+    for (i64 i = 0; i < kRedistWindow; ++i) post_next(m, w);
   }
 
   /// Produce: walk sender q's channels in schedule order, packing each
@@ -403,7 +396,6 @@ class Exchange {
   DstArr& dst_;
   Endpoints ends_;
   i64 p_;
-  i64 window_ = 1;
 };
 
 /// Run the exchange for the whole machine, one exec.run phase per stage.

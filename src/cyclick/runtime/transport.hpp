@@ -66,18 +66,6 @@ class TransportError : public std::runtime_error {
                        " ms (no matching send; set CYCLICK_RECV_TIMEOUT_MS=0 to block)");
 }
 
-/// Default in-flight credit for completion queues (how many posted
-/// operations a queue admits before `post` blocks), overridable with
-/// CYCLICK_TRANSPORT_CREDITS. This is the backstop that keeps the
-/// pipelined executors' pre-posted receive windows bounded no matter what
-/// window the adaptive policy asks for.
-[[nodiscard]] inline i64 transport_credits_from_env() {
-  const char* env = std::getenv("CYCLICK_TRANSPORT_CREDITS");
-  if (env == nullptr || *env == '\0') return 16;
-  const i64 v = static_cast<i64>(std::atoll(env));
-  return v >= 1 ? v : 16;
-}
-
 /// The result of one nonblocking transport operation, reaped from a
 /// CompletionQueue. Receives carry the delivered payload; sends carry none.
 /// `ok == false` means the operation failed (peer died, frame rejected);
@@ -119,7 +107,7 @@ struct Completion {
 /// holding `mu_` (the progress hook runs unlocked).
 class CompletionQueue {
  public:
-  explicit CompletionQueue(i64 credits = transport_credits_from_env()) : credits_(credits) {
+  explicit CompletionQueue(i64 credits) : credits_(credits) {
     CYCLICK_REQUIRE(credits >= 1, "completion queue needs at least one credit");
   }
 

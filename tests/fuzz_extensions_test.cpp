@@ -8,6 +8,7 @@
 #include "cyclick/core/aligned.hpp"
 #include "cyclick/core/coupled.hpp"
 #include "cyclick/runtime/section_ops.hpp"
+#include "support/symmetric_copy.hpp"
 
 namespace cyclick {
 namespace {

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "cyclick/runtime/section_ops.hpp"
+#include "support/symmetric_copy.hpp"
 
 namespace cyclick {
 namespace {

@@ -1,17 +1,20 @@
 // Tests for the simulated mesh: deterministic event ordering, topology
 // parsing and routing, the contention/straggler/incast cost model, plan
 // replay parity with the transport-free executor, the SimMachine provider
-// hook behind execute_copy_plan, and the named rejection of unknown
-// backends. The conformance contract (FIFO, blocking recv, timeouts) is
-// covered by the backend-parameterized suite in transport_test.cpp; this
-// file pins what is *specific* to simulation — the predicted timeline.
+// hook behind execute_copy_plan (DSL remaps included), and the named
+// rejection of unknown backends. The conformance contract (FIFO, blocking
+// recv, timeouts) is covered by the backend-parameterized suite in
+// transport_test.cpp; this file pins what is *specific* to simulation —
+// the predicted timeline.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "cyclick/compiler/interp.hpp"
 #include "cyclick/net/backend.hpp"
+#include "cyclick/runtime/redistribute.hpp"
 #include "cyclick/runtime/section_ops.hpp"
 #include "cyclick/sim/event_heap.hpp"
 #include "cyclick/sim/sim_machine.hpp"
@@ -281,6 +284,51 @@ TEST(SimMachine, ProvidesTransportsToExecuteCopyPlan) {
   ASSERT_NE(tr, nullptr);
   EXPECT_GT(tr->report().messages, 0);
   EXPECT_EQ(machine.worlds(), std::vector<i64>{p});
+}
+
+TEST(SimMachine, DslRedistributeCrossesTheSimulatedMesh) {
+  // A DSL `redistribute` runs its plan through the executor, so under a
+  // SimMachine each remap sends exactly its plan's messages over the
+  // simulated mesh, and the remapped images equal the in-process run's.
+  // W is redistribution.hpf's cyclic -> block remap; V is aligned T(2*i+1).
+  const std::string prologue = R"(
+processors P(8)
+template T(1024)
+distribute T onto P cyclic
+array W(1024) align with T(i)
+array V(500) align with T(2*i+1)
+forall (i = 0:1023) W(i) = i
+forall (i = 0:499) V(i) = 3 * i + 1
+)";
+  const SpmdExecutor exec(8);
+  const auto remap_messages = [&](const dsl::Machine& m, const std::string& name) {
+    const DistributedArray<double>& old = m.array(name);
+    DistributedArray<double> fresh(BlockCyclic::block(old.size(), 8), old.size());
+    const RegularSection whole{0, old.size() - 1, 1};
+    return build_redistribution_plan(old, whole, fresh, whole, exec).message_count();
+  };
+
+  dsl::Machine inproc;
+  inproc.run_source(prologue + "redistribute W onto P block\nredistribute V onto P block\n");
+
+  SimMachine sim_machine{SimParams{}};
+  const SimMachine::Scope scope(sim_machine);
+  dsl::Machine machine;
+  machine.run_source(prologue);
+  const auto sent = [&] {
+    SimTransport* tr = sim_machine.transport_or_null(8);
+    return tr == nullptr ? i64{0} : tr->report().messages;
+  };
+  for (const std::string name : {"W", "V"}) {
+    SCOPED_TRACE(name);
+    const i64 want = remap_messages(machine, name);
+    EXPECT_GT(want, 0);
+    const i64 before = sent();
+    machine.run_source("redistribute " + name + " onto P block\n");
+    EXPECT_EQ(sent() - before, want);
+    EXPECT_EQ(machine.array(name).dist(), BlockCyclic::block(machine.array(name).size(), 8));
+    EXPECT_EQ(machine.global_image(name), inproc.global_image(name));
+  }
 }
 
 TEST(SimMachine, NestedScopesAreRejected) {

@@ -9,6 +9,7 @@
 #include "cyclick/runtime/intrinsics.hpp"
 #include "cyclick/runtime/multidim_array.hpp"
 #include "cyclick/runtime/section_ops.hpp"
+#include "support/symmetric_copy.hpp"
 
 namespace cyclick {
 namespace {

@@ -8,9 +8,11 @@
 //   hpfc --backend=inproc|proc|sim  execution backend (default inproc, or
 //                             CYCLICK_BACKEND): `proc` launches one OS
 //                             process per rank and routes each rank's
-//                             share of every section copy over the socket
-//                             transport; `sim` replays every section copy
-//                             over the discrete-event simulated mesh
+//                             share of every section copy and
+//                             `redistribute` over the socket transport;
+//                             `sim` replays every section copy and
+//                             `redistribute` over the discrete-event
+//                             simulated mesh
 //                             (CYCLICK_SIM_* knobs: topology, link costs,
 //                             stragglers) — program output stays
 //                             byte-identical to inproc, and --metrics /
