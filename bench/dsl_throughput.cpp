@@ -2,10 +2,12 @@
 // through the tree-walking interpreter tier and the bytecode tier, timed
 // over full `repeat` sweeps. This measures what the bytecode tier exists
 // for — amortizing per-statement lowering (plan resolution, temp shaping,
-// kernel selection) across loop iterations and fusing the interpreter's
-// multi-pass arithmetic into single-pass superinstructions.
+// kernel selection) across loop iterations and reading shifted operands in
+// place instead of through full operand copies.
 //
-// Five programs, every statement of which the bytecode tier compiles:
+// Five programs, every statement of which the bytecode tier compiles,
+// except the bare copy back (`U(...) = V(...)`), which runs as the same
+// copy_section/copy_region call on both tiers:
 //   jacobi       3-point average ping-pong (the paper's relaxation shape)
 //   jacobi_large the same sweep on 2^20 doubles under cyclic(32): out of
 //                cache, where the shifted operands' lane.shift halos replace

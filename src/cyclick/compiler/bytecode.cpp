@@ -30,15 +30,10 @@ const char* op_name(Op op) noexcept {
     case Op::kDivVS: return "div.vs";
     case Op::kSubSV: return "sub.sv";
     case Op::kDivSV: return "div.sv";
-    case Op::kMulAddVSV: return "muladd.vsv";
-    case Op::kMulSubVSV: return "mulsub.vsv";
     case Op::kAddDivVVS: return "adddiv.vvs";
-    case Op::kMulAddVSS: return "muladd.vss";
     case Op::kStoreLanes: return "store";
     case Op::kStoreMasked: return "store.masked";
     case Op::kReduceLanes: return "reduce.lanes";
-    case Op::kFillDst: return "fill.dst";
-    case Op::kCopyDst: return "copy.dst";
   }
   return "?";
 }
@@ -146,17 +141,8 @@ void format_instr(std::ostringstream& ss, const Instr& in,
     case Op::kDivSV:
       ss << "       l" << +in.a << " = l" << +in.a << ", s" << +in.b;
       break;
-    case Op::kMulAddVSV:
-      ss << "   l" << +in.a << " = l" << +in.a << "*s" << +in.b << " + l" << +in.c;
-      break;
-    case Op::kMulSubVSV:
-      ss << "   l" << +in.a << " = l" << +in.a << "*s" << +in.b << " - l" << +in.c;
-      break;
     case Op::kAddDivVVS:
       ss << "   l" << +in.a << " = (l" << +in.a << " + l" << +in.c << ") / s" << +in.b;
-      break;
-    case Op::kMulAddVSS:
-      ss << "   l" << +in.a << " = l" << +in.a << "*s" << +in.b << " + s" << +in.c;
       break;
     case Op::kStoreLanes:
       ss << "        dst = l" << +in.a;
@@ -169,12 +155,6 @@ void format_instr(std::ostringstream& ss, const Instr& in,
       break;
     case Op::kReduceLanes:
       ss << " s" << +in.a << " = " << reduce_name(in.c) << "(l" << +in.b << ")";
-      break;
-    case Op::kFillDst:
-      ss << "     dst = s" << +in.a;
-      break;
-    case Op::kCopyDst:
-      ss << "     dst = " << source_text(opnd());
       break;
   }
   ss << '\n';

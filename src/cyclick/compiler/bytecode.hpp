@@ -29,10 +29,11 @@
 //            the strip is copied from +delta, then its block-boundary
 //            offsets are patched from the halo, in the same single pass.
 //
-// Fused superinstructions (kMulAddVSV, kAddDivVVS, kMulAddVSS, ...) collapse
-// the interpreter's separate transform+combine passes into one loop without
-// changing the per-element operation sequence, so results stay bit-identical
-// with the interpreter tier.
+// One fused superinstruction, kAddDivVVS, runs the stencil average
+// (X + Y) / s in one loop instead of two, without changing the per-element
+// operation sequence, so results stay bit-identical with the interpreter
+// tier. Fills and bare section copies compile to no program: both tiers
+// run them as one fill_*/copy_section/copy_region call.
 #pragma once
 
 #include <cstdint>
@@ -82,17 +83,12 @@ enum class Op : u8 {
   kDivVS,        ///< l[a] = l[a] / s[b]   (throws when s[b] == 0)
   kSubSV,        ///< l[a] = s[b] - l[a]
   kDivSV,        ///< l[a] = s[b] / l[a]   (throws on zero element)
-  // fused superinstructions (one pass instead of two or three)
-  kMulAddVSV,  ///< l[a] = l[a]*s[b] + l[c]        (copy+axpy shape)
-  kMulSubVSV,  ///< l[a] = l[a]*s[b] - l[c]
+  // fused superinstruction (one pass instead of two)
   kAddDivVVS,  ///< l[a] = (l[a] + l[c]) / s[b]    (stencil average shape)
-  kMulAddVSS,  ///< l[a] = l[a]*s[b] + s[c]        (fill+transform shape)
   // terminals
   kStoreLanes,   ///< dst owned lanes = l[a]
   kStoreMasked,  ///< dst lanes where mask holds; a=value b=maskL c=maskR
   kReduceLanes,  ///< s[a] = rank-ordered fold of l[b]; c = Reduce code
-  kFillDst,      ///< fill_section/fill_region(dst, s[a])  (control phase)
-  kCopyDst,      ///< copy_section/copy_region(operands[aux] -> dst)
 };
 
 [[nodiscard]] const char* op_name(Op op) noexcept;

@@ -483,18 +483,7 @@ Machine::Value Machine::eval1(const Expr& e, const DistributedArray<double>& dst
       return v;
     }
     case Expr::Kind::kSection: {
-      const ArrayInfo& info = lookup(e.section.array, e.line);
-      if (!info.is_1d())
-        throw dsl_error("cannot mix array dimensionalities in one statement", e.line);
-      const DistributedArray<double>& src = *info.d1;
-      const RegularSection ssec = make_section(e.section, src);
-      if (ssec.size() != dsec.size())
-        throw dsl_error("section length mismatch: " + ssec.to_string() + " has " +
-                            std::to_string(ssec.size()) + " elements, statement needs " +
-                            std::to_string(dsec.size()),
-                        e.line);
-      if (src.dist().procs() != dst.dist().procs())
-        throw dsl_error("arrays in one statement must share a processor arrangement", e.line);
+      const auto [src, ssec] = operand1(e, dst, dsec);
       Value v;
       v.temp = acquire_temp(dst);
       // One cached plan serves both the trace diagnostics and the copy;
@@ -569,6 +558,40 @@ Machine::Value Machine::eval1(const Expr& e, const DistributedArray<double>& dst
   throw dsl_error("bad expression", e.line);
 }
 
+std::pair<const DistributedArray<double>&, RegularSection> Machine::operand1(
+    const Expr& e, const DistributedArray<double>& dst, const RegularSection& dsec) {
+  const ArrayInfo& info = lookup(e.section.array, e.line);
+  if (!info.is_1d())
+    throw dsl_error("cannot mix array dimensionalities in one statement", e.line);
+  const DistributedArray<double>& src = *info.d1;
+  const RegularSection ssec = make_section(e.section, src);
+  if (ssec.size() != dsec.size())
+    throw dsl_error("section length mismatch: " + ssec.to_string() + " has " +
+                        std::to_string(ssec.size()) + " elements, statement needs " +
+                        std::to_string(dsec.size()),
+                    e.line);
+  if (src.dist().procs() != dst.dist().procs())
+    throw dsl_error("arrays in one statement must share a processor arrangement", e.line);
+  return {src, ssec};
+}
+
+std::pair<const MultiDimArray<double>&, Region> Machine::operandn(
+    const Expr& e, const MultiDimArray<double>& dst, const Region& dregion) {
+  const ArrayInfo& info = lookup(e.section.array, e.line);
+  if (info.is_1d())
+    throw dsl_error("cannot mix array dimensionalities in one statement", e.line);
+  const MultiDimArray<double>& src = *info.dn;
+  Region sregion = make_region(e.section, src);
+  if (sregion.size() != dregion.size())
+    throw dsl_error("operand dimensionality mismatch", e.line);
+  for (std::size_t d = 0; d < sregion.size(); ++d)
+    if (sregion[d].size() != dregion[d].size())
+      throw dsl_error("section extent mismatch in dimension " + std::to_string(d), e.line);
+  if (src.mapping().grid().rank_count() != dst.mapping().grid().rank_count())
+    throw dsl_error("arrays in one statement must share a processor arrangement", e.line);
+  return {src, std::move(sregion)};
+}
+
 Machine::Value Machine::evaln(const Expr& e, const MultiDimArray<double>& dst,
                               const Region& dregion, const SpmdExecutor& exec_ctx) {
   switch (e.kind) {
@@ -585,19 +608,7 @@ Machine::Value Machine::evaln(const Expr& e, const MultiDimArray<double>& dst,
     case Expr::Kind::kRamp:
       throw dsl_error("forall is not supported for multidimensional arrays", e.line);
     case Expr::Kind::kSection: {
-      const ArrayInfo& info = lookup(e.section.array, e.line);
-      if (info.is_1d())
-        throw dsl_error("cannot mix array dimensionalities in one statement", e.line);
-      const MultiDimArray<double>& src = *info.dn;
-      const Region sregion = make_region(e.section, src);
-      if (sregion.size() != dregion.size())
-        throw dsl_error("operand dimensionality mismatch", e.line);
-      for (std::size_t d = 0; d < sregion.size(); ++d)
-        if (sregion[d].size() != dregion[d].size())
-          throw dsl_error("section extent mismatch in dimension " + std::to_string(d),
-                          e.line);
-      if (src.mapping().grid().rank_count() != dst.mapping().grid().rank_count())
-        throw dsl_error("arrays in one statement must share a processor arrangement", e.line);
+      const auto [src, sregion] = operandn(e, dst, dregion);
       Value v;
       v.temp_nd = acquire_temp(dst.mapping());
       copy_region(src, sregion, *v.temp_nd, dregion, exec_ctx);
@@ -651,12 +662,28 @@ Machine::Value Machine::evaln(const Expr& e, const MultiDimArray<double>& dst,
 
 void Machine::exec(const AssignStmt& s) {
   if (tier_ == Tier::kBytecode && jit().try_assign(s)) return;
+  // A bare section copy is one copy_section/copy_region call on either
+  // tier: no destination-shaped temporary, no store pass.
+  const bool bare_copy = s.value->kind == Expr::Kind::kSection;
   ArrayInfo& info = lookup(s.target.array, s.line);
   if (info.is_1d()) {
     DistributedArray<double>& dst = *info.d1;
     const RegularSection dsec = make_section(s.target, dst);
     trace("assign " + s.target.array + dsec.to_string());
     const SpmdExecutor exec_ctx(dst.dist().procs(), mode_);
+    if (bare_copy) {
+      const auto [src, ssec] = operand1(*s.value, dst, dsec);
+      if (tracing_) {
+        const auto plan = cached_copy_plan(src, ssec, dst, dsec, exec_ctx);
+        trace("  copy " + s.value->section.array + ssec.to_string() + " -> " +
+              s.target.array + dsec.to_string() +
+              "  [messages=" + std::to_string(plan->message_count()) +
+              ", remote=" + std::to_string(plan->remote_elements()) + "/" +
+              std::to_string(ssec.size()) + "]");
+      }
+      copy_section(src, ssec, dst, dsec, exec_ctx);
+      return;
+    }
     Value v = eval1(*s.value, dst, dsec, exec_ctx);
     if (v.is_scalar()) {
       trace("  fill scalar");
@@ -678,6 +705,11 @@ void Machine::exec(const AssignStmt& s) {
   MultiDimArray<double>& dst = *info.dn;
   const Region dregion = make_region(s.target, dst);
   const SpmdExecutor exec_ctx(dst.mapping().grid().rank_count(), mode_);
+  if (bare_copy) {
+    const auto [src, sregion] = operandn(*s.value, dst, dregion);
+    copy_region(src, sregion, dst, dregion, exec_ctx);
+    return;
+  }
   Value v = evaln(*s.value, dst, dregion, exec_ctx);
   if (v.is_scalar()) {
     fill_region(dst, dregion, v.scalar, exec_ctx);
@@ -840,13 +872,16 @@ void Machine::exec(const PrintStmt& s) {
 void Machine::exec(const ExplainStmt& s) {
   if (s.value) {
     // explain A(sec) = expr: show the bytecode tier's compilation of the
-    // statement (or report the fallback) without executing it.
-    const std::string listing = jit().listing_for(s.section, *s.value, s.line);
-    if (listing.empty()) {
+    // statement (or say why there is none) without executing it.
+    const std::string listing = jit().listing_for(s.section, *s.value);
+    if (!listing.empty()) {
+      output_ += listing;
+    } else if (runtime_assign(*s.value)) {
+      output_ += "explain " + s.section.array +
+                 ": statement runs as a runtime fill/copy (no bytecode program)\n";
+    } else {
       output_ +=
           "explain " + s.section.array + ": statement falls back to the interpreter tier\n";
-    } else {
-      output_ += listing;
     }
     return;
   }

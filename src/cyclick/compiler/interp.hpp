@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cyclick/compiler/ast.hpp"
@@ -136,6 +137,14 @@ class Machine {
 
   Value eval1(const Expr& e, const DistributedArray<double>& dst, const RegularSection& dsec,
               const SpmdExecutor& exec_ctx);
+  /// Section operand `e` of a statement over dst(dsec) or dst(dregion): its
+  /// array and section or region, with the dsl_error checks every operand
+  /// passes (dimensionality, extent, processor arrangement).
+  std::pair<const DistributedArray<double>&, RegularSection> operand1(
+      const Expr& e, const DistributedArray<double>& dst, const RegularSection& dsec);
+  std::pair<const MultiDimArray<double>&, Region> operandn(const Expr& e,
+                                                           const MultiDimArray<double>& dst,
+                                                           const Region& dregion);
   Value evaln(const Expr& e, const MultiDimArray<double>& dst, const Region& dregion,
               const SpmdExecutor& exec_ctx);
 

@@ -4,12 +4,13 @@
 // Compilation is all-or-nothing: any shape the compiler cannot prove
 // equivalent to the interpreter raises BailOut, the ProgramCache records a
 // negative entry for the statement key, and the tree walker runs the
-// statement. Equivalence here means *bit-identical results*: fused
-// superinstructions keep the interpreter's per-element operation sequence
-// (this file is built with -ffp-contract=off so no mul+add pair is ever
-// contracted into an FMA), reductions fold in the same per-rank
-// ascending-cell order reduce_section uses, and runtime errors carry the
-// same message and source line the interpreter would report.
+// statement. Equivalence here means *bit-identical results*: the one fused
+// superinstruction, adddiv.vvs, keeps the interpreter's per-element
+// operation sequence (this file is built with -ffp-contract=off so no
+// mul+add pair is ever contracted into an FMA), reductions fold in the
+// same per-rank ascending-cell order reduce_section uses, and runtime
+// errors carry the same message and source line the interpreter would
+// report.
 #include "cyclick/compiler/jit.hpp"
 
 #include <algorithm>
@@ -79,6 +80,10 @@ struct BailOut {};
 }
 
 }  // namespace
+
+bool runtime_assign(const Expr& value) {
+  return value.kind == Expr::Kind::kSection || scalar_shape(value);
+}
 
 // ---------------------------------------------------------------------------
 // Statement compiler
@@ -799,22 +804,6 @@ struct JitCompiler {
     return lane;
   }
 
-  /// Splits a `X * s` / `s * X` product node into (vector factor, scalar
-  /// factor); null when the node is not such a product. IEEE multiplication
-  /// commutes bit-exactly, so either operand order fuses.
-  static const Expr* mul_vector_factor(const Expr& e, const Expr** scalar_factor) {
-    if (e.kind != Expr::Kind::kBinary || e.op != '*') return nullptr;
-    if (!scalar_shape(*e.lhs) && scalar_shape(*e.rhs)) {
-      *scalar_factor = e.rhs.get();
-      return e.lhs.get();
-    }
-    if (scalar_shape(*e.lhs) && !scalar_shape(*e.rhs)) {
-      *scalar_factor = e.lhs.get();
-      return e.rhs.get();
-    }
-    return nullptr;
-  }
-
   void note_fusion(int line, const std::string& what) {
     p.notes.push_back("line " + std::to_string(line) + ": " + what);
   }
@@ -855,8 +844,8 @@ struct JitCompiler {
     const bool ls = scalar_shape(*e.lhs);
     const bool rs = scalar_shape(*e.rhs);
 
-    // --- fused superinstructions -------------------------------------------
-    // (X + Y) / s  ->  adddiv.vvs : the jacobi/stencil-average shape.
+    // (X + Y) / s  ->  adddiv.vvs : the jacobi/stencil-average shape, the
+    // one fused superinstruction.
     if (e.op == '/' && rs && !ls && e.lhs->kind == Expr::Kind::kBinary &&
         e.lhs->op == '+' && !scalar_shape(*e.lhs->lhs) && !scalar_shape(*e.lhs->rhs)) {
       const u8 x = compile_vec(*e.lhs->lhs);
@@ -870,60 +859,8 @@ struct JitCompiler {
       note_fusion(e.line, "fused add+divide (stencil average): one pass over the lanes");
       return x;
     }
-    // X*s + Y / Y + X*s / X*s - Y  ->  muladd.vsv / mulsub.vsv (copy+axpy),
-    // X*s + c / c + X*s            ->  muladd.vss (fill+transform).
-    if ((e.op == '+' || e.op == '-') && !(ls && rs)) {
-      const Expr* sc = nullptr;
-      const Expr* xv = ls ? nullptr : mul_vector_factor(*e.lhs, &sc);
-      const Expr* other = e.rhs.get();
-      if (xv == nullptr && e.op == '+' && !rs) {
-        // addition commutes bit-exactly: try the product on the right.
-        xv = mul_vector_factor(*e.rhs, &sc);
-        other = e.lhs.get();
-      }
-      if (xv != nullptr) {
-        if (scalar_shape(*other)) {
-          const u8 x = compile_vec(*xv);
-          const u8 s = compile_scalar(*sc);
-          const u8 c = compile_scalar(*other);
-          if (e.op == '+') {
-            p.lanes.push_back(bc::Instr{
-                .op = bc::Op::kMulAddVSS, .a = x, .b = s, .c = c, .line = e.line});
-            note_fusion(e.line, "fused multiply+add-scalar (fill+transform): one pass");
-            return x;
-          }
-          // X*s - c: negate the constant and reuse the same superinstruction
-          // only when c is a compile-time literal (x - c == x + (-c) exactly).
-          if (skonst[c]) {
-            sval[c] = -sval[c];
-            p.sreg_init[c] = sval[c];
-            p.lanes.push_back(bc::Instr{
-                .op = bc::Op::kMulAddVSS, .a = x, .b = s, .c = c, .line = e.line});
-            note_fusion(e.line, "fused multiply+subtract-scalar: one pass");
-            return x;
-          }
-          p.lanes.push_back(
-              bc::Instr{.op = bc::Op::kMulVS, .a = x, .b = s, .line = e.line});
-          p.lanes.push_back(
-              bc::Instr{.op = bc::Op::kSubVS, .a = x, .b = c, .line = e.line});
-          return x;
-        }
-        const u8 x = compile_vec(*xv);
-        const u8 s = compile_scalar(*sc);
-        const u8 y = compile_vec(*other);
-        p.lanes.push_back(
-            bc::Instr{.op = e.op == '+' ? bc::Op::kMulAddVSV : bc::Op::kMulSubVSV,
-                      .a = x,
-                      .b = s,
-                      .c = y,
-                      .line = e.line});
-        free_lane(y);
-        note_fusion(e.line, "fused multiply+add (copy+axpy): one pass over the lanes");
-        return x;
-      }
-    }
 
-    // --- generic lowering ---------------------------------------------------
+    // Everything else: one lane instruction per operator.
     if (!ls && !rs) {
       const u8 a = compile_vec(*e.lhs);
       const u8 b = compile_vec(*e.rhs);
@@ -1025,7 +962,7 @@ struct JitCompiler {
   [[nodiscard]] static bool writes_lane_buf(const bc::Instr& in, u8 r) {
     if (in.a != r) return false;
     return in.op == bc::Op::kLaneRamp ||
-           (in.op >= bc::Op::kLaneNeg && in.op <= bc::Op::kMulAddVSS);
+           (in.op >= bc::Op::kLaneNeg && in.op <= bc::Op::kAddDivVVS);
   }
 
   void finalize_store(u8 store_reg) {
@@ -1070,42 +1007,13 @@ struct JitCompiler {
     return std::make_shared<const bc::CompiledProgram>(std::move(p));
   }
 
-  /// Operand of a whole-statement copy (validated like a lane source).
-  i32 copy_operand(const SectionRef& ref) {
-    if (p.nd()) {
-      const MultiDimArray<double>* src = findnd(ref.array);
-      if (src == nullptr) throw BailOut{};
-      return add_operand(bc::Operand{.array = ref.array, .region = operand_region(ref, *src)});
-    }
-    DistributedArray<double>* src = find1d(ref.array);
-    if (src == nullptr) throw BailOut{};
-    const RegularSection ssec = Machine::make_section(ref, *src);
-    if (ssec.size() != p.dsec.size()) throw BailOut{};
-    if (src->dist().procs() != dst->dist().procs()) throw BailOut{};
-    return add_operand(bc::Operand{.array = ref.array, .sec = ssec});
-  }
-
+  /// Callers keep runtime assignments (fills, bare copies) away from here.
   std::shared_ptr<const bc::CompiledProgram> compile_assign(const SectionRef& target,
-                                                            const Expr& value, int line) {
-    (void)line;
+                                                            const Expr& value) {
     if (findnd(target.array) != nullptr) {
       open_region_target(target);
     } else {
       open_target(target.array, target);
-    }
-    if (value.kind == Expr::Kind::kSection) {
-      // Whole-statement copy: delegate to copy_section / copy_region, which
-      // own the same-mapping fast path and the aliasing discipline.
-      const i32 aux = copy_operand(value.section);
-      p.lanes.push_back(
-          bc::Instr{.op = bc::Op::kCopyDst, .aux = aux, .line = value.line});
-      p.notes.push_back("whole-statement section copy: delegated to the copy engine");
-      return take();
-    }
-    if (scalar_shape(value)) {
-      const u8 s = compile_scalar(value);
-      p.lanes.push_back(bc::Instr{.op = bc::Op::kFillDst, .a = s, .line = value.line});
-      return take();
     }
     const u8 r = compile_vec(value);
     p.lanes.push_back(bc::Instr{.op = bc::Op::kStoreLanes, .a = r, .line = value.line});
@@ -1221,11 +1129,7 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
     double* buf;        // where the next write to it lands
   };
   Reg regs[kMaxLanes];
-  std::size_t cnt = 0;      // current pass's length
-  i64 base = 0;             // current pass's first local address
-  std::size_t ri = 0;       // current run's index
-  double* dspan = nullptr;  // current pass's destination span
-  const bc::Instr* ip = nullptr;
+  std::size_t cnt = 0;  // current pass's length
 
   const auto materialize = [&](u8 r) {
     if (regs[r].cur != regs[r].buf) {
@@ -1234,47 +1138,19 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
     }
   };
 
-// The dispatch loop. GNU toolchains get a computed-goto threaded
-// interpreter (one indirect branch per instruction, better predicted than
-// a shared switch); everything else falls back to a switch loop with
-// identical handler bodies.
-#if defined(__GNUC__) && !defined(CYCLICK_NO_COMPUTED_GOTO)
-#define VM_DISPATCH goto* jump[static_cast<std::size_t>(ip->op)]
-  static const void* const jump[] = {
-      &&vm_bad,          // kScalarVar (prelude only)
-      &&vm_bad,          // kReduceSec
-      &&vm_bad,          // kScalarNeg
-      &&vm_bad,          // kScalarBin
-      &&vm_bad,          // kLoadSection (load phase only)
-      &&vm_bad,          // kLoadShift
-      &&vm_bad,          // kLoadRegion
-      &&vm_lane_direct,  &&vm_lane_scratch, &&vm_lane_shift, &&vm_lane_ramp, &&vm_lane_neg,
-      &&vm_add_vv,       &&vm_sub_vv,       &&vm_mul_vv,    &&vm_div_vv,
-      &&vm_add_vs,       &&vm_sub_vs,       &&vm_mul_vs,    &&vm_div_vs,
-      &&vm_sub_sv,       &&vm_div_sv,       &&vm_muladd_vsv, &&vm_mulsub_vsv,
-      &&vm_adddiv_vvs,   &&vm_muladd_vss,   &&vm_store,     &&vm_store_masked,
-      &&vm_reduce,
-      &&vm_bad,  // kFillDst (control phase only)
-      &&vm_bad,  // kCopyDst
-  };
-#else
-#define VM_DISPATCH goto vm_dispatch
-#endif
-#define VM_NEXT \
-  do {          \
-    ++ip;       \
-    VM_DISPATCH; \
-  } while (0)
-
   // One pass of the lane program per run (a 1-D share is a single run),
   // or per strip of it when a staged lane.shift copies into a register.
+  // Every pass dispatches its instructions through one switch; the
+  // terminal is the program's last instruction and ends the pass.
+  const bc::Instr* const first = phase == Phase::kTerminal ? &p.lanes.back() : p.lanes.data();
+  const bc::Instr* const last = p.lanes.data() + p.lanes.size();
   std::size_t off = 0;  // current pass's offset in the stash
-  for (ri = 0; ri < runs.size(); ++ri) {
+  for (std::size_t ri = 0; ri < runs.size(); ++ri) {
     const i64 run_end = runs[ri].base + runs[ri].len;
-    for (base = runs[ri].base; base < run_end; base += static_cast<i64>(cnt)) {
+    for (i64 base = runs[ri].base; base < run_end; base += static_cast<i64>(cnt)) {
       cnt = static_cast<std::size_t>(p.strip > 0 ? std::min(run_end - base, p.strip)
                                                  : run_end - base);
-      dspan = dloc + base;
+      double* const dspan = dloc + base;  // this pass's destination span
       for (int i = 0; i < p.n_lanes; ++i) {
         regs[i].buf = arena.data() + static_cast<std::size_t>(i) * widest;
         regs[i].cur = regs[i].buf;
@@ -1288,379 +1164,290 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
         // only, and only when no lane instruction can throw).
         regs[p.store_reg].buf = dspan;
       }
-      ip = phase == Phase::kTerminal ? &p.lanes.back() : p.lanes.data();
-#if defined(__GNUC__) && !defined(CYCLICK_NO_COMPUTED_GOTO)
-    VM_DISPATCH;
-#else
-  vm_dispatch:
-    switch (ip->op) {
-      case bc::Op::kLaneDirect: goto vm_lane_direct;
-      case bc::Op::kLaneScratch: goto vm_lane_scratch;
-      case bc::Op::kLaneShift: goto vm_lane_shift;
-      case bc::Op::kLaneRamp: goto vm_lane_ramp;
-      case bc::Op::kLaneNeg: goto vm_lane_neg;
-      case bc::Op::kAddVV: goto vm_add_vv;
-      case bc::Op::kSubVV: goto vm_sub_vv;
-      case bc::Op::kMulVV: goto vm_mul_vv;
-      case bc::Op::kDivVV: goto vm_div_vv;
-      case bc::Op::kAddVS: goto vm_add_vs;
-      case bc::Op::kSubVS: goto vm_sub_vs;
-      case bc::Op::kMulVS: goto vm_mul_vs;
-      case bc::Op::kDivVS: goto vm_div_vs;
-      case bc::Op::kSubSV: goto vm_sub_sv;
-      case bc::Op::kDivSV: goto vm_div_sv;
-      case bc::Op::kMulAddVSV: goto vm_muladd_vsv;
-      case bc::Op::kMulSubVSV: goto vm_mulsub_vsv;
-      case bc::Op::kAddDivVVS: goto vm_adddiv_vvs;
-      case bc::Op::kMulAddVSS: goto vm_muladd_vss;
-      case bc::Op::kStoreLanes: goto vm_store;
-      case bc::Op::kStoreMasked: goto vm_store_masked;
-      case bc::Op::kReduceLanes: goto vm_reduce;
-      default: goto vm_bad;
-    }
-#endif
-
-vm_lane_direct: {
-  Reg& r = regs[ip->a];
-  const double* sl = src[ip->aux];
-  if (span_mode) {
-    r.cur = sl + base;
-  } else {
-    kernel_gather(*kp, sl, r.buf);
-    r.cur = r.buf;
-  }
-}
-  VM_NEXT;
-
-vm_lane_scratch: {
-  Reg& r = regs[ip->a];
-  const double* sl = src[scratch0 + ip->b];
-  if (span_mode) {
-    r.cur = sl + base;
-  } else {
-    kernel_gather(*kp, sl, r.buf);
-    r.cur = r.buf;
-  }
-}
-  VM_NEXT;
-
-vm_lane_shift: {
-  Reg& r = regs[ip->a];
-  const bc::Operand& o = p.operands[static_cast<std::size_t>(ip->aux)];
-  const bc::Halo& h = o.halo;
-  const bc::HaloRun& hr = h.runs[static_cast<std::size_t>(rank)][ri];
-  const double* sl = src[ip->aux];
-  const double* hl = src[halo0 + ip->b];
-  if (!h.staged) {
-    // Outer dimension: the row reads its own source row in place, or its
-    // halo row at a block edge.
-    r.cur = hr.halo < 0 ? sl + base + h.offset : hl + hr.halo + (base - runs[ri].base);
-  } else {
-    // Innermost dimension: stage the strip from base + offset, clipped to
-    // this source's own local span (every clipped position is a boundary
-    // position, whatever the source's length),
-    // then patch boundary offset j0 + jj of every block from its halo slot
-    // (block L's slots start at halo + L*w): one strided loop per offset.
-    // The stage is the register's own arena slot, even when store fusion
-    // points its writes at the destination span: copying into the cold
-    // destination first is measurably slower.
-    double* const stage = arena.data() + static_cast<std::size_t>(ip->a) * widest;
-    const i64 end = base + static_cast<i64>(cnt);
-    const i64 from = base + h.offset;
-    const i64 lo = std::max<i64>(from, 0);
-    const i64 hi = std::min(end + h.offset, len[ip->aux]);
-    if (hi > lo)
-      std::memcpy(stage + (lo - from), sl + lo,
-                  static_cast<std::size_t>(hi - lo) * sizeof(double));
-    const i64 k = h.block;
-    const i64 w = o.shift < 0 ? -o.shift : o.shift;
-    const i64 blk = (base - hr.origin) / k;  // the block holding base
-    const i64 first = hr.origin + blk * k + (o.shift < 0 ? 0 : k - o.shift);
-    for (i64 jj = 0; jj < w; ++jj) {
-      i64 a = first + jj;
-      i64 slot = hr.halo + blk * w + jj;
-      if (a < base) {
-        a += k;
-        slot += w;
+      for (const bc::Instr* ip = first; ip != last; ++ip) {
+        switch (ip->op) {
+          case bc::Op::kLaneDirect: {
+            Reg& r = regs[ip->a];
+            const double* sl = src[ip->aux];
+            if (span_mode) {
+              r.cur = sl + base;
+            } else {
+              kernel_gather(*kp, sl, r.buf);
+              r.cur = r.buf;
+            }
+            break;
+          }
+          case bc::Op::kLaneScratch: {
+            Reg& r = regs[ip->a];
+            const double* sl = src[scratch0 + ip->b];
+            if (span_mode) {
+              r.cur = sl + base;
+            } else {
+              kernel_gather(*kp, sl, r.buf);
+              r.cur = r.buf;
+            }
+            break;
+          }
+          case bc::Op::kLaneShift: {
+            Reg& r = regs[ip->a];
+            const bc::Operand& o = p.operands[static_cast<std::size_t>(ip->aux)];
+            const bc::Halo& h = o.halo;
+            const bc::HaloRun& hr = h.runs[static_cast<std::size_t>(rank)][ri];
+            const double* sl = src[ip->aux];
+            const double* hl = src[halo0 + ip->b];
+            if (!h.staged) {
+              // Outer dimension: the row reads its own source row in place,
+              // or its halo row at a block edge.
+              r.cur = hr.halo < 0 ? sl + base + h.offset : hl + hr.halo + (base - runs[ri].base);
+              break;
+            }
+            // Innermost dimension: stage the strip from base + offset,
+            // clipped to this source's own local span (every clipped
+            // position is a boundary position, whatever the source's
+            // length), then patch boundary offset j0 + jj of every block
+            // from its halo slot (block L's slots start at halo + L*w): one
+            // strided loop per offset. The stage is the register's own
+            // arena slot, even when store fusion points its writes at the
+            // destination span: copying into the cold destination first is
+            // measurably slower.
+            double* const stage = arena.data() + static_cast<std::size_t>(ip->a) * widest;
+            const i64 end = base + static_cast<i64>(cnt);
+            const i64 from = base + h.offset;
+            const i64 lo = std::max<i64>(from, 0);
+            const i64 hi = std::min(end + h.offset, len[ip->aux]);
+            if (hi > lo)
+              std::memcpy(stage + (lo - from), sl + lo,
+                          static_cast<std::size_t>(hi - lo) * sizeof(double));
+            const i64 k = h.block;
+            const i64 w = o.shift < 0 ? -o.shift : o.shift;
+            const i64 blk = (base - hr.origin) / k;  // the block holding base
+            const i64 at = hr.origin + blk * k + (o.shift < 0 ? 0 : k - o.shift);
+            for (i64 jj = 0; jj < w; ++jj) {
+              i64 a = at + jj;
+              i64 slot = hr.halo + blk * w + jj;
+              if (a < base) {
+                a += k;
+                slot += w;
+              }
+              for (; a < end; a += k, slot += w) stage[a - base] = hl[slot];
+            }
+            r.cur = stage;
+            break;
+          }
+          case bc::Op::kLaneRamp: {
+            const bc::Operand& o = p.operands[static_cast<std::size_t>(ip->aux)];
+            Reg& r = regs[ip->a];
+            double* out = r.buf;
+            std::size_t i = 0;
+            p.plans[static_cast<std::size_t>(rank)].for_each([&](i64 cell, i64) {
+              const i64 t = (cell - p.dsec.lower) / p.dsec.stride;
+              out[i++] = static_cast<double>(o.ramp_lower + t * o.ramp_stride);
+            });
+            r.cur = r.buf;
+            break;
+          }
+          case bc::Op::kLaneNeg: {
+            Reg& r = regs[ip->a];
+            const double* x = r.cur;
+            double* o = r.buf;
+            for (std::size_t i = 0; i < cnt; ++i) o[i] = -x[i];
+            r.cur = o;
+            break;
+          }
+          case bc::Op::kAddVV: {
+            Reg& r = regs[ip->a];
+            const double* x = r.cur;
+            const double* y = regs[ip->b].cur;
+            double* o = r.buf;
+            for (std::size_t i = 0; i < cnt; ++i) o[i] = x[i] + y[i];
+            r.cur = o;
+            break;
+          }
+          case bc::Op::kSubVV: {
+            Reg& r = regs[ip->a];
+            const double* x = r.cur;
+            const double* y = regs[ip->b].cur;
+            double* o = r.buf;
+            for (std::size_t i = 0; i < cnt; ++i) o[i] = x[i] - y[i];
+            r.cur = o;
+            break;
+          }
+          case bc::Op::kMulVV: {
+            Reg& r = regs[ip->a];
+            const double* x = r.cur;
+            const double* y = regs[ip->b].cur;
+            double* o = r.buf;
+            for (std::size_t i = 0; i < cnt; ++i) o[i] = x[i] * y[i];
+            r.cur = o;
+            break;
+          }
+          case bc::Op::kDivVV: {
+            Reg& r = regs[ip->a];
+            const double* x = r.cur;
+            const double* y = regs[ip->b].cur;
+            double* o = r.buf;
+            for (std::size_t i = 0; i < cnt; ++i) {
+              if (y[i] == 0.0) throw dsl_error("division by zero", ip->line);
+              o[i] = x[i] / y[i];
+            }
+            r.cur = o;
+            break;
+          }
+          case bc::Op::kAddVS: {
+            Reg& r = regs[ip->a];
+            const double* x = r.cur;
+            const double sv = s[ip->b];
+            double* o = r.buf;
+            for (std::size_t i = 0; i < cnt; ++i) o[i] = x[i] + sv;
+            r.cur = o;
+            break;
+          }
+          case bc::Op::kSubVS: {
+            Reg& r = regs[ip->a];
+            const double* x = r.cur;
+            const double sv = s[ip->b];
+            double* o = r.buf;
+            for (std::size_t i = 0; i < cnt; ++i) o[i] = x[i] - sv;
+            r.cur = o;
+            break;
+          }
+          case bc::Op::kMulVS: {
+            Reg& r = regs[ip->a];
+            const double* x = r.cur;
+            const double sv = s[ip->b];
+            double* o = r.buf;
+            for (std::size_t i = 0; i < cnt; ++i) o[i] = x[i] * sv;
+            r.cur = o;
+            break;
+          }
+          case bc::Op::kDivVS: {
+            Reg& r = regs[ip->a];
+            const double* x = r.cur;
+            const double sv = s[ip->b];
+            // Every rank that owns elements raises exactly what apply_op
+            // would on its first element; the executor propagates the
+            // lowest rank's error.
+            if (sv == 0.0) throw dsl_error("division by zero", ip->line);
+            double* o = r.buf;
+            for (std::size_t i = 0; i < cnt; ++i) o[i] = x[i] / sv;
+            r.cur = o;
+            break;
+          }
+          case bc::Op::kSubSV: {
+            Reg& r = regs[ip->a];
+            const double* x = r.cur;
+            const double sv = s[ip->b];
+            double* o = r.buf;
+            for (std::size_t i = 0; i < cnt; ++i) o[i] = sv - x[i];
+            r.cur = o;
+            break;
+          }
+          case bc::Op::kDivSV: {
+            Reg& r = regs[ip->a];
+            const double* x = r.cur;
+            const double sv = s[ip->b];
+            double* o = r.buf;
+            for (std::size_t i = 0; i < cnt; ++i) {
+              if (x[i] == 0.0) throw dsl_error("division by zero", ip->line);
+              o[i] = sv / x[i];
+            }
+            r.cur = o;
+            break;
+          }
+          case bc::Op::kAddDivVVS: {
+            Reg& r = regs[ip->a];
+            const double* x = r.cur;
+            const double sv = s[ip->b];
+            const double* y = regs[ip->c].cur;
+            if (sv == 0.0) throw dsl_error("division by zero", ip->line);
+            double* o = r.buf;
+            for (std::size_t i = 0; i < cnt; ++i) {
+              const double t = x[i] + y[i];
+              o[i] = t / sv;
+            }
+            r.cur = o;
+            break;
+          }
+          case bc::Op::kStoreLanes: {
+            if (phase == Phase::kArith) {
+              materialize(ip->a);
+              break;
+            }
+            const double* x = regs[ip->a].cur;
+            if (span_mode) {
+              if (x != dspan) std::memcpy(dspan, x, cnt * sizeof(double));
+            } else {
+              kernel_scatter(*kp, dloc, x);
+            }
+            break;
+          }
+          case bc::Op::kStoreMasked: {
+            const u8 fl = ip->flags;
+            const bool vs = (fl & bc::kMaskValScalar) != 0;
+            const bool lsc = (fl & bc::kMaskLhsScalar) != 0;
+            const bool rsc = (fl & bc::kMaskRhsScalar) != 0;
+            if (phase == Phase::kArith) {
+              if (!vs) materialize(ip->a);
+              if (!lsc) materialize(ip->b);
+              if (!rsc) materialize(ip->c);
+              break;
+            }
+            const double* xv = vs ? nullptr : regs[ip->a].cur;
+            const double* lv = lsc ? nullptr : regs[ip->b].cur;
+            const double* rv = rsc ? nullptr : regs[ip->c].cur;
+            const double xs = vs ? s[ip->a] : 0.0;
+            const double lsv = lsc ? s[ip->b] : 0.0;
+            const double rsv = rsc ? s[ip->c] : 0.0;
+            const i32 rel = ip->aux;
+            std::size_t i = 0;
+            kernel_for_each_local(*kp, [&](i64 la) {
+              const double x = lsc ? lsv : lv[i];
+              const double y = rsc ? rsv : rv[i];
+              bool h = false;
+              switch (rel) {
+                case bc::kLT: h = x < y; break;
+                case bc::kGT: h = x > y; break;
+                case bc::kLE: h = x <= y; break;
+                case bc::kGE: h = x >= y; break;
+                case bc::kEQ: h = x == y; break;
+                default: h = x != y; break;
+              }
+              if (h) dloc[la] = vs ? xs : xv[i];
+              ++i;
+            });
+            break;
+          }
+          case bc::Op::kReduceLanes: {
+            const double* x = regs[ip->b].cur;
+            double acc = x[0];
+            switch (ip->c) {
+              case bc::kRedSum:
+                for (std::size_t i = 1; i < cnt; ++i) acc = acc + x[i];
+                break;
+              case bc::kRedMin:
+                for (std::size_t i = 1; i < cnt; ++i) acc = acc < x[i] ? acc : x[i];
+                break;
+              default:  // kRedMax
+                for (std::size_t i = 1; i < cnt; ++i) acc = acc > x[i] ? acc : x[i];
+                break;
+            }
+            *partial = acc;
+            *seen = 1;
+            break;
+          }
+          case bc::Op::kScalarVar:
+          case bc::Op::kReduceSec:
+          case bc::Op::kScalarNeg:
+          case bc::Op::kScalarBin:
+          case bc::Op::kLoadSection:
+          case bc::Op::kLoadShift:
+          case bc::Op::kLoadRegion:
+            break;  // prelude and load ops: never placed in the lane stream
+        }
       }
-      for (; a < end; a += k, slot += w) stage[a - base] = hl[slot];
-    }
-    r.cur = stage;
-  }
-}
-  VM_NEXT;
-
-vm_lane_ramp: {
-  const bc::Operand& o = p.operands[static_cast<std::size_t>(ip->aux)];
-  Reg& r = regs[ip->a];
-  double* out = r.buf;
-  std::size_t i = 0;
-  p.plans[static_cast<std::size_t>(rank)].for_each([&](i64 cell, i64) {
-    const i64 t = (cell - p.dsec.lower) / p.dsec.stride;
-    out[i++] = static_cast<double>(o.ramp_lower + t * o.ramp_stride);
-  });
-  r.cur = r.buf;
-}
-  VM_NEXT;
-
-vm_lane_neg: {
-  Reg& r = regs[ip->a];
-  const double* x = r.cur;
-  double* o = r.buf;
-  for (std::size_t i = 0; i < cnt; ++i) o[i] = -x[i];
-  r.cur = o;
-}
-  VM_NEXT;
-
-vm_add_vv: {
-  Reg& r = regs[ip->a];
-  const double* x = r.cur;
-  const double* y = regs[ip->b].cur;
-  double* o = r.buf;
-  for (std::size_t i = 0; i < cnt; ++i) o[i] = x[i] + y[i];
-  r.cur = o;
-}
-  VM_NEXT;
-
-vm_sub_vv: {
-  Reg& r = regs[ip->a];
-  const double* x = r.cur;
-  const double* y = regs[ip->b].cur;
-  double* o = r.buf;
-  for (std::size_t i = 0; i < cnt; ++i) o[i] = x[i] - y[i];
-  r.cur = o;
-}
-  VM_NEXT;
-
-vm_mul_vv: {
-  Reg& r = regs[ip->a];
-  const double* x = r.cur;
-  const double* y = regs[ip->b].cur;
-  double* o = r.buf;
-  for (std::size_t i = 0; i < cnt; ++i) o[i] = x[i] * y[i];
-  r.cur = o;
-}
-  VM_NEXT;
-
-vm_div_vv: {
-  Reg& r = regs[ip->a];
-  const double* x = r.cur;
-  const double* y = regs[ip->b].cur;
-  double* o = r.buf;
-  for (std::size_t i = 0; i < cnt; ++i) {
-    if (y[i] == 0.0) throw dsl_error("division by zero", ip->line);
-    o[i] = x[i] / y[i];
-  }
-  r.cur = o;
-}
-  VM_NEXT;
-
-vm_add_vs: {
-  Reg& r = regs[ip->a];
-  const double* x = r.cur;
-  const double sv = s[ip->b];
-  double* o = r.buf;
-  for (std::size_t i = 0; i < cnt; ++i) o[i] = x[i] + sv;
-  r.cur = o;
-}
-  VM_NEXT;
-
-vm_sub_vs: {
-  Reg& r = regs[ip->a];
-  const double* x = r.cur;
-  const double sv = s[ip->b];
-  double* o = r.buf;
-  for (std::size_t i = 0; i < cnt; ++i) o[i] = x[i] - sv;
-  r.cur = o;
-}
-  VM_NEXT;
-
-vm_mul_vs: {
-  Reg& r = regs[ip->a];
-  const double* x = r.cur;
-  const double sv = s[ip->b];
-  double* o = r.buf;
-  for (std::size_t i = 0; i < cnt; ++i) o[i] = x[i] * sv;
-  r.cur = o;
-}
-  VM_NEXT;
-
-vm_div_vs: {
-  Reg& r = regs[ip->a];
-  const double* x = r.cur;
-  const double sv = s[ip->b];
-  // Every rank that owns elements raises exactly what apply_op would on
-  // its first element; the executor propagates the lowest rank's error.
-  if (sv == 0.0) throw dsl_error("division by zero", ip->line);
-  double* o = r.buf;
-  for (std::size_t i = 0; i < cnt; ++i) o[i] = x[i] / sv;
-  r.cur = o;
-}
-  VM_NEXT;
-
-vm_sub_sv: {
-  Reg& r = regs[ip->a];
-  const double* x = r.cur;
-  const double sv = s[ip->b];
-  double* o = r.buf;
-  for (std::size_t i = 0; i < cnt; ++i) o[i] = sv - x[i];
-  r.cur = o;
-}
-  VM_NEXT;
-
-vm_div_sv: {
-  Reg& r = regs[ip->a];
-  const double* x = r.cur;
-  const double sv = s[ip->b];
-  double* o = r.buf;
-  for (std::size_t i = 0; i < cnt; ++i) {
-    if (x[i] == 0.0) throw dsl_error("division by zero", ip->line);
-    o[i] = sv / x[i];
-  }
-  r.cur = o;
-}
-  VM_NEXT;
-
-vm_muladd_vsv: {
-  Reg& r = regs[ip->a];
-  const double* x = r.cur;
-  const double sv = s[ip->b];
-  const double* y = regs[ip->c].cur;
-  double* o = r.buf;
-  for (std::size_t i = 0; i < cnt; ++i) {
-    const double t = x[i] * sv;  // explicit intermediate: no FMA contraction
-    o[i] = t + y[i];
-  }
-  r.cur = o;
-}
-  VM_NEXT;
-
-vm_mulsub_vsv: {
-  Reg& r = regs[ip->a];
-  const double* x = r.cur;
-  const double sv = s[ip->b];
-  const double* y = regs[ip->c].cur;
-  double* o = r.buf;
-  for (std::size_t i = 0; i < cnt; ++i) {
-    const double t = x[i] * sv;
-    o[i] = t - y[i];
-  }
-  r.cur = o;
-}
-  VM_NEXT;
-
-vm_adddiv_vvs: {
-  Reg& r = regs[ip->a];
-  const double* x = r.cur;
-  const double sv = s[ip->b];
-  const double* y = regs[ip->c].cur;
-  if (sv == 0.0) throw dsl_error("division by zero", ip->line);
-  double* o = r.buf;
-  for (std::size_t i = 0; i < cnt; ++i) {
-    const double t = x[i] + y[i];
-    o[i] = t / sv;
-  }
-  r.cur = o;
-}
-  VM_NEXT;
-
-vm_muladd_vss: {
-  Reg& r = regs[ip->a];
-  const double* x = r.cur;
-  const double sv = s[ip->b];
-  const double cv = s[ip->c];
-  double* o = r.buf;
-  for (std::size_t i = 0; i < cnt; ++i) {
-    const double t = x[i] * sv;
-    o[i] = t + cv;
-  }
-  r.cur = o;
-}
-  VM_NEXT;
-
-vm_store: {
-  if (phase == Phase::kArith) {
-    materialize(ip->a);
-    goto vm_run_done;
-  }
-  const double* x = regs[ip->a].cur;
-  if (span_mode) {
-    if (x != dspan) std::memcpy(dspan, x, cnt * sizeof(double));
-  } else {
-    kernel_scatter(*kp, dloc, x);
-  }
-  goto vm_run_done;
-}
-
-vm_store_masked: {
-  const u8 fl = ip->flags;
-  const bool vs = (fl & bc::kMaskValScalar) != 0;
-  const bool lsc = (fl & bc::kMaskLhsScalar) != 0;
-  const bool rsc = (fl & bc::kMaskRhsScalar) != 0;
-  if (phase == Phase::kArith) {
-    if (!vs) materialize(ip->a);
-    if (!lsc) materialize(ip->b);
-    if (!rsc) materialize(ip->c);
-    goto vm_run_done;
-  }
-  const double* xv = vs ? nullptr : regs[ip->a].cur;
-  const double* lv = lsc ? nullptr : regs[ip->b].cur;
-  const double* rv = rsc ? nullptr : regs[ip->c].cur;
-  const double xs = vs ? s[ip->a] : 0.0;
-  const double lsv = lsc ? s[ip->b] : 0.0;
-  const double rsv = rsc ? s[ip->c] : 0.0;
-  const i32 rel = ip->aux;
-  std::size_t i = 0;
-  kernel_for_each_local(*kp, [&](i64 la) {
-    const double x = lsc ? lsv : lv[i];
-    const double y = rsc ? rsv : rv[i];
-    bool h = false;
-    switch (rel) {
-      case bc::kLT: h = x < y; break;
-      case bc::kGT: h = x > y; break;
-      case bc::kLE: h = x <= y; break;
-      case bc::kGE: h = x >= y; break;
-      case bc::kEQ: h = x == y; break;
-      default: h = x != y; break;
-    }
-    if (h) dloc[la] = vs ? xs : xv[i];
-    ++i;
-  });
-  goto vm_run_done;
-}
-
-vm_reduce: {
-  const double* x = regs[ip->b].cur;
-  double acc = x[0];
-  switch (ip->c) {
-    case bc::kRedSum:
-      for (std::size_t i = 1; i < cnt; ++i) acc = acc + x[i];
-      break;
-    case bc::kRedMin:
-      for (std::size_t i = 1; i < cnt; ++i) acc = acc < x[i] ? acc : x[i];
-      break;
-    default:  // kRedMax
-      for (std::size_t i = 1; i < cnt; ++i) acc = acc > x[i] ? acc : x[i];
-      break;
-  }
-  *partial = acc;
-  *seen = 1;
-  goto vm_run_done;
-}
-
-      vm_run_done:
-        off += cnt;
+      off += cnt;
     }
   }
-  return;
-
-vm_bad:
-  // Unreachable by construction: the compiler never places non-lane opcodes
-  // in the lane stream.
-  return;
-
-#undef VM_NEXT
-#undef VM_DISPATCH
 }
 
 }  // namespace
@@ -1678,7 +1465,7 @@ std::shared_ptr<const bc::CompiledProgram> JitEngine::program_for(
   JitCompiler jc(m_);
   try {
     if (assign != nullptr) {
-      prog = jc.compile_assign(assign->target, *assign->value, assign->line);
+      prog = jc.compile_assign(assign->target, *assign->value);
     } else if (where != nullptr) {
       prog = jc.compile_where(*where);
     } else {
@@ -1752,27 +1539,6 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
                                       : p.scalar_target + " = reduce " + p.target + p.shape()) +
              " [" + std::to_string(p.lanes.size()) + " lane instrs, " +
              std::to_string(p.loads.size()) + " loads]");
-  }
-
-  // Control-phase terminals (no lane vectors at all).
-  const bc::Instr& term = p.lanes.back();
-  if (term.op == bc::Op::kFillDst) {
-    if (p.nd()) {
-      fill_region(*dst.dn, p.dregion, s[term.a], exec);
-    } else {
-      fill_section(*dst.d1, p.dsec, s[term.a], exec);
-    }
-    return;
-  }
-  if (term.op == bc::Op::kCopyDst) {
-    const bc::Operand& o = p.operands[static_cast<std::size_t>(term.aux)];
-    const Machine::ArrayInfo& src = m_.lookup(o.array, term.line);
-    if (p.nd()) {
-      copy_region(*src.dn, o.region, *dst.dn, p.dregion, exec);
-    } else {
-      copy_section(*src.d1, o.sec, *dst.d1, p.dsec, exec);
-    }
-    return;
   }
 
   // Load phase: land remote operands in destination-shaped scratch arrays
@@ -1869,6 +1635,7 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
     run_lanes(p, rank, s, src.data() + r * nsrc, len.data() + r * nsrc, dloc[r], arena_[r],
               partial.data() + rank, seen.data() + rank, phase);
   };
+  const bc::Instr& term = p.lanes.back();
   const bool guarded = p.lanes_may_throw && term.op != bc::Op::kReduceLanes;
   CYCLICK_SPAN("jit.lanes", obs::kMainTid);
   if (guarded) {
@@ -1905,6 +1672,9 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
 }
 
 bool JitEngine::try_assign(const AssignStmt& s) {
+  // Fills and bare copies are one runtime call on either tier: no key, no
+  // program, and no fallback to count.
+  if (runtime_assign(*s.value)) return false;
   JitCompiler keyer(m_);
   const auto key = keyer.key_assign(s);
   if (!key) {
@@ -1952,10 +1722,11 @@ bool JitEngine::try_scalar_assign(const ScalarAssignStmt& s) {
   return true;
 }
 
-std::string JitEngine::listing_for(const SectionRef& target, const Expr& value, int line) {
+std::string JitEngine::listing_for(const SectionRef& target, const Expr& value) {
+  if (runtime_assign(value)) return std::string();
   JitCompiler jc(m_);
   try {
-    const auto prog = jc.compile_assign(target, value, line);
+    const auto prog = jc.compile_assign(target, value);
     return prog ? prog->listing() : std::string();
   } catch (const BailOut&) {
     return std::string();

@@ -1,7 +1,8 @@
 // Jit tier driver: compiles DSL statements into bytecode programs
 // (compiler/bytecode.hpp) keyed in the process-wide ProgramCache, and
-// executes them with a computed-goto dispatch loop over per-rank lane
-// vectors backed by the pattern kernels.
+// executes them with a switch dispatch loop over per-rank lane vectors
+// backed by the pattern kernels. Fills and bare section copies compile to
+// nothing: both tiers run them as one fill_*/copy_section/copy_region call.
 //
 // Stencil operands — the target section or region shifted by less than a
 // block along one dimension, like heat2d's U(i±1, j) and U(i, j±1) — read
@@ -25,21 +26,26 @@
 
 namespace cyclick::dsl {
 
+/// True when `target = value` is a fill (scalar-shaped value) or a bare
+/// section copy: one runtime call on either tier, with no bytecode program.
+[[nodiscard]] bool runtime_assign(const Expr& value);
+
 class JitEngine {
  public:
   explicit JitEngine(Machine& machine) : m_(machine) {}
 
   /// Compile (or fetch from cache) and execute a statement under the
   /// bytecode tier. Returns false — with no side effects — when the
-  /// statement is not bytecode-compilable; runtime errors (division by
-  /// zero, unknown scalars) throw the same dsl_error the interpreter would.
+  /// statement is not bytecode-compilable, or is a runtime assignment;
+  /// runtime errors (division by zero, unknown scalars) throw the same
+  /// dsl_error the interpreter would.
   bool try_assign(const AssignStmt& s);
   bool try_where(const WhereStmt& s);
   bool try_scalar_assign(const ScalarAssignStmt& s);
 
   /// Disassembly of the program `target = value` compiles to, or "" when
-  /// the statement falls back to the interpreter tier.
-  std::string listing_for(const SectionRef& target, const Expr& value, int line);
+  /// it compiles to none.
+  std::string listing_for(const SectionRef& target, const Expr& value);
 
  private:
   std::shared_ptr<const bc::CompiledProgram> program_for(

@@ -5,8 +5,8 @@
 // through lexer->parser->machine under BOTH execution tiers, and require
 // (a) each tier matches a simple reference simulator driven by the same
 // random choices and (b) the two tiers agree byte for byte — the bytecode
-// tier's fused superinstructions must not change a single bit relative to
-// the tree-walking interpreter.
+// tier's lane passes (its fused stencil average included) must not change a
+// single bit relative to the tree-walking interpreter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -147,7 +147,7 @@ class ProgramFuzzer {
     auto& dst = pick(tob);
     switch (rng_() % 3) {
       case 0:
-        // dst = A(s1) * c - B(s2): the single fused copy+axpy shape.
+        // dst = A(s1) * c - B(s2): a scaled difference (mul.vs, sub.vv).
         src_ << dn << d.str() << " = A" << s1.str() << " * " << c << " - B" << s2.str()
              << "\n";
         for (i64 t = 0; t < d.size(); ++t)

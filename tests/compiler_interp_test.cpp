@@ -473,6 +473,7 @@ TEST(Interp, LoweringTraceRecordsRuntimeOps) {
   machine.run_source(std::string(kPrologue) + R"(
 A(0:319) = 1
 B(1:318) = (A(0:317) + A(2:319)) / 2
+A(0:317) = B(2:319)
 redistribute B onto P cyclic(5)
 )");
   const std::string& tr = machine.trace_log();
@@ -482,6 +483,15 @@ redistribute B onto P cyclic(5)
   EXPECT_NE(tr.find("combine local '+'"), std::string::npos) << tr;
   EXPECT_NE(tr.find("store local from temp"), std::string::npos) << tr;
   EXPECT_NE(tr.find("messages="), std::string::npos) << tr;
+  // A bare copy is one copy_section: a single copy line with its plan, and
+  // no temporary to store from.
+  const std::size_t copy_at = tr.find("assign A(0:317:1)");
+  ASSERT_NE(copy_at, std::string::npos) << tr;
+  const std::string copy = tr.substr(copy_at, tr.find("redistribute", copy_at) - copy_at);
+  const std::size_t copy_line = copy.find("  copy B(2:319:1) -> A(0:317:1)  [messages=");
+  EXPECT_NE(copy_line, std::string::npos) << copy;
+  EXPECT_EQ(copy.find("copy ", copy_line + 3), std::string::npos) << copy;
+  EXPECT_EQ(copy.find("store local from temp"), std::string::npos) << copy;
   // The remap runs a plan too, and its own line reports that plan.
   const std::size_t at = tr.find("redistribute B -> cyclic(5)");
   ASSERT_NE(at, std::string::npos) << tr;
@@ -552,7 +562,10 @@ TEST(Tier, ExplainListsCompiledBytecode) {
   machine.run_source(std::string(kPrologue) +
                      "explain B(0:318:2) = A(0:318:2) * 2 + 1\n");
   const std::string& out = machine.output();
-  EXPECT_NE(out.find("muladd.vss"), std::string::npos) << out;  // fused a*s+c
+  // a*s + c is two lane passes, mul.vs then add.vs.
+  const std::size_t mul = out.find("mul.vs");
+  ASSERT_NE(mul, std::string::npos) << out;
+  EXPECT_NE(out.find("add.vs", mul), std::string::npos) << out;
   EXPECT_NE(out.find("lanes:"), std::string::npos) << out;
   EXPECT_NE(out.find("kernels:"), std::string::npos) << out;
   EXPECT_NE(out.find("fusion:"), std::string::npos) << out;
@@ -622,18 +635,24 @@ explain M(1:6, 1:6) = (M(1:6, 0:5) + N(1:6, 2:7)) / 3
 
 TEST(Tier, ExplainReportsInterpreterFallback) {
   // Targets with a non-identity alignment are not compiled; the explain
-  // form says so instead of printing a listing.
+  // form says so instead of printing a listing. Fills and bare copies
+  // compile on no target: both tiers run them as one runtime call.
   Machine machine;
   machine.run_source(R"(
 processors G(2, 2)
 template T(8, 16)
 distribute T onto G cyclic(2) cyclic(2)
 array M(8, 8) align with T(i, 2*j)
+explain M(0:7, 0:7) = M(0:7, 0:7) + 5
 explain M(0:7, 0:7) = 5
+explain M(1:7, 0:7) = M(0:6, 0:7)
 )");
-  EXPECT_NE(machine.output().find("falls back to the interpreter tier"),
+  const std::string& out = machine.output();
+  EXPECT_NE(out.find("explain M: statement falls back to the interpreter tier\n"
+                     "explain M: statement runs as a runtime fill/copy (no bytecode program)\n"
+                     "explain M: statement runs as a runtime fill/copy (no bytecode program)\n"),
             std::string::npos)
-      << machine.output();
+      << out;
 }
 
 TEST(Tier, ExplainListsRegionProgram) {
