@@ -1,19 +1,21 @@
-// AddressEngine dispatch benchmark: for one section shape per strategy
-// class, compare the engine's classified traversal (run_section_auto — the
-// loop shape the dispatch layer picks) against the forced general-lattice
-// walk (per-element nav through the full offset tables, the shape every
-// section would get without classification).
+// AddressEngine dispatch benchmark: for one section shape per paper case,
+// compare the engine's classified traversal (run_section_auto — the loop
+// shape the access class picks) against a forced general walk: the
+// Figure 8(d) offset-indexed node code (per-element delta / next-offset
+// nav, from SectionPlan::offset_tables(), which the engine derives from
+// its Theorem-3 period), the shape every section would get without
+// classification.
 //
 // The fill workload writes one value per owned element; timing is the
 // paper's max-over-ranks discipline. `--json` writes
-// BENCH_engine_dispatch.json; the CI perf-smoke gate asserts the dense-runs
-// row's speedup there.
+// BENCH_engine_dispatch.json; the CI perf-smoke gate asserts the
+// dense-runs row's speedup there.
 #include <vector>
 
 #include "bench_common.hpp"
 #include "cyclick/codegen/node_loop.hpp"
 #include "cyclick/core/engine.hpp"
-#include "cyclick/core/lattice_addresser.hpp"
+#include "cyclick/core/kernels.hpp"
 
 namespace {
 
@@ -21,32 +23,30 @@ using namespace cyclick;
 using namespace cyclick::bench;
 
 struct Config {
-  const char* label;
+  const char* label;  ///< the paper case the shape stands for
+  AccessClass cls;    ///< the class the engine must pick for it
   i64 p, k, s, accesses;
 };
 
-// The general-lattice node code, applied unconditionally: find the start,
-// then one table-nav step (delta / dglobal / next_offset) per element. The
-// full tables cover the degenerate classes too (identity next, fixed
-// steps), so this is exactly what every class would cost without dispatch.
+// The general node code, applied unconditionally: plan the start, build the
+// offset-indexed tables, then one table-nav step (delta / next_offset) per
+// element. The tables cover every class (identity next for fixed steps,
+// unit gaps for runs), so this is what every class would cost without
+// dispatch.
 i64 run_forced_general(const BlockCyclic& dist, const RegularSection& sec, i64 proc,
                        std::span<double> local, double value) {
-  const RegularSection asc = sec.ascending();
-  const auto si = find_start(dist, asc.lower, asc.stride, proc);
-  if (!si || si->start_global > asc.upper) return 0;
-  const auto t = AddressEngine::global().tables(dist, asc.stride);
-  i64 g = si->start_global;
-  i64 la = dist.local_index(g);
-  i64 q = dist.block_offset(g);
-  i64 count = 0;
-  while (g <= asc.upper) {
+  const SectionPlan plan = AddressEngine::global().plan(dist, sec, proc);
+  if (plan.empty()) return 0;
+  const OffsetTables t = plan.offset_tables();
+  const i64 n = compile_kernel(plan).count();
+  i64 la = sec.stride > 0 ? plan.first_local() : plan.last_local();
+  i64 q = t.start_offset;
+  for (i64 i = 0; i < n; ++i) {
     local[static_cast<std::size_t>(la)] = value;
-    ++count;
-    la += t->offsets.delta[static_cast<std::size_t>(q)];
-    g += t->dglobal[static_cast<std::size_t>(q)];
-    q = t->offsets.next_offset[static_cast<std::size_t>(q)];
+    la += t.delta[static_cast<std::size_t>(q)];
+    q = t.next_offset[static_cast<std::size_t>(q)];
   }
-  return count;
+  return n;
 }
 
 }  // namespace
@@ -59,31 +59,34 @@ int main(int argc, char** argv) {
   // DRAM-sensitive, and max-over-ranks amplifies a single noisy rank.
   const int repeats = 15;
 
-  // One representative shape per strategy class (section lower 0, the
-  // access count fixed so every row does comparable work).
+  // One representative shape per paper case (section lower 0, the access
+  // count fixed so every row does comparable work): one processor, |s| == 1,
+  // k == 1, gcd(|s|, pk) >= k, the ICS'94 case |s| mod pk < k, and the
+  // general lattice.
+  using C = AccessClass;
   const Config configs[] = {
-      {"trivial-local", 1, 64, 3, 500'000},
-      {"dense-runs", 16, 64, 1, 2'000'000},
-      {"pure-cyclic", 16, 1, 3, 1'000'000},
-      {"fixed-step", 16, 8, 16, 1'000'000},
-      {"hiranandani", 16, 64, 35, 500'000},
-      {"general-lattice", 16, 64, 67, 250'000},
+      {"trivial-local", C::kFixedStep, 1, 64, 3, 500'000},
+      {"dense-runs", C::kRuns, 16, 64, 1, 2'000'000},
+      {"pure-cyclic", C::kFixedStep, 16, 1, 3, 1'000'000},
+      {"fixed-step", C::kFixedStep, 16, 8, 16, 1'000'000},
+      {"hiranandani", C::kPeriodic, 16, 64, 35, 500'000},
+      {"general-lattice", C::kPeriodic, 16, 64, 67, 250'000},
   };
 
-  std::cout << "AddressEngine dispatch vs forced general-lattice walk "
+  std::cout << "AddressEngine dispatch vs forced offset-indexed walk "
                "(fill workload, max over ranks, best of "
             << repeats << ")\n\n";
 
-  TextTable table({"label", "p", "k", "s", "n", "strategy", "engine_us", "general_us",
+  TextTable table({"label", "p", "k", "s", "n", "class", "engine_us", "general_us",
                    "speedup"});
   bool ok = true;
   for (const Config& c : configs) {
     const BlockCyclic dist(c.p, c.k);
     const RegularSection sec{0, (c.accesses - 1) * c.s, c.s};
-    const AddressStrategy strategy = AddressEngine::classify(dist, c.s);
-    if (std::string(address_strategy_name(strategy)) != c.label) {
-      std::cerr << "CONFIG ERROR: " << c.label << " classified as "
-                << address_strategy_name(strategy) << "\n";
+    const AccessClass cls = AddressEngine::classify(dist, c.s);
+    if (cls != c.cls) {
+      std::cerr << "CONFIG ERROR: " << c.label << " classified as " << access_class_name(cls)
+                << ", expected " << access_class_name(c.cls) << "\n";
       ok = false;
       continue;
     }
@@ -121,7 +124,7 @@ int main(int argc, char** argv) {
     });
 
     table.add_row({c.label, TextTable::num(c.p), TextTable::num(c.k), TextTable::num(c.s),
-                   TextTable::num(c.accesses), address_strategy_name(strategy),
+                   TextTable::num(c.accesses), access_class_name(cls),
                    TextTable::fixed(engine_us, 1), TextTable::fixed(general_us, 1),
                    TextTable::fixed(general_us / engine_us, 2)});
   }

@@ -34,7 +34,7 @@ template <typename T, typename Body>
 i64 run_table_free(const BlockCyclic& dist, i64 lower, i64 stride, i64 proc,
                    std::span<T> local, i64 last, Body&& body) {
   i64 count = 0;
-  for (LocalAccessIterator it = AddressEngine::global().stream(dist, lower, stride, proc);
+  for (LocalAccessIterator it = LocalAccessIterator(dist, lower, stride, proc);
        !it.done() && it.local() <= last; it.advance()) {
     body(local[static_cast<std::size_t>(it.local())]);
     ++count;
@@ -73,7 +73,7 @@ i64 run_section_auto(const BlockCyclic& dist, const RegularSection& sec, i64 pro
   // keep traversal order unless the class is run-copy (whose old contiguous
   // fast path already ran runs low-to-high).
   const KernelPlan kp = compile_kernel(plan);
-  if (kp.bulk() && (sec.stride > 0 || kp.cls() == KernelClass::kRunCopy)) {
+  if (kp.bulk() && (sec.stride > 0 || kp.cls() == AccessClass::kRuns)) {
     kernel_for_each_local(kp, [&](i64 la) { body(local[static_cast<std::size_t>(la)]); });
     return kp.count();
   }

@@ -181,7 +181,7 @@ std::string CompiledProgram::listing() const {
   if (!kernels.empty()) {
     ss << "  kernels:\n";
     for (std::size_t r = 0; r < kernels.size(); ++r)
-      ss << "    rank " << r << ": " << kernel_class_name(kernels[r].cls())
+      ss << "    rank " << r << ": " << access_class_name(kernels[r].cls())
          << " count=" << kernels[r].count() << '\n';
   }
   if (nd()) {

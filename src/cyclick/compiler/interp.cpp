@@ -899,10 +899,8 @@ void Machine::exec(const ExplainStmt& s) {
       const DimMapping& dm = arr.mapping().dim(d);
       const RegularSection image = dm.align.image(region[d]).ascending();
       ss << " dim " << d << " " << region[d].to_string() << " over cyclic("
-         << dm.dist.block_size() << ") x " << dm.dist.procs() << ", dispatch "
-         << address_strategy_name(AddressEngine::classify(dm.dist, image.stride))
-         << ", kernel " << kernel_class_name(kernel_class_for(dm.dist, image.stride))
-         << ":\n";
+         << dm.dist.block_size() << ") x " << dm.dist.procs() << ", class "
+         << access_class_name(AddressEngine::classify(dm.dist, image.stride)) << ":\n";
       for (i64 c = 0; c < dm.dist.procs(); ++c) {
         const SectionPlan plan = AddressEngine::global().plan(dm.dist, image, c);
         if (plan.empty()) {
@@ -925,10 +923,9 @@ void Machine::exec(const ExplainStmt& s) {
   const BlockCyclic& dist = arr.dist();
   std::ostringstream ss;
   ss << "explain " << s.section.array << sec.to_string() << " on " << dist.procs()
-     << " processors [cyclic(" << dist.block_size() << ")], dispatch "
-     << address_strategy_name(AddressEngine::classify(dist, sec.stride * arr.alignment().a))
-     << ", kernel "
-     << kernel_class_name(kernel_class_for(dist, sec.stride * arr.alignment().a)) << ":\n";
+     << " processors [cyclic(" << dist.block_size() << ")], class "
+     << access_class_name(AddressEngine::classify(dist, sec.stride * arr.alignment().a))
+     << ":\n";
   for (i64 m = 0; m < dist.procs(); ++m) {
     const AlignedAccessPattern pat =
         compute_aligned_pattern(dist, arr.alignment(), arr.size(), sec, m);

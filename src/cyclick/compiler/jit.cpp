@@ -610,7 +610,7 @@ struct JitCompiler {
       if (in.op == bc::Op::kLaneRamp) return "the statement has a forall index ramp";
     }
     for (const KernelPlan& kp : p.kernels)
-      if (kp.count() > 0 && kp.cls() != KernelClass::kRunCopy)
+      if (kp.count() > 0 && kp.cls() != AccessClass::kRuns)
         return "a rank's share is not one dense run";
     return nullptr;
   }
@@ -1106,7 +1106,7 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
       kp != nullptr ? std::span<const bc::Run>(&one, one.len > 0 ? 1 : 0)
                     : std::span<const bc::Run>(p.runs[static_cast<std::size_t>(rank)]);
   if (runs.empty()) return;
-  const bool span_mode = kp == nullptr || kp->cls() == KernelClass::kRunCopy;
+  const bool span_mode = kp == nullptr || kp->cls() == AccessClass::kRuns;
   const std::size_t scratch0 = p.operands.size();  // src index of scratch slot 0
   const std::size_t halo0 = scratch0 + static_cast<std::size_t>(p.n_scratch);
   std::size_t widest = 0;

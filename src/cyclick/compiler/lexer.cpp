@@ -1,6 +1,7 @@
 #include "cyclick/compiler/lexer.hpp"
 
 #include <cctype>
+#include <limits>
 
 namespace cyclick {
 
@@ -35,7 +36,14 @@ std::vector<Token> lex(std::string_view source) {
       std::size_t j = i;
       i64 value = 0;
       while (j < n && std::isdigit(static_cast<unsigned char>(source[j])) != 0) {
-        value = value * 10 + (source[j] - '0');
+        const i64 digit = source[j] - '0';
+        if (value > (std::numeric_limits<i64>::max() - digit) / 10) {
+          while (j < n && std::isdigit(static_cast<unsigned char>(source[j])) != 0) ++j;
+          throw dsl_error("integer literal " + std::string(source.substr(i, j - i)) +
+                              " is out of range",
+                          line);
+        }
+        value = value * 10 + digit;
         ++j;
       }
       push(TokKind::kNumber, std::string(source.substr(i, j - i)), value);

@@ -1,75 +1,59 @@
 #include "cyclick/core/engine.hpp"
 
+#include <algorithm>
+
 #include "cyclick/obs/metrics.hpp"
 #include "cyclick/support/math.hpp"
 
 namespace cyclick {
 
-const char* address_strategy_name(AddressStrategy s) noexcept {
-  switch (s) {
-    case AddressStrategy::kTrivialLocal: return "trivial-local";
-    case AddressStrategy::kDenseRuns: return "dense-runs";
-    case AddressStrategy::kPureCyclic: return "pure-cyclic";
-    case AddressStrategy::kFixedStep: return "fixed-step";
-    case AddressStrategy::kHiranandani: return "hiranandani";
-    case AddressStrategy::kGeneralLattice: return "general-lattice";
+const char* access_class_name(AccessClass c) noexcept {
+  switch (c) {
+    case AccessClass::kRuns: return "runs";
+    case AccessClass::kFixedStep: return "fixed-step";
+    case AccessClass::kPeriodic: return "periodic";
   }
   return "unknown";
 }
 
 namespace {
 
-// One obs counter per strategy class. CYCLICK_COUNT caches its registry
-// lookup in a function-local static per call site, so each class needs its
-// own textual call — hence the switch rather than a name-composing helper.
-void count_strategy(AddressStrategy s, i64 proc) {
-  switch (s) {
-    case AddressStrategy::kTrivialLocal:
-      CYCLICK_COUNT("engine.strategy.trivial_local", proc, 1);
+// One obs counter per class. CYCLICK_COUNT caches its registry lookup in a
+// function-local static per call site, so each class needs its own textual
+// call — hence the switch rather than a name-composing helper.
+void count_class(AccessClass c, i64 proc) {
+  switch (c) {
+    case AccessClass::kRuns:
+      CYCLICK_COUNT("engine.class.runs", proc, 1);
       break;
-    case AddressStrategy::kDenseRuns:
-      CYCLICK_COUNT("engine.strategy.dense_runs", proc, 1);
+    case AccessClass::kFixedStep:
+      CYCLICK_COUNT("engine.class.fixed_step", proc, 1);
       break;
-    case AddressStrategy::kPureCyclic:
-      CYCLICK_COUNT("engine.strategy.pure_cyclic", proc, 1);
-      break;
-    case AddressStrategy::kFixedStep:
-      CYCLICK_COUNT("engine.strategy.fixed_step", proc, 1);
-      break;
-    case AddressStrategy::kHiranandani:
-      CYCLICK_COUNT("engine.strategy.hiranandani", proc, 1);
-      break;
-    case AddressStrategy::kGeneralLattice:
-      CYCLICK_COUNT("engine.strategy.general_lattice", proc, 1);
+    case AccessClass::kPeriodic:
+      CYCLICK_COUNT("engine.class.periodic", proc, 1);
       break;
   }
 }
 
-// Proc-independent table construction for one (p, k, |s|) problem: the
-// full Section-6.2 offset tables plus the matching global-index gaps and
-// the inverted offset map for descending walks.
+// Proc-independent table construction for one (p, k, |s|) problem. The
+// periodic class walks each cycle of Theorem 3's offset permutation once,
+// straight from the R/L basis, then appends its copy one period on.
 std::shared_ptr<const EngineTables> build_tables(const BlockCyclic& dist, i64 mag) {
   auto t = std::make_shared<EngineTables>();
   const i64 k = dist.block_size();
   const i64 pk = dist.row_length();
-  t->procs = dist.procs();
-  t->block = k;
-  t->stride = mag;
-  t->strategy = AddressEngine::classify(dist, mag);
-  t->offsets = compute_full_offset_tables(dist, mag);
-  t->dglobal.assign(static_cast<std::size_t>(k), 0);
-  t->prev_offset.assign(static_cast<std::size_t>(k), -1);
-
-  const i64 d = gcd_i64(mag, pk);
-  if (d >= k) {
-    // Degenerate lattice: every populated offset repeats in place with a
-    // fixed global step of lcm(|s|, pk) and local step of (|s|/d)*k.
-    t->degenerate = true;
-    t->fixed_dglobal = (pk / d) * mag;
-    t->fixed_dlocal = k * (mag / d);
-    for (i64 q = 0; q < k; ++q) {
-      t->dglobal[static_cast<std::size_t>(q)] = t->fixed_dglobal;
-      t->prev_offset[static_cast<std::size_t>(q)] = q;  // next is the identity
+  t->cls = AddressEngine::classify(dist, mag);
+  if (t->cls == AccessClass::kRuns) return t;
+  if (t->cls == AccessClass::kFixedStep) {
+    if (dist.procs() == 1) {
+      // One processor: the packed local address is the global index.
+      t->step_global = t->step_local = mag;
+    } else {
+      // Degenerate lattice: every populated offset repeats in place with a
+      // global step of lcm(|s|, pk) and a local step of (|s|/d)*k.
+      const i64 d = gcd_i64(mag, pk);
+      t->step_global = (pk / d) * mag;
+      t->step_local = k * (mag / d);
     }
     return t;
   }
@@ -78,24 +62,51 @@ std::shared_ptr<const EngineTables> build_tables(const BlockCyclic& dist, i64 ma
   CYCLICK_ASSERT(basis.has_value());  // d < k guarantees the basis exists
   const i64 br = basis->r.v.b;
   const i64 bl = basis->l.v.b;
-  const i64 vr = basis->r.index * mag;
-  const i64 vl = -basis->l.index * mag;  // l.index < 0, so this is positive
-  for (i64 q = 0; q < k; ++q) {
-    i64 dg;
-    if (q + br < k) {
-      dg = vr;            // Equation 1
-    } else if (q - bl >= 0) {
-      dg = vl;            // Equation 2
-    } else {
-      dg = vl + vr;       // Equation 3
+  const i64 lr = basis->gap_r(k);
+  const i64 ll = basis->gap_minus_l(k);
+  const i64 gr = basis->r.index * mag;
+  const i64 gl = -basis->l.index * mag;  // l.index < 0, so this is positive
+  const i64 d = basis->d;
+  // next(q) is a bijection on [0, k) whose cycles are the residue classes
+  // mod d, so cycle q0 (q0 < d) holds q0, q0 + d, ... below k.
+  const auto uk = static_cast<std::size_t>(k);
+  t->slot.resize(uk);
+  t->period.resize(uk);
+  t->local_off.resize(2 * uk);
+  t->global_off.resize(2 * uk);
+  std::size_t at = 0;
+  for (i64 q0 = 0; q0 < d; ++q0) {
+    const i64 len = (k - 1 - q0) / d + 1;
+    for (i64 q = q0; q < k; q += d) t->period[static_cast<std::size_t>(q)] = len;
+    const std::size_t begin = at;
+    std::size_t copy = begin + static_cast<std::size_t>(len);
+    i64 q = q0;
+    i64 lo = 0;
+    i64 go = 0;
+    // Shift the cycle's local offsets so the offset at block offset q is at
+    // most q. A kernel's replay base (a first local address, row * k + q,
+    // minus its window's first offset) then never lies below the buffer.
+    i64 shift = -q0;
+    for (i64 i = 0; i < len; ++i, ++at) {
+      t->slot[static_cast<std::size_t>(q)] = static_cast<i64>(at);
+      t->local_off[at] = lo;
+      t->global_off[at] = go;
+      shift = std::max(shift, lo - q);
+      // Theorem 3: step by R (Equation 1) while q + br stays in the block,
+      // else by -L (Equation 2), corrected to R - L (Equation 3) when -L
+      // leaves it. Written as selects: the cycle order defeats prediction.
+      const bool r = q + br < k;
+      const bool rl = !r && q < bl;
+      q += r ? br : (rl ? br - bl : -bl);
+      lo += r ? lr : (rl ? lr + ll : ll);
+      go += r ? gr : (rl ? gr + gl : gl);
     }
-    t->dglobal[static_cast<std::size_t>(q)] = dg;
-  }
-  // next_offset is a bijection on [0, k) (each residue class mod d is
-  // cyclically permuted), so inverting it slot by slot cannot clobber.
-  for (i64 q = 0; q < k; ++q) {
-    const i64 nq = t->offsets.next_offset[static_cast<std::size_t>(q)];
-    t->prev_offset[static_cast<std::size_t>(nq)] = q;
+    for (std::size_t r = begin; r < at; ++r, ++copy) {
+      t->local_off[r] -= shift;
+      t->local_off[copy] = t->local_off[r] + lo;
+      t->global_off[copy] = t->global_off[r] + go;
+    }
+    at = copy;
   }
   return t;
 }
@@ -106,28 +117,42 @@ AccessPattern SectionPlan::make_pattern() const {
   // The section's original lower bound is asc_lo_ for ascending traversals
   // and asc_hi_ for descending ones (ascending() swaps the endpoints).
   const i64 anchor = stride_ < 0 ? asc_hi_ : asc_lo_;
-  return AddressEngine::global().pattern(dist_, anchor, stride_, proc_);
+  return compute_access_pattern_signed(dist_, anchor, stride_, proc_);
 }
 
 OffsetTables SectionPlan::offset_tables() const {
   CYCLICK_REQUIRE(!empty_, "offset tables need a nonempty plan");
-  OffsetTables t = tables_->offsets;
-  // Phase the proc-independent tables at this plan's ascending start (the
-  // Figure 8(d) node code walks local addresses upward).
-  t.start_offset = dist_.block_offset(af_global_);
-  return t;
+  const i64 k = dist_.block_size();
+  const EngineTables& t = *tables_;
+  OffsetTables out;
+  // Phased at the ascending start: the Figure 8(d) node code walks local
+  // addresses upward.
+  out.start_offset = dist_.block_offset(af_global_);
+  out.delta.resize(static_cast<std::size_t>(k));
+  out.next_offset.resize(static_cast<std::size_t>(k));
+  for (i64 q = 0; q < k; ++q) {
+    const auto uq = static_cast<std::size_t>(q);
+    i64 gap = 1;  // runs: one cell to the next (across the block edge too)
+    if (cls_ == AccessClass::kFixedStep) {
+      gap = t.step_local;
+    } else if (cls_ == AccessClass::kPeriodic) {
+      const auto j = static_cast<std::size_t>(t.slot[uq]);
+      gap = t.local_off[j + 1] - t.local_off[j];
+    }
+    out.delta[uq] = gap;
+    out.next_offset[uq] = floor_mod(q + gap, k);
+  }
+  return out;
 }
 
 AddressEngine::AddressEngine(std::size_t table_capacity) : cache_(table_capacity) {}
 
-AddressStrategy AddressEngine::classify(const BlockCyclic& dist, i64 stride) noexcept {
+AccessClass AddressEngine::classify(const BlockCyclic& dist, i64 stride) noexcept {
   const i64 mag = stride > 0 ? stride : -stride;
-  if (dist.procs() == 1) return AddressStrategy::kTrivialLocal;
-  if (mag == 1) return AddressStrategy::kDenseRuns;
-  if (dist.block_size() == 1) return AddressStrategy::kPureCyclic;
-  if (gcd_i64(mag, dist.row_length()) >= dist.block_size()) return AddressStrategy::kFixedStep;
-  if (floor_mod(mag, dist.row_length()) < dist.block_size()) return AddressStrategy::kHiranandani;
-  return AddressStrategy::kGeneralLattice;
+  if (mag == 1) return AccessClass::kRuns;
+  if (dist.procs() == 1 || gcd_i64(mag, dist.row_length()) >= dist.block_size())
+    return AccessClass::kFixedStep;
+  return AccessClass::kPeriodic;
 }
 
 std::shared_ptr<const EngineTables> AddressEngine::tables(const BlockCyclic& dist,
@@ -156,8 +181,8 @@ SectionPlan AddressEngine::plan(const BlockCyclic& dist, const RegularSection& s
   pl.dist_ = dist;
   pl.proc_ = proc;
   pl.stride_ = sec.stride;
-  pl.strategy_ = classify(dist, sec.stride);
-  count_strategy(pl.strategy_, proc);
+  pl.cls_ = classify(dist, sec.stride);
+  count_class(pl.cls_, proc);
   CYCLICK_COUNT("engine.plans", proc, 1);
   if (sec.empty()) return pl;
 
@@ -168,63 +193,50 @@ SectionPlan AddressEngine::plan(const BlockCyclic& dist, const RegularSection& s
 
   const i64 k = dist.block_size();
   const i64 pk = dist.row_length();
-  switch (pl.strategy_) {
-    case AddressStrategy::kTrivialLocal:
-      // One processor owns everything and packing is the identity, so the
-      // endpoints are the section's own (local == global, even below zero).
-      pl.af_global_ = pl.af_local_ = asc.lower;
-      pl.al_global_ = pl.al_local_ = asc.upper;
-      pl.empty_ = false;
-      return pl;
-    case AddressStrategy::kDenseRuns: {
-      // |s| == 1: first owned element at or above asc.lower and last owned
-      // element at or below asc.upper, in O(1) block arithmetic.
-      const i64 blk_lo = k * proc;
-      const i64 lo_off = floor_mod(asc.lower, pk);
-      i64 first = asc.lower;
-      if (lo_off < blk_lo) {
-        first += blk_lo - lo_off;
-      } else if (lo_off >= blk_lo + k) {
-        first += (pk - lo_off) + blk_lo;
-      }
-      const i64 hi_off = floor_mod(asc.upper, pk);
-      i64 last = asc.upper;
-      if (hi_off >= blk_lo + k) {
-        last -= hi_off - (blk_lo + k - 1);
-      } else if (hi_off < blk_lo) {
-        last -= hi_off + pk - (blk_lo + k - 1);
-      }
-      if (first > last) return pl;  // the section misses this block row
-      pl.af_global_ = first;
-      pl.af_local_ = dist.local_index(first);
-      pl.al_global_ = last;
-      pl.al_local_ = dist.local_index(last);
-      pl.empty_ = false;
-      return pl;
-    }
-    default: {
-      const auto si = find_start(dist, asc.lower, asc.stride, proc);
-      if (!si || si->start_global > asc.upper) return pl;
-      const auto last = find_last(dist, asc, proc);
-      CYCLICK_ASSERT(last.has_value());  // a start inside bounds implies a last
-      pl.af_global_ = si->start_global;
-      pl.af_local_ = dist.local_index(si->start_global);
-      pl.al_global_ = *last;
-      pl.al_local_ = dist.local_index(*last);
-      pl.empty_ = false;
-      return pl;
-    }
+  if (dist.procs() == 1) {
+    // One processor owns everything and packing is the identity, so the
+    // endpoints are the section's own (local == global, even below zero).
+    pl.af_global_ = pl.af_local_ = asc.lower;
+    pl.al_global_ = pl.al_local_ = asc.upper;
+    pl.empty_ = false;
+    return pl;
   }
-}
-
-AccessPattern AddressEngine::pattern(const BlockCyclic& dist, i64 lower, i64 stride,
-                                     i64 proc) const {
-  return compute_access_pattern_signed(dist, lower, stride, proc);
-}
-
-LocalAccessIterator AddressEngine::stream(const BlockCyclic& dist, i64 lower, i64 stride,
-                                          i64 proc) const {
-  return LocalAccessIterator(dist, lower, stride, proc);
+  if (pl.cls_ == AccessClass::kRuns) {
+    // |s| == 1: first owned element at or above asc.lower and last owned
+    // element at or below asc.upper, in O(1) block arithmetic.
+    const i64 blk_lo = k * proc;
+    const i64 lo_off = floor_mod(asc.lower, pk);
+    i64 first = asc.lower;
+    if (lo_off < blk_lo) {
+      first += blk_lo - lo_off;
+    } else if (lo_off >= blk_lo + k) {
+      first += (pk - lo_off) + blk_lo;
+    }
+    const i64 hi_off = floor_mod(asc.upper, pk);
+    i64 last = asc.upper;
+    if (hi_off >= blk_lo + k) {
+      last -= hi_off - (blk_lo + k - 1);
+    } else if (hi_off < blk_lo) {
+      last -= hi_off + pk - (blk_lo + k - 1);
+    }
+    if (first > last) return pl;  // the section misses this block row
+    pl.af_global_ = first;
+    pl.af_local_ = dist.local_index(first);
+    pl.al_global_ = last;
+    pl.al_local_ = dist.local_index(last);
+    pl.empty_ = false;
+    return pl;
+  }
+  const auto si = find_start(dist, asc.lower, asc.stride, proc);
+  if (!si || si->start_global > asc.upper) return pl;
+  const auto last = find_last(dist, asc, proc);
+  CYCLICK_ASSERT(last.has_value());  // a start inside bounds implies a last
+  pl.af_global_ = si->start_global;
+  pl.af_local_ = dist.local_index(si->start_global);
+  pl.al_global_ = *last;
+  pl.al_local_ = dist.local_index(*last);
+  pl.empty_ = false;
+  return pl;
 }
 
 AddressEngine::CacheStats AddressEngine::cache_stats() const { return cache_.stats(); }

@@ -1,25 +1,21 @@
-// Pattern-specialized bulk kernels under the AddressEngine.
+// Bulk kernels under the AddressEngine.
 //
 // A SectionPlan tells a consumer *which* local addresses to touch; this
-// layer decides *how* to touch them in bulk. Theorem 3 says the access
-// sequence is periodic with at most k distinct gaps, so every classified
-// plan compiles — once — into one of three replay shapes:
+// layer decides *how* to touch them in bulk. Each access class has one
+// replay shape:
 //
-//   class          plan shape                     lowering
-//   run-copy       dense-runs / trivial |s|==1    memcpy / std::fill_n span
-//   strided        degenerate lattice             stride-g gather/scatter,
-//                  (k==1, gcd(|s|,pk)>=k, p==1)   unroll-by-8
-//   periodic-gap   general nav tables             per-period offset vector
-//                                                 (<= k entries) replayed
-//                                                 with an unrolled
-//                                                 offset-indexed inner loop
+//   class        lowering
+//   runs         memcpy / std::fill_n over one local span
+//   fixed-step   constant-gap gather/scatter, unrolled by 8
+//   periodic     the Theorem-3 period window of the plan's start offset,
+//                read in place from the engine tables (or, for a period
+//                shorter than kPeriodTile, that window replicated into the
+//                plan), replayed with an unrolled offset-indexed loop
 //
-// The periodic-gap offset vector is tiled: the period is replicated (with
-// the per-period local advance folded in) until it covers at least
-// kKernelTileTarget elements, so short periods still amortize loop
-// overhead. Compiled patterns are cached on the EngineTables they derive
-// from — one per start offset q0 — so all ranks and phases of an SPMD loop
-// share one compilation.
+// compile_kernel counts the plan's elements in O(log k) and builds nothing
+// else: the period was laid out when the engine built its tables, and the
+// window for any start offset is a rotation of its cycle, so every rank and
+// phase of an SPMD loop replays the same immutable table.
 //
 // The movers are plain scalar loops, as in the paper's node code
 // (Figure 8), instantiated on the element type T: one path for every T,
@@ -27,87 +23,75 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <memory>
 #include <type_traits>
-#include <utility>
-#include <vector>
 
 #include "cyclick/core/engine.hpp"
 
 namespace cyclick {
 
-/// The kernel classes a SectionPlan can lower to. kScalar means "no bulk
-/// lowering" (empty plan); callers fall back to the plan's own walk.
-enum class KernelClass {
-  kScalar,       ///< no bulk shape; use SectionPlan::for_each
-  kRunCopy,      ///< one contiguous local span: memcpy / std::fill_n
-  kStrided,      ///< constant local gap: strided gather/scatter
-  kPeriodicGap,  ///< per-period offset vector replay (Theorem 3)
+/// perfbench/harness, which is versioned with the benchmark definition,
+/// spells the runs class `KernelClass::kRunCopy`; this keeps that spelling.
+struct KernelClass {
+  static constexpr AccessClass kRunCopy = AccessClass::kRuns;
 };
 
-[[nodiscard]] const char* kernel_class_name(KernelClass c) noexcept;
+/// A period shorter than this many offsets is replicated into a replay
+/// window of whole periods at least this long, so short periods still run
+/// the unrolled inner loop. On bench/kernel_throughput's period-4 row that
+/// gathers 1- and 4-byte elements about 1.5x faster than the bare period;
+/// 16 trails 64 by up to 10% at 1-byte elements, and 32 sits within 64's
+/// quartiles.
+inline constexpr i64 kPeriodTile = 32;
 
-/// Replicate the per-period offsets until a tile covers at least this many
-/// elements (whole periods only), so tiny periods still run unrolled.
-inline constexpr i64 kKernelTileTarget = 64;
-
-/// One compiled periodic access pattern: the local/global offsets of one
-/// nav-table cycle starting at offset q0 (both strictly ascending,
-/// local_off[0] == global_off[0] == 0), the per-period advances, and the
-/// tiled replica of the local offsets the inner loops actually index.
-struct PeriodicPattern {
-  i64 period = 0;          ///< cycle length k / gcd(|s|, pk)
-  i64 local_advance = 0;   ///< local-address advance per period
-  i64 global_advance = 0;  ///< global-index advance per period
-  std::vector<i64> local_off;
-  std::vector<i64> global_off;
-  i64 tile_len = 0;      ///< ceil-replicated period, >= min(tile target, period)
-  i64 tile_advance = 0;  ///< local advance per tile
-  std::vector<i64> tile_off;
-};
-
-/// The compiled kernel for one SectionPlan: class, element count, the
-/// ascending-first local address, and the class-specific replay state.
+/// The compiled kernel for one SectionPlan: the plan's class, element
+/// count, ascending-first local address, and the class's replay state.
 /// Element-type-agnostic; the typed entry points below instantiate the
 /// movers on the element type at the call site.
 class KernelPlan {
  public:
   KernelPlan() = default;
 
-  [[nodiscard]] KernelClass cls() const noexcept { return cls_; }
-  /// True when a bulk kernel exists (the plan was nonempty and classified).
-  [[nodiscard]] bool bulk() const noexcept {
-    return cls_ != KernelClass::kScalar && count_ > 0;
-  }
+  [[nodiscard]] AccessClass cls() const noexcept { return cls_; }
+  /// True when there is anything to move (the plan was nonempty).
+  [[nodiscard]] bool bulk() const noexcept { return count_ > 0; }
   [[nodiscard]] i64 count() const noexcept { return count_; }
-  /// Ascending-first local address (base of the replay).
+  /// Ascending-first local address.
   [[nodiscard]] i64 first_local() const noexcept { return first_local_; }
-  /// Constant local gap (strided class only).
+  /// Constant local gap (fixed-step class only).
   [[nodiscard]] i64 step() const noexcept { return step_; }
-  /// Compiled offsets (periodic-gap class only).
-  [[nodiscard]] const PeriodicPattern* pattern() const noexcept { return pattern_.get(); }
+  /// Periodic class: the replay window's local offsets, `period()` entries
+  /// of whole periods, read in place from the engine tables or, for a short
+  /// period, from the plan's own tile. Element i of the replay sits at
+  /// base() + (i / period) * advance() + offsets()[i % period]; base() is
+  /// never negative when the plan's local addresses are not.
+  [[nodiscard]] const i64* offsets() const noexcept {
+    return offsets_ != nullptr ? offsets_ : tile_.data();
+  }
+  [[nodiscard]] i64 period() const noexcept { return period_; }
+  [[nodiscard]] i64 advance() const noexcept { return advance_; }
+  [[nodiscard]] i64 base() const noexcept { return base_; }
 
  private:
   friend KernelPlan compile_kernel(const SectionPlan& plan);
 
-  KernelClass cls_ = KernelClass::kScalar;
+  AccessClass cls_ = AccessClass::kRuns;
   i64 count_ = 0;
   i64 first_local_ = 0;
   i64 step_ = 0;
-  std::shared_ptr<const PeriodicPattern> pattern_;
+  const i64* offsets_ = nullptr;  ///< table window; null when tile_ holds it
+  i64 period_ = 0;
+  i64 advance_ = 0;
+  i64 base_ = 0;
+  std::shared_ptr<const EngineTables> tables_;  ///< keeps offsets_ alive
+  std::array<i64, kPeriodTile> tile_{};
 };
 
-/// Compile a plan into its kernel: selects the class from the plan's
-/// strategy, derives the ascending count in O(log k), and (for the
-/// periodic-gap class) fetches or builds the cached PeriodicPattern.
-/// Counts a per-class `kernel.hit.*` tick; pattern builds open a
-/// `kernel_compile` span.
+/// Compile a plan into its kernel: the plan's class, the ascending count in
+/// O(log k), and (periodic class) the period window of the start offset.
 [[nodiscard]] KernelPlan compile_kernel(const SectionPlan& plan);
-
-/// Kernel class a (dist, stride) problem will lower to — classification
-/// only, no tables touched (for amtool / interp explain output).
-[[nodiscard]] KernelClass kernel_class_for(const BlockCyclic& dist, i64 stride) noexcept;
 
 /// Replay the kernel's local addresses in ascending order: body(la) per
 /// element. The per-element walk the fill, copy and dot kernels share.
@@ -115,29 +99,27 @@ template <typename Body>
 i64 kernel_for_each_local(const KernelPlan& kp, Body&& body) {
   const i64 n = kp.count();
   switch (kp.cls()) {
-    case KernelClass::kRunCopy: {
+    case AccessClass::kRuns: {
       const i64 first = kp.first_local();
       for (i64 i = 0; i < n; ++i) body(first + i);
       return n;
     }
-    case KernelClass::kStrided: {
+    case AccessClass::kFixedStep: {
       const i64 step = kp.step();
       i64 la = kp.first_local();
       for (i64 i = 0; i < n; ++i, la += step) body(la);
       return n;
     }
-    case KernelClass::kPeriodicGap: {
-      const PeriodicPattern& pat = *kp.pattern();
-      const i64* off = pat.tile_off.data();
-      const i64 tile = pat.tile_len;
-      i64 base = kp.first_local();
+    case AccessClass::kPeriodic: {
+      const i64* off = kp.offsets();
+      const i64 len = kp.period();
+      i64 base = kp.base();
       i64 i = 0;
-      for (; i + tile <= n; i += tile, base += pat.tile_advance)
-        for (i64 j = 0; j < tile; ++j) body(base + off[j]);
+      for (; i + len <= n; i += len, base += kp.advance())
+        for (i64 j = 0; j < len; ++j) body(base + off[j]);
       for (i64 j = 0; i < n; ++i, ++j) body(base + off[j]);
       return n;
     }
-    case KernelClass::kScalar: break;
   }
   return 0;
 }
@@ -145,7 +127,7 @@ i64 kernel_for_each_local(const KernelPlan& kp, Body&& body) {
 /// local[la] = value over the kernel's addresses (fill_section core).
 template <typename T>
 i64 kernel_fill(const KernelPlan& kp, T* local, const T& value) {
-  if (kp.cls() == KernelClass::kRunCopy) {
+  if (kp.cls() == AccessClass::kRuns) {
     std::fill_n(local + kp.first_local(), static_cast<std::size_t>(kp.count()), value);
     return kp.count();
   }
@@ -155,7 +137,7 @@ i64 kernel_fill(const KernelPlan& kp, T* local, const T& value) {
 /// out[la] = in[la] over the kernel's addresses (same-mapping copy core).
 template <typename T>
 i64 kernel_copy_same(const KernelPlan& kp, const T* in, T* out) {
-  if (kp.cls() == KernelClass::kRunCopy) {
+  if (kp.cls() == AccessClass::kRuns) {
     if constexpr (std::is_trivially_copyable_v<T>) {
       std::memcpy(out + kp.first_local(), in + kp.first_local(),
                   static_cast<std::size_t>(kp.count()) * sizeof(T));
@@ -204,7 +186,7 @@ void kernel_scatter_strided(T* base, i64 step, i64 count, const T* in) {
   for (; i < count; ++i) base[i * step] = in[i];
 }
 
-/// Periodic-offset gather outside a KernelPlan: out[j*period + r] =
+/// Periodic-offset gather: out[j*period + r] =
 /// base[j*advance + off[r]], unrolled by 4; the tail period is partial.
 /// This is also the comm-plan channel pack primitive — a channel's gap
 /// table is exactly such an offset vector (prefix sums of the gaps), so
@@ -256,23 +238,19 @@ i64 kernel_gather(const KernelPlan& kp, const T* local, T* out) {
   const i64 n = kp.count();
   if (n <= 0) return 0;
   switch (kp.cls()) {
-    case KernelClass::kRunCopy:
+    case AccessClass::kRuns:
       if constexpr (std::is_trivially_copyable_v<T>) {
         std::memcpy(out, local + kp.first_local(), static_cast<std::size_t>(n) * sizeof(T));
       } else {
         std::copy_n(local + kp.first_local(), static_cast<std::size_t>(n), out);
       }
       return n;
-    case KernelClass::kStrided:
+    case AccessClass::kFixedStep:
       kernel_gather_strided(local + kp.first_local(), kp.step(), n, out);
       return n;
-    case KernelClass::kPeriodicGap: {
-      const PeriodicPattern& pat = *kp.pattern();
-      kernel_gather_offsets(local + kp.first_local(), pat.tile_off.data(), pat.tile_len,
-                            pat.tile_advance, n, out);
+    case AccessClass::kPeriodic:
+      kernel_gather_offsets(local + kp.base(), kp.offsets(), kp.period(), kp.advance(), n, out);
       return n;
-    }
-    case KernelClass::kScalar: break;
   }
   return 0;
 }
@@ -283,23 +261,19 @@ i64 kernel_scatter(const KernelPlan& kp, T* local, const T* in) {
   const i64 n = kp.count();
   if (n <= 0) return 0;
   switch (kp.cls()) {
-    case KernelClass::kRunCopy:
+    case AccessClass::kRuns:
       if constexpr (std::is_trivially_copyable_v<T>) {
         std::memcpy(local + kp.first_local(), in, static_cast<std::size_t>(n) * sizeof(T));
       } else {
         std::copy_n(in, static_cast<std::size_t>(n), local + kp.first_local());
       }
       return n;
-    case KernelClass::kStrided:
+    case AccessClass::kFixedStep:
       kernel_scatter_strided(local + kp.first_local(), kp.step(), n, in);
       return n;
-    case KernelClass::kPeriodicGap: {
-      const PeriodicPattern& pat = *kp.pattern();
-      kernel_scatter_offsets(local + kp.first_local(), pat.tile_off.data(), pat.tile_len,
-                             pat.tile_advance, n, in);
+    case AccessClass::kPeriodic:
+      kernel_scatter_offsets(local + kp.base(), kp.offsets(), kp.period(), kp.advance(), n, in);
       return n;
-    }
-    case KernelClass::kScalar: break;
   }
   return 0;
 }
@@ -309,7 +283,7 @@ i64 kernel_scatter(const KernelPlan& kp, T* local, const T* in) {
 template <typename T>
 T kernel_dot(const KernelPlan& kp, const T* a, const T* b) {
   T acc{};
-  if (kp.cls() == KernelClass::kRunCopy) {
+  if (kp.cls() == AccessClass::kRuns) {
     const T* pa = a + kp.first_local();
     const T* pb = b + kp.first_local();
     const i64 n = kp.count();

@@ -72,7 +72,7 @@ T dot_product(const DistributedArray<T>& a, const RegularSection& asec,
       // Kernels accumulate in ascending address order; for descending
       // sections only the run-copy class matches the order the fallback
       // would use (FP sums are order-sensitive).
-      if (kp.bulk() && (asec.stride > 0 || kp.cls() == KernelClass::kRunCopy)) {
+      if (kp.bulk() && (asec.stride > 0 || kp.cls() == AccessClass::kRuns)) {
         partial[static_cast<std::size_t>(rank)] = kernel_dot(kp, la.data(), lb.data());
         return;
       }

@@ -81,6 +81,12 @@ TEST(Lexer, BangWithoutEqualsRejected) {
   EXPECT_THROW(lex("a ! b"), dsl_error);
 }
 
+TEST(Lexer, IntegerLiteralBeyondI64Rejected) {
+  EXPECT_EQ(lex("9223372036854775807").front().value, 9223372036854775807);
+  EXPECT_THROW(lex("9223372036854775808"), dsl_error);
+  EXPECT_THROW(lex("x = 99999999999999999999"), dsl_error);
+}
+
 TEST(Lexer, AdjacentEqualsDisambiguate) {
   // "===" lexes as '==' then '='.
   const auto toks = lex("===");

@@ -1,16 +1,21 @@
-// Tests for the AddressEngine dispatch layer: strategy classification,
-// SectionPlan enumeration against the exhaustive oracle across every
-// strategy class, pattern/offset-table parity with the direct Figure-5
-// entry points, and the proc-independent table cache.
+// Tests for the AddressEngine dispatch layer: classification into the
+// three access classes, SectionPlan enumeration against the exhaustive
+// oracle across every class, the period layout against the Section-6.2
+// offset tables, pattern/offset-table parity with the direct Figure-5
+// entry points, the proc-independent table cache, and concurrent planning
+// on one engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "cyclick/baselines/hiranandani.hpp"
 #include "cyclick/baselines/oracle.hpp"
 #include "cyclick/core/engine.hpp"
+#include "cyclick/core/kernels.hpp"
 #include "cyclick/core/lattice_addresser.hpp"
 
 namespace cyclick {
@@ -23,34 +28,33 @@ std::vector<Access> plan_sequence(const SectionPlan& plan) {
 }
 
 TEST(AddressEngine, ClassifyCoversEveryCondition) {
-  using S = AddressStrategy;
-  // p == 1 wins over everything.
-  EXPECT_EQ(AddressEngine::classify(BlockCyclic(1, 8), 1), S::kTrivialLocal);
-  EXPECT_EQ(AddressEngine::classify(BlockCyclic(1, 8), 9), S::kTrivialLocal);
-  EXPECT_EQ(AddressEngine::classify(BlockCyclic(1, 1), -3), S::kTrivialLocal);
-  // |s| == 1: dense contiguous runs, either direction.
-  EXPECT_EQ(AddressEngine::classify(BlockCyclic(4, 8), 1), S::kDenseRuns);
-  EXPECT_EQ(AddressEngine::classify(BlockCyclic(4, 8), -1), S::kDenseRuns);
-  // k == 1: pure cyclic.
-  EXPECT_EQ(AddressEngine::classify(BlockCyclic(4, 1), 3), S::kPureCyclic);
-  // gcd(|s|, pk) >= k: degenerate fixed step.
-  EXPECT_EQ(AddressEngine::classify(BlockCyclic(4, 8), 16), S::kFixedStep);
-  EXPECT_EQ(AddressEngine::classify(BlockCyclic(3, 4), 6), S::kFixedStep);
-  // |s| mod pk < k: the ICS'94 special case.
-  EXPECT_EQ(AddressEngine::classify(BlockCyclic(4, 8), 33), S::kHiranandani);
-  EXPECT_EQ(AddressEngine::classify(BlockCyclic(4, 8), 34), S::kHiranandani);
-  // Everything else: the general lattice.
-  EXPECT_EQ(AddressEngine::classify(BlockCyclic(4, 8), 9), S::kGeneralLattice);
-  EXPECT_EQ(AddressEngine::classify(BlockCyclic(4, 8), -9), S::kGeneralLattice);
+  using C = AccessClass;
+  // |s| == 1: contiguous runs, either direction, p == 1 included.
+  EXPECT_EQ(AddressEngine::classify(BlockCyclic(4, 8), 1), C::kRuns);
+  EXPECT_EQ(AddressEngine::classify(BlockCyclic(4, 8), -1), C::kRuns);
+  EXPECT_EQ(AddressEngine::classify(BlockCyclic(1, 8), 1), C::kRuns);
+  // p == 1: the local address is the global index, one fixed step.
+  EXPECT_EQ(AddressEngine::classify(BlockCyclic(1, 8), 9), C::kFixedStep);
+  EXPECT_EQ(AddressEngine::classify(BlockCyclic(1, 1), -3), C::kFixedStep);
+  // gcd(|s|, pk) >= k, which covers k == 1: one fixed step.
+  EXPECT_EQ(AddressEngine::classify(BlockCyclic(4, 1), 3), C::kFixedStep);
+  EXPECT_EQ(AddressEngine::classify(BlockCyclic(4, 8), 16), C::kFixedStep);
+  EXPECT_EQ(AddressEngine::classify(BlockCyclic(3, 4), 6), C::kFixedStep);
+  // Everything else, the ICS'94 case |s| mod pk < k included: periodic.
+  EXPECT_EQ(AddressEngine::classify(BlockCyclic(4, 8), 33), C::kPeriodic);
+  EXPECT_EQ(AddressEngine::classify(BlockCyclic(4, 8), 9), C::kPeriodic);
+  EXPECT_EQ(AddressEngine::classify(BlockCyclic(4, 8), -9), C::kPeriodic);
+  EXPECT_EQ(AddressEngine::classify(BlockCyclic(2, 6), 4), C::kPeriodic);
 
-  EXPECT_STREQ(address_strategy_name(S::kDenseRuns), "dense-runs");
-  EXPECT_STREQ(address_strategy_name(S::kGeneralLattice), "general-lattice");
+  EXPECT_STREQ(access_class_name(C::kRuns), "runs");
+  EXPECT_STREQ(access_class_name(C::kFixedStep), "fixed-step");
+  EXPECT_STREQ(access_class_name(C::kPeriodic), "periodic");
 }
 
-TEST(AddressEngine, PlanMatchesOracleAcrossEveryStrategy) {
-  // A deterministic grid chosen to hit all six classes, both directions,
+TEST(AddressEngine, PlanMatchesOracleAcrossEveryClass) {
+  // A deterministic grid chosen to hit all three classes, both directions,
   // negative lower bounds, and empty shares.
-  std::set<AddressStrategy> seen;
+  std::set<AccessClass> seen;
   for (i64 p : {1, 2, 4, 5}) {
     for (i64 k : {1, 3, 8}) {
       const BlockCyclic dist(p, k);
@@ -77,7 +81,7 @@ TEST(AddressEngine, PlanMatchesOracleAcrossEveryStrategy) {
       }
     }
   }
-  EXPECT_EQ(seen.size(), 6u) << "grid must exercise every strategy class";
+  EXPECT_EQ(seen.size(), 3u) << "grid must exercise every access class";
 }
 
 TEST(AddressEngine, ForEachRunFlattensToAscendingOracle) {
@@ -103,13 +107,15 @@ TEST(AddressEngine, ForEachRunFlattensToAscendingOracle) {
   }
 }
 
-TEST(AddressEngine, PatternMatchesSignedAndHiranandani) {
+TEST(AddressEngine, MakePatternMatchesSignedAndHiranandani) {
   for (i64 p : {2, 4, 5}) {
     for (i64 k : {3, 8}) {
       const BlockCyclic dist(p, k);
       for (i64 s : {2, 7, 9, 33, -9, -33, 48}) {
+        const RegularSection sec{4, 4 + 200 * s, s};
         for (i64 m = 0; m < p; ++m) {
-          const AccessPattern got = AddressEngine::global().pattern(dist, 4, s, m);
+          const SectionPlan plan = AddressEngine::global().plan(dist, sec, m);
+          const AccessPattern got = plan.make_pattern();
           EXPECT_EQ(got, compute_access_pattern_signed(dist, 4, s, m))
               << p << " " << k << " " << s << " " << m;
           if (s > 0 && hiranandani_applicable(dist, s)) {
@@ -118,6 +124,57 @@ TEST(AddressEngine, PatternMatchesSignedAndHiranandani) {
         }
       }
     }
+  }
+}
+
+TEST(AddressEngine, PeriodLayoutMatchesFullOffsetTables) {
+  // Every cycle of the offset permutation, each rotation of it, and the
+  // copy one period on must agree with the Section-6.2 tables step by
+  // step. The grid covers one cycle (gcd(|s|, pk) == 1), even cycles
+  // (p=4, k=8, s=12: {0,4} {1,5} {2,6} {3,7}) and uneven ones (p=2, k=6,
+  // s=4: {0,4} {1,5} {2} {3}).
+  struct Case {
+    i64 p, k, s;
+  };
+  for (const Case c : {Case{4, 8, 9}, Case{4, 8, 33}, Case{4, 8, 12}, Case{2, 6, 4},
+                       Case{4, 10, 8}, Case{3, 64, 35}}) {
+    const BlockCyclic dist(c.p, c.k);
+    AddressEngine engine(4);
+    const auto t = engine.tables(dist, c.s);
+    ASSERT_EQ(t->cls, AccessClass::kPeriodic);
+    const OffsetTables full = compute_full_offset_tables(dist, c.s);
+    const i64 d = gcd_i64(c.s, dist.row_length());
+    std::vector<i64> seen_slots;
+    for (i64 q = 0; q < c.k; ++q) {
+      SCOPED_TRACE(::testing::Message() << "p=" << c.p << " k=" << c.k << " s=" << c.s
+                                        << " q=" << q);
+      const auto uq = static_cast<std::size_t>(q);
+      // The cycle through q is q's residue class mod gcd(|s|, pk).
+      EXPECT_EQ(t->period[uq], (c.k - 1 - q % d) / d + 1);
+      seen_slots.push_back(t->slot[uq]);
+      const i64 len = t->period[uq];
+      const i64* lo = t->local_off.data() + t->slot[uq];
+      const i64* go = t->global_off.data() + t->slot[uq];
+      i64 r = q;
+      for (i64 i = 0; i < len; ++i) {
+        EXPECT_EQ(lo[i + 1] - lo[i], full.delta[static_cast<std::size_t>(r)]);
+        EXPECT_GT(go[i + 1], go[i]);
+        r = full.next_offset[static_cast<std::size_t>(r)];
+      }
+      EXPECT_EQ(r, q) << "the window closes after one period";
+      // The window [slot, slot + len] and the copy one period on both
+      // advance by one period's worth.
+      const i64 dl = (c.s / d) * c.k;
+      const i64 dg = (dist.row_length() / d) * c.s;
+      ASSERT_LT(t->slot[uq] + len, static_cast<i64>(t->local_off.size()));
+      EXPECT_EQ(lo[len] - lo[0], dl) << "local advance per period";
+      EXPECT_EQ(go[len] - go[0], dg) << "global advance per period";
+      // Offsets never exceed their block offset (kernel bases stay >= 0).
+      EXPECT_LE(lo[0], q);
+    }
+    std::sort(seen_slots.begin(), seen_slots.end());
+    EXPECT_EQ(std::unique(seen_slots.begin(), seen_slots.end()), seen_slots.end());
+    EXPECT_EQ(t->local_off.size(), static_cast<std::size_t>(2 * c.k));
   }
 }
 
@@ -187,11 +244,11 @@ TEST(AddressEngine, TableCacheEvictsLeastRecentlyUsed) {
 TEST(AddressEngine, RandomizedPlanPropertyGrid) {
   // Randomized (p, k, l, u, s) property check: SectionPlan::for_each must
   // reproduce the oracle byte for byte, and make_pattern must match
-  // compute_access_pattern_signed, for every strategy class the draw hits.
+  // compute_access_pattern_signed, for every access class the draw hits.
   std::mt19937 rng(20250806);
   std::uniform_int_distribution<i64> pd(1, 8), kd(1, 12), sd(-40, 40), ld(-50, 50),
       span(0, 150);
-  std::set<AddressStrategy> seen;
+  std::set<AccessClass> seen;
   for (int iter = 0; iter < 300; ++iter) {
     const i64 p = pd(rng), k = kd(rng);
     i64 s = sd(rng);
@@ -211,7 +268,59 @@ TEST(AddressEngine, RandomizedPlanPropertyGrid) {
       }
     }
   }
-  EXPECT_GE(seen.size(), 5u) << "random draw should hit most strategy classes";
+  EXPECT_EQ(seen.size(), 3u) << "random draw should hit every access class";
+}
+
+TEST(AddressEngine, ConcurrentPlansAndKernelsMatchSingleThread) {
+  // Several threads plan and compile every start offset of one periodic
+  // (p, k, |s|) problem on a fresh engine at once: they race on the first
+  // table build and then share its immutable period. Each thread's kernel
+  // replay and plan walk must equal the single-thread oracle.
+  const BlockCyclic dist(2, 6);
+  const i64 s = 4;  // cycles {0,4} {1,5} {2} {3}
+  std::vector<RegularSection> secs;
+  for (i64 m = 0; m < dist.procs(); ++m)
+    for (i64 q = 0; q < dist.block_size(); ++q) {
+      const i64 lower = m * dist.block_size() + q;
+      secs.push_back({lower, lower + 97 * s, s});
+      secs.push_back({lower + 97 * s, lower, -s});
+    }
+  std::vector<std::vector<i64>> want;  // ascending locals per (section, proc)
+  for (const RegularSection& sec : secs)
+    for (i64 m = 0; m < dist.procs(); ++m) {
+      want.emplace_back();
+      for (const Access& a : oracle_local_sequence(dist, sec.ascending(), m))
+        want.back().push_back(a.local);
+    }
+
+  AddressEngine engine(4);
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int th = 0; th < kThreads; ++th) {
+    threads.emplace_back([&, th] {
+      for (int rep = 0; rep < 8; ++rep) {
+        std::size_t w = 0;
+        for (const RegularSection& sec : secs) {
+          for (i64 m = 0; m < dist.procs(); ++m, ++w) {
+            const SectionPlan plan = engine.plan(dist, sec, m);
+            const KernelPlan kp = compile_kernel(plan);
+            std::vector<i64> replay;
+            kernel_for_each_local(kp, [&](i64 la) { replay.push_back(la); });
+            std::vector<i64> walk;
+            plan.for_each([&](i64, i64 la) { walk.push_back(la); });
+            if (sec.stride < 0) std::reverse(walk.begin(), walk.end());
+            if (replay != want[w] || walk != want[w])
+              ++mismatches[static_cast<std::size_t>(th)];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int th = 0; th < kThreads; ++th)
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(th)], 0) << "thread " << th;
+  EXPECT_EQ(engine.cache_stats().size, 1u) << "one (p, k, |s|) shares one table";
 }
 
 }  // namespace

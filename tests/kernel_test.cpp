@@ -1,9 +1,9 @@
-// Differential tests for the pattern-specialized kernel layer: every
-// kernel class (run-copy, strided, periodic-gap) fed by every AddressEngine
-// strategy, across element sizes 1/4/8/12/16, misaligned (element-offset)
-// base pointers, short sections (fewer elements than one period), tile-tail
-// remainders, and negative strides. The oracle is the SectionPlan's own
-// per-element walk.
+// Differential tests for the kernel layer: every access class (runs,
+// fixed-step, periodic) and every way into it, across element sizes
+// 1/4/8/12/16, misaligned (element-offset) base pointers, short sections
+// (fewer elements than one period), period tails, multi-cycle periods
+// replayed from every rotation, and negative strides. The oracle is the
+// SectionPlan's own per-element walk.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -116,20 +116,24 @@ struct Shape {
   i64 p, k, s;
 };
 
-// Every strategy class, both directions where the class admits them.
+// Every access class, both directions where the class admits them.
 const Shape kShapes[] = {
-    {1, 64, 3},   {1, 64, -3},  // trivial-local (strided lowering)
-    {1, 8, 1},                  // trivial-local, |s| == 1 (run-copy)
-    {8, 4, 1},    {8, 4, -1},   // dense-runs
-    {4, 1, 3},                  // pure-cyclic (degenerate strided)
-    {4, 8, 16},                 // fixed-step (degenerate strided)
-    {4, 8, 33},   {4, 8, -33},  // hiranandani feed of periodic-gap
-    {4, 8, 13},   {4, 8, 9},    // general-lattice feed of periodic-gap
+    {1, 8, 1},                  // runs, p == 1
+    {8, 4, 1},    {8, 4, -1},   // runs
+    {1, 64, 3},   {1, 64, -3},  // fixed-step, p == 1
+    {4, 1, 3},                  // fixed-step, k == 1
+    {4, 8, 16},                 // fixed-step, gcd(|s|, pk) >= k
+    {4, 8, 33},   {4, 8, -33},  // periodic, |s| mod pk < k (the ICS'94 case)
+    {4, 8, 13},   {4, 8, 9},    // periodic, one cycle
+    {2, 6, 4},    {2, 6, -4},   // periodic, cycles {0,4} {1,5} {2} {3}
+    {4, 8, 12},   {4, 8, -12},  // periodic, cycles {0,4} {1,5} {2,6} {3,7}
+    {4, 10, 8},   {4, 10, -8},  // periodic, cycles {0,8} {1,9} {2} ... {7}
 };
 
 TEST(Kernels, DifferentialGridAgainstPlanWalk) {
-  // Counts cover empty, shorter than one period, tile tails (the tile
-  // target is 64), and multi-tile runs.
+  // Counts cover empty, shorter than one period, period tails, and many
+  // periods; lower bounds (and the multi-cycle rows) start the replay on
+  // different rotations of a cycle.
   for (const Shape& sh : kShapes) {
     const BlockCyclic dist(sh.p, sh.k);
     for (const i64 count : {0, 2, 7, 40, 203}) {
@@ -149,7 +153,7 @@ TEST(Kernels, DifferentialGridAgainstPlanWalk) {
           const std::vector<i64> locals = ascending_locals(plan, sh.s);
           ASSERT_EQ(kp.count(), static_cast<i64>(locals.size()));
           if (!kp.bulk()) continue;
-          EXPECT_EQ(kp.cls(), kernel_class_for(dist, sh.s));
+          EXPECT_EQ(kp.cls(), AddressEngine::classify(dist, sh.s));
 
           // Address replay matches the oracle exactly.
           std::vector<i64> replay;
@@ -160,6 +164,11 @@ TEST(Kernels, DifferentialGridAgainstPlanWalk) {
           // addresses, the contract every runtime consumer REQUIREs; the
           // negative-lower rows still exercise the address replay above.
           if (locals.front() < 0) continue;
+          // The periodic replay indexes from local + base(): an in-bounds
+          // pointer whenever the plan's addresses are.
+          if (kp.cls() == AccessClass::kPeriodic) {
+            EXPECT_GE(kp.base(), 0);
+          }
           for (const i64 shift : {0, 1, 3}) {
             check_typed<std::uint8_t>(kp, locals, shift);
             check_typed<std::uint32_t>(kp, locals, shift);
@@ -174,27 +183,39 @@ TEST(Kernels, DifferentialGridAgainstPlanWalk) {
   }
 }
 
-TEST(Kernels, EmptyPlanCompilesToScalar) {
+TEST(Kernels, EmptyPlanCompilesToNothing) {
   const BlockCyclic dist(4, 8);
   // Processor 3 owns nothing of a one-element section on processor 0.
   const SectionPlan plan = AddressEngine::global().plan(dist, {0, 0, 1}, 3);
   ASSERT_TRUE(plan.empty());
   const KernelPlan kp = compile_kernel(plan);
-  EXPECT_EQ(kp.cls(), KernelClass::kScalar);
+  EXPECT_EQ(kp.cls(), AccessClass::kRuns);
   EXPECT_FALSE(kp.bulk());
+  EXPECT_EQ(kp.count(), 0);
   EXPECT_EQ(kernel_for_each_local(kp, [](i64) { FAIL(); }), 0);
 }
 
-TEST(Kernels, ClassNamesAndClassification) {
-  EXPECT_STREQ(kernel_class_name(KernelClass::kRunCopy), "run-copy");
-  EXPECT_STREQ(kernel_class_name(KernelClass::kStrided), "strided");
-  EXPECT_STREQ(kernel_class_name(KernelClass::kPeriodicGap), "periodic-gap");
-  EXPECT_EQ(kernel_class_for(BlockCyclic(8, 4), 1), KernelClass::kRunCopy);
-  EXPECT_EQ(kernel_class_for(BlockCyclic(1, 64), 3), KernelClass::kStrided);
-  EXPECT_EQ(kernel_class_for(BlockCyclic(4, 1), 3), KernelClass::kStrided);
-  EXPECT_EQ(kernel_class_for(BlockCyclic(4, 8), 16), KernelClass::kStrided);
-  EXPECT_EQ(kernel_class_for(BlockCyclic(4, 8), 33), KernelClass::kPeriodicGap);
-  EXPECT_EQ(kernel_class_for(BlockCyclic(4, 8), 13), KernelClass::kPeriodicGap);
+TEST(Kernels, EveryRotationOfEveryCycle) {
+  // Start the section on every block offset of every processor, so each
+  // cycle of the offset permutation is replayed from each of its rotations.
+  for (const Shape& sh : {Shape{2, 6, 4}, Shape{4, 8, 12}, Shape{4, 10, 8}, Shape{4, 8, 9}}) {
+    const BlockCyclic dist(sh.p, sh.k);
+    for (i64 m = 0; m < sh.p; ++m) {
+      for (i64 q = 0; q < sh.k; ++q) {
+        const i64 lower = m * sh.k + q;
+        for (const i64 count : {1, 3, 50}) {
+          const RegularSection sec{lower, lower + (count - 1) * sh.s, sh.s};
+          const SectionPlan plan = AddressEngine::global().plan(dist, sec, m);
+          const KernelPlan kp = compile_kernel(plan);
+          std::vector<i64> replay;
+          kernel_for_each_local(kp, [&](i64 la) { replay.push_back(la); });
+          EXPECT_EQ(replay, ascending_locals(plan, sh.s))
+              << "p=" << sh.p << " k=" << sh.k << " s=" << sh.s << " m=" << m << " q=" << q
+              << " count=" << count;
+        }
+      }
+    }
+  }
 }
 
 TEST(Kernels, FreeOffsetAndStridedPrimitivesMatchNaive) {

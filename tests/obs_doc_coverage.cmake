@@ -3,8 +3,8 @@
 # must appear in docs/OBSERVABILITY.md. Emitted names are the string
 # literals in a call's first argument (so `cond ? "a" : "b"` yields both);
 # documented names are the doc's backticked tokens, with one brace group per
-# token expanded: `engine.strategy.{dense_runs,fixed_step}` documents
-# engine.strategy.dense_runs and engine.strategy.fixed_step.
+# token expanded: `engine.class.{runs,fixed_step}` documents
+# engine.class.runs and engine.class.fixed_step.
 #
 #   cmake -DSRC_DIR=<repo>/src -DDOC=<repo>/docs/OBSERVABILITY.md -P obs_doc_coverage.cmake
 cmake_minimum_required(VERSION 3.16)

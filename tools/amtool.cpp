@@ -100,7 +100,7 @@ Options parse_options(int argc, char** argv) {
 }
 
 void print_pattern(const BlockCyclic& dist, const Options& opt, i64 m) {
-  const AccessPattern pat = AddressEngine::global().pattern(dist, opt.l, opt.s, m);
+  const AccessPattern pat = compute_access_pattern_signed(dist, opt.l, opt.s, m);
   std::cout << "proc " << m << ": ";
   if (pat.empty()) {
     std::cout << "no elements\n";
@@ -187,7 +187,7 @@ int cmd_stats(const BlockCyclic& dist, const Options& opt) {
   i64 empty_procs = 0;
   i64 total_period = 0;
   for (i64 m = 0; m < opt.p; ++m) {
-    const AccessPattern pat = AddressEngine::global().pattern(dist, opt.l, opt.s, m);
+    const AccessPattern pat = compute_access_pattern_signed(dist, opt.l, opt.s, m);
     if (pat.empty()) {
       ++empty_procs;
       continue;
@@ -444,13 +444,11 @@ int main(int argc, char** argv) {
   try {
     const BlockCyclic dist(opt.p, opt.k);
     if (show_strategy) {
-      std::cout << "dispatch: "
-                << address_strategy_name(AddressEngine::classify(dist, opt.s))
-                << ", kernel: " << kernel_class_name(kernel_class_for(dist, opt.s)) << " (p="
+      std::cout << "class: " << access_class_name(AddressEngine::classify(dist, opt.s)) << " (p="
                 << opt.p << ", k=" << opt.k << ", s=" << opt.s << ")\n";
       if (tier == dsl::Tier::kBytecode) {
         // Representative fused statement over this distribution: shows the
-        // per-rank kernel class and fusion decisions the bytecode tier
+        // per-rank access class and fusion decisions the bytecode tier
         // would take for a stride-s access on cyclic(k) x p.
         const i64 count = 16;
         const i64 last = opt.l + (count - 1) * opt.s;
