@@ -9,13 +9,20 @@
 //   * heap allocations per steady-state execution (counted with a global
 //     operator new override — the compressed path must report 0),
 //   * plan memory (per-item items vs run descriptors + gap tables),
-//   * plan-cache hit/miss counters over the replay loop.
+//   * plan-cache hit/miss counters over the replay loop,
+//   * cold plan construction on a seeded set of 500 sections_cold-shaped
+//     copies (p = 8, cyclic(3) <-> cyclic(64), |stride| 1..63 with 1 in 8
+//     descending, 32..1024 elements): median and quartiles of the per-build
+//     time over rounds that alternate the set's order, and allocations per
+//     build (a count that repeats exactly).
 //
 // `--csv` prints machine-readable rows; `--json` writes
 // BENCH_commplan.json for the perf trajectory.
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <random>
 
 #include "bench_common.hpp"
 #include "cyclick/runtime/section_ops.hpp"
@@ -61,6 +68,40 @@ long long allocs_during(int rounds, const std::function<void()>& fn) {
   for (int r = 0; r < rounds; ++r) fn();
   const long long after = g_alloc_calls.load(std::memory_order_relaxed);
   return (after - before) / rounds;
+}
+
+/// One cold copy: src(ssec) -> dst(dsec), src/dst chosen among the pair.
+struct ColdCopy {
+  bool forward;  ///< cyclic(3) -> cyclic(64) when set, else the reverse
+  RegularSection ssec, dsec;
+};
+
+/// The seeded sections_cold-shaped draw set over two 2^16-element arrays.
+std::vector<ColdCopy> cold_copies(i64 n, int count) {
+  std::mt19937_64 rng(9173);
+  const auto draw = [&rng](i64 lo, i64 hi) {
+    return std::uniform_int_distribution<i64>(lo, hi)(rng);
+  };
+  std::vector<ColdCopy> out;
+  for (int i = 0; i < count; ++i) {
+    const bool forward = draw(0, 1) == 1;
+    const i64 len = draw(32, 1024);
+    const auto section = [&] {
+      const i64 s = draw(1, 63) * (draw(0, 7) == 0 ? -1 : 1);
+      const i64 span = (len - 1) * (s < 0 ? -s : s);
+      const i64 lo = draw(0, n - 1 - span);
+      return s > 0 ? RegularSection{lo, lo + span, s} : RegularSection{lo + span, lo, s};
+    };
+    const RegularSection ssec = section();
+    out.push_back({forward, ssec, section()});
+  }
+  return out;
+}
+
+/// Value at quantile q of sorted samples (nearest rank).
+double quantile(const std::vector<double>& sorted, double q) {
+  const auto i = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1) + 0.5);
+  return sorted[i];
 }
 
 }  // namespace
@@ -131,6 +172,34 @@ int main(int argc, char** argv) {
     execute_copy_plan(fast, src, dst_fast, exec);
   });
 
+  // Cold construction, the path every sections_cold step pays.
+  const i64 cold_p = 8;
+  const i64 cold_n = i64{1} << 16;
+  const SpmdExecutor cold_exec(cold_p);
+  DistributedArray<double> a3(BlockCyclic(cold_p, 3), cold_n);
+  DistributedArray<double> a64(BlockCyclic(cold_p, 64), cold_n);
+  const std::vector<ColdCopy> copies = cold_copies(cold_n, 500);
+  const auto build_cold = [&](const ColdCopy& c) {
+    const CommPlan plan = build_copy_plan(c.forward ? a3 : a64, c.ssec, c.forward ? a64 : a3,
+                                          c.dsec, cold_exec);
+    do_not_optimize(plan.channels.data());
+  };
+  for (const ColdCopy& c : copies) build_cold(c);  // warm-up round
+  const int cold_rounds = 6;
+  std::vector<double> cold_us;
+  cold_us.reserve(copies.size() * cold_rounds);
+  for (int r = 0; r < cold_rounds; ++r)
+    for (std::size_t i = 0; i < copies.size(); ++i) {
+      const ColdCopy& c = copies[r % 2 == 0 ? i : copies.size() - 1 - i];
+      cold_us.push_back(time_once_us([&] { build_cold(c); }));
+    }
+  std::sort(cold_us.begin(), cold_us.end());
+  const long long cold_allocs_total = allocs_during(1, [&] {
+    for (const ColdCopy& c : copies) build_cold(c);
+  });
+  const double cold_allocs =
+      static_cast<double>(cold_allocs_total) / static_cast<double>(copies.size());
+
   const auto legacy_bytes = static_cast<i64>(legacy.plan_bytes());
   const auto fast_bytes = static_cast<i64>(fast.plan_bytes());
 
@@ -152,6 +221,10 @@ int main(int argc, char** argv) {
   table.add_row({"plan_remote_elements", TextTable::num(fast.remote_elements())});
   table.add_row({"cache_hits", TextTable::num(stats.hits)});
   table.add_row({"cache_misses", TextTable::num(stats.misses)});
+  table.add_row({"cold_build_us", TextTable::fixed(quantile(cold_us, 0.5), 2)});
+  table.add_row({"cold_build_us_q1", TextTable::fixed(quantile(cold_us, 0.25), 2)});
+  table.add_row({"cold_build_us_q3", TextTable::fixed(quantile(cold_us, 0.75), 2)});
+  table.add_row({"cold_build_allocs", TextTable::fixed(cold_allocs, 2)});
   emit(table, csv);
   if (json) {
     JsonWriter w("BENCH_commplan.json");
@@ -162,7 +235,8 @@ int main(int argc, char** argv) {
 
   // Hard gates mirroring the PR's acceptance criteria, so CI smoke runs
   // catch regressions: >= 2x cached execution speedup, zero steady-state
-  // allocations, >= 10x plan-memory compression.
+  // allocations, >= 10x plan-memory compression, <= 32 allocations per cold
+  // plan build.
   bool ok = true;
   if (legacy_us < 2.0 * cached_us) {
     std::cerr << "GATE FAILED: cached replay not >= 2x faster than seed execution\n";
@@ -174,6 +248,10 @@ int main(int argc, char** argv) {
   }
   if (fast_bytes * 10 > legacy_bytes) {
     std::cerr << "GATE FAILED: compressed plan not >= 10x smaller than per-item plan\n";
+    ok = false;
+  }
+  if (cold_allocs > 32.0) {
+    std::cerr << "GATE FAILED: a cold plan build makes more than 32 allocations\n";
     ok = false;
   }
   return ok ? 0 : 1;

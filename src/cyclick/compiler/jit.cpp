@@ -641,8 +641,6 @@ struct JitCompiler {
     h.offset = delta * addr_step;
     h.block = k;
     h.staged = d + 1 == nd;
-    h.counts.assign(static_cast<std::size_t>(p.ranks), 0);
-    h.runs.assign(static_cast<std::size_t>(p.ranks), {});
     // Local index l (block offset l % k, as under identity alignment) is a
     // boundary index.
     const auto boundary = [&](i64 l) { return l % k >= j0 && l % k < j0 + w; };
@@ -653,70 +651,80 @@ struct JitCompiler {
       return std::pair<i64, i64>{(dist.owner(s) - dist.owner(g)) * rank_step,
                                  (dist.local_index(s) - l) * addr_step};
     };
-    const auto ranks = static_cast<std::size_t>(p.ranks);
-    std::vector<detail::ChannelAccum> accum(ranks * ranks);
-    i64 len = 1;
+    // Each rank's share and, along the innermost dimension, the boundary
+    // elements of one of its rows, found block by block along the share's
+    // runs (global and local index advance together within a run).
+    struct Edge {
+      i64 at;     // local index in the row
+      i64 rank;   // source rank
+      i64 shift;  // source local address minus the target's
+    };
+    std::vector<std::optional<Share>> shares;
+    std::vector<std::vector<Edge>> row_edges(static_cast<std::size_t>(p.ranks));
     for (i64 r = 0; r < p.ranks; ++r) {
-      const std::optional<Share> sh = share_of(lay, region, r);
-      if (!sh) continue;
-      detail::ChannelAccum* row = accum.data() + static_cast<std::size_t>(r) * ranks;
-      std::vector<bc::HaloRun>& runs = h.runs[static_cast<std::size_t>(r)];
-      i64& count = h.counts[static_cast<std::size_t>(r)];
-      const i64 first = sh->inner.first_local();
-      i64 used = 0;  // this rank's halo length so far
-      if (!h.staged) {
-        const i64 row_len = sh->inner.last_local() - first + 1;  // contiguous (region_runs)
-        const detail::DimShare& sd = sh->outer[d];
-        for_each_row(lay, *sh, [&](i64 base, const std::vector<std::size_t>& pos) {
-          const i64 l = sd.local_idx[pos[d]];
-          if (!boundary(l)) {
-            runs.push_back({0, -1});
-            return;
+      shares.push_back(share_of(lay, region, r));
+      if (!shares.back() || !h.staged) continue;
+      shares.back()->inner.for_each_run([&](i64 g, i64 la, i64 n) {
+        for (i64 b = la - la % k; b < la + n; b += k)
+          for (i64 l = std::max(b + j0, la); l < std::min(b + j0 + w, la + n); ++l) {
+            const auto [dr, da] = source(g + l - la, l);
+            row_edges[static_cast<std::size_t>(r)].push_back({l, r + dr, da});
           }
-          const auto [dr, da] = source(sd.index[pos[d]], l);
-          row[static_cast<std::size_t>(r + dr)].append_run(base + da, used, row_len);
-          runs.push_back({0, used});
-          used += row_len;
-        });
-        count = used;
-      } else {
-        // The boundary elements of one row, found block by block along the
-        // runs of the innermost share (global and local index advance
-        // together within a run).
-        struct Edge {
-          i64 at;     // local index in the row
-          i64 rank;   // source rank
-          i64 shift;  // source local address minus the target's
-        };
-        std::vector<Edge> edges;
-        sh->inner.for_each_run([&](i64 g, i64 la, i64 n) {
-          for (i64 b = la - la % k; b < la + n; b += k)
-            for (i64 l = std::max(b + j0, la); l < std::min(b + j0 + w, la + n); ++l) {
-              const auto [dr, da] = source(g + l - la, l);
-              edges.push_back({l, r + dr, da});
-            }
-        });
-        // Slots run from the first block with a boundary element in the
-        // share to the last, so full rows leave no gaps between them.
-        const i64 first_block = edges.empty() ? 0 : edges.front().at / k;
-        const i64 row_slots = edges.empty() ? 0 : (edges.back().at / k - first_block + 1) * w;
-        for_each_row(lay, *sh, [&](i64 base, const std::vector<std::size_t>&) {
-          for (const Edge& e : edges)
-            row[static_cast<std::size_t>(e.rank)].append(
-                base + e.at - first + e.shift,
-                used + (e.at / k - first_block) * w + e.at % k - j0);
-          runs.push_back({base - first, used - first_block * w});
-          count += static_cast<i64>(edges.size());
-          used += row_slots;
-        });
-      }
-      len = std::max(len, used);
+      });
     }
-    h.len = len;
-    CommPlan plan;
-    plan.ranks = p.ranks;
-    plan.adopt_channels(std::move(accum));
-    o.plan = std::make_shared<const CommPlan>(std::move(plan));
+    // Two passes, counting then filling the streams, each laying the halo
+    // out afresh; emit(channel, src, dst, n) adds n consecutive elements.
+    const auto walk = [&](auto&& emit) {
+      h.counts.assign(static_cast<std::size_t>(p.ranks), 0);
+      h.runs.assign(static_cast<std::size_t>(p.ranks), {});
+      i64 len = 1;
+      for (i64 r = 0; r < p.ranks; ++r) {
+        const std::optional<Share>& sh = shares[static_cast<std::size_t>(r)];
+        if (!sh) continue;
+        std::vector<bc::HaloRun>& runs = h.runs[static_cast<std::size_t>(r)];
+        i64& count = h.counts[static_cast<std::size_t>(r)];
+        const i64 first = sh->inner.first_local();
+        i64 used = 0;  // this rank's halo length so far
+        if (!h.staged) {
+          const i64 row_len = sh->inner.last_local() - first + 1;  // contiguous (region_runs)
+          const detail::DimShare& sd = sh->outer[d];
+          for_each_row(lay, *sh, [&](i64 base, const std::vector<std::size_t>& pos) {
+            const i64 l = sd.local_idx[pos[d]];
+            if (!boundary(l)) {
+              runs.push_back({0, -1});
+              return;
+            }
+            const auto [dr, da] = source(sd.index[pos[d]], l);
+            emit(r * p.ranks + r + dr, base + da, used, row_len);
+            runs.push_back({0, used});
+            used += row_len;
+          });
+          count = used;
+        } else {
+          const std::vector<Edge>& edges = row_edges[static_cast<std::size_t>(r)];
+          // Slots run from the first block with a boundary element in the
+          // share to the last, so full rows leave no gaps between them.
+          const i64 first_block = edges.empty() ? 0 : edges.front().at / k;
+          const i64 row_slots = edges.empty() ? 0 : (edges.back().at / k - first_block + 1) * w;
+          for_each_row(lay, *sh, [&](i64 base, const std::vector<std::size_t>&) {
+            for (const Edge& e : edges)
+              emit(r * p.ranks + e.rank, base + e.at - first + e.shift,
+                   used + (e.at / k - first_block) * w + e.at % k - j0, i64{1});
+            runs.push_back({base - first, used - first_block * w});
+            count += static_cast<i64>(edges.size());
+            used += row_slots;
+          });
+        }
+        len = std::max(len, used);
+      }
+      h.len = len;
+    };
+    detail::ChannelStreams streams;
+    streams.reset(p.ranks * p.ranks);
+    walk([&](i64 c, i64, i64, i64 n) { streams.count(c, n); });
+    streams.layout();
+    walk([&](i64 c, i64 sa, i64 da, i64 n) { streams.put_run(c, sa, 1, da, 1, n); });
+    o.plan = std::make_shared<const CommPlan>(CommPlan::from_streams(p.ranks, streams));
   }
 
   // -- N-D operands ------------------------------------------------------------

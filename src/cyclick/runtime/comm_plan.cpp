@@ -1,81 +1,82 @@
 #include "cyclick/runtime/comm_plan.hpp"
 
 namespace cyclick {
-namespace detail {
+namespace {
 
-i64 smallest_gap_period(std::span<const i64> a, std::span<const i64> b) {
-  CYCLICK_ASSERT(a.size() == b.size());
-  const std::size_t n = a.size();
-  if (n == 0) return 0;
-  // KMP prefix function over the paired stream; the smallest border period
-  // n - fail[n-1] satisfies seq[i] == seq[i - pi] for every i >= pi, which
-  // is exactly the property the cyclic gap-table replay needs (the stream
-  // need not be a whole number of periods long).
-  std::vector<std::size_t> fail(n, 0);
-  for (std::size_t i = 1; i < n; ++i) {
-    std::size_t j = fail[i - 1];
-    while (j > 0 && (a[i] != a[j] || b[i] != b[j])) j = fail[j - 1];
+/// Smallest pi >= 1 with (a[i], b[i]) == (a[i - pi], b[i - pi]) for every
+/// pi <= i < m (KMP border period); 0 for m == 0. The stream need not be a
+/// whole number of periods long.
+i64 smallest_gap_period(const i64* a, const i64* b, i64 m) {
+  if (m <= 0) return 0;
+  thread_local std::vector<i64> fail;  // the KMP prefix buffer, reused
+  if (static_cast<i64>(fail.size()) < m) fail.resize(static_cast<std::size_t>(m));
+  fail[0] = 0;
+  for (i64 i = 1; i < m; ++i) {
+    i64 j = fail[static_cast<std::size_t>(i - 1)];
+    while (j > 0 && (a[i] != a[j] || b[i] != b[j])) j = fail[static_cast<std::size_t>(j - 1)];
     if (a[i] == a[j] && b[i] == b[j]) ++j;
-    fail[i] = j;
+    fail[static_cast<std::size_t>(i)] = j;
   }
-  return static_cast<i64>(n - fail[n - 1]);
+  return m - fail[static_cast<std::size_t>(m - 1)];
 }
 
-}  // namespace detail
+}  // namespace
 
-void CommPlan::adopt_channels(std::vector<detail::ChannelAccum>&& accum) {
-  CYCLICK_REQUIRE(static_cast<i64>(accum.size()) == ranks * ranks,
+CommPlan CommPlan::from_streams(i64 ranks, detail::ChannelStreams& streams) {
+  CYCLICK_REQUIRE(static_cast<i64>(streams.begin.size()) == ranks * ranks + 1,
                   "channel grid does not match rank count");
-  channels.assign(accum.size(), Channel{});
-  src_off.clear();
-  dst_off.clear();
-  message_count_ = 0;
-  remote_elements_ = 0;
-  total_elements_ = 0;
-  for (i64 m = 0; m < ranks; ++m) {
-    for (i64 q = 0; q < ranks; ++q) {
-      const auto idx = static_cast<std::size_t>(m * ranks + q);
-      detail::ChannelAccum& acc = accum[idx];
-      Channel& ch = channels[idx];
-      ch.count = acc.count;
-      if (acc.count == 0) continue;
-      ch.src_start = acc.src_start;
-      ch.dst_start = acc.dst_start;
-      ch.gap_begin = static_cast<i64>(src_off.size());
-      ch.period = detail::smallest_gap_period(acc.src_deltas, acc.dst_deltas);
-      // Store the period as offsets-from-start (prefix sums of the gaps):
-      // element i of the channel then lives at start + (i / P) * advance +
-      // off[i mod P], the shape the kernel gather/scatter replays without a
-      // serially dependent address chain.
-      i64 soff = 0;
-      i64 doff = 0;
-      for (i64 r = 0; r < ch.period; ++r) {
-        src_off.push_back(soff);
-        dst_off.push_back(doff);
-        soff += acc.src_deltas[static_cast<std::size_t>(r)];
-        doff += acc.dst_deltas[static_cast<std::size_t>(r)];
-      }
-      ch.src_advance = soff;
-      ch.dst_advance = doff;
-      // A side is contiguous iff the whole stream steps by one (KMP then
-      // compresses the gaps to the single entry {1}); single-element
-      // channels are trivially contiguous. Those pack/unpack as memcpy.
-      ch.src_contig = acc.count == 1 || (ch.period == 1 && ch.src_advance == 1);
-      ch.dst_contig = acc.count == 1 || (ch.period == 1 && ch.dst_advance == 1);
-      // Release the uncompressed deltas eagerly: construction's transient
-      // footprint stays bounded by one receiver's share, not the section.
-      acc.src_deltas = {};
-      acc.dst_deltas = {};
-      total_elements_ += acc.count;
-      if (q != m) {
-        remote_elements_ += acc.count;
-        ++message_count_;
-      }
+  CommPlan plan;
+  plan.ranks = ranks;
+  plan.channels.resize(static_cast<std::size_t>(ranks * ranks));
+  // Pass 1: each channel's addresses after the first become gaps (in
+  // place); then its period and the statistics.
+  i64 pooled = 0;
+  for (std::size_t c = 0; c < plan.channels.size(); ++c) {
+    Channel& ch = plan.channels[c];
+    const i64 b = streams.begin[c];
+    ch.count = streams.begin[c + 1] - b;
+    if (ch.count == 0) continue;
+    i64* sa = streams.src.data() + b;
+    i64* da = streams.dst.data() + b;
+    for (i64 i = ch.count - 1; i > 0; --i) {
+      sa[i] -= sa[i - 1];
+      da[i] -= da[i - 1];
+    }
+    ch.src_start = sa[0];
+    ch.dst_start = da[0];
+    ch.period = smallest_gap_period(sa + 1, da + 1, ch.count - 1);
+    ch.gap_begin = pooled;
+    pooled += ch.period;
+    plan.total_elements_ += ch.count;
+    if (static_cast<i64>(c) % ranks != static_cast<i64>(c) / ranks) {
+      plan.remote_elements_ += ch.count;
+      ++plan.message_count_;
     }
   }
-  src_off.shrink_to_fit();
-  dst_off.shrink_to_fit();
-  scratch_.resize(static_cast<std::size_t>(ranks * ranks));
+  // Pass 2: the period as offsets from the start (prefix sums of the gaps).
+  // Element i of a channel lives at start + (i / P) * advance + off[i mod
+  // P], the shape the kernel gather/scatter replays without a serially
+  // dependent address chain.
+  plan.src_off.resize(static_cast<std::size_t>(pooled));
+  plan.dst_off.resize(static_cast<std::size_t>(pooled));
+  for (std::size_t c = 0; c < plan.channels.size(); ++c) {
+    Channel& ch = plan.channels[c];
+    const i64* sa = streams.src.data() + streams.begin[c];
+    const i64* da = streams.dst.data() + streams.begin[c];
+    for (i64 r = 0; r < ch.period; ++r) {
+      plan.src_off[static_cast<std::size_t>(ch.gap_begin + r)] = ch.src_advance;
+      plan.dst_off[static_cast<std::size_t>(ch.gap_begin + r)] = ch.dst_advance;
+      ch.src_advance += sa[r + 1];
+      ch.dst_advance += da[r + 1];
+    }
+    // A side is contiguous iff the whole stream steps by one (KMP then
+    // compresses the gaps to the single entry {1}); single-element
+    // channels are trivially contiguous. Those pack/unpack as memcpy.
+    ch.src_contig = ch.count == 1 || (ch.period == 1 && ch.src_advance == 1);
+    ch.dst_contig = ch.count == 1 || (ch.period == 1 && ch.dst_advance == 1);
+  }
+  plan.scratch_.resize(static_cast<std::size_t>(ranks * ranks));
+  return plan;
 }
 
 std::size_t CommPlan::plan_bytes() const noexcept {

@@ -16,12 +16,13 @@
 // (core/kernels.hpp): no owner_of / local_address calls, and no serially
 // dependent address chain either.
 //
-// Construction walks each receiver's owned destination elements once with
-// an AddressEngine plan (dense unit-stride sections enumerate whole block
-// runs; everything else walks the classified lattice path) and resolves the
-// matching source owner with an *owner-run* cursor: the source cell moves
-// linearly in the section position t, so divisions happen once per
-// source-block crossing, not once per element.
+// Construction is one serial pass over the section positions in ascending
+// destination-cell order, with an OwnerCursor on each side stepping its
+// block coordinates without dividing. A counting pass sizes every channel,
+// a fill pass writes both address streams into one flat, channel-grouped
+// array pair, and CommPlan::from_streams compresses each channel to its
+// shortest period — the one finalizer of every builder (1-D copies, N-D
+// regions, compiled halos).
 //
 // Execution lives in redistribute.hpp (the scheduling layer): this header
 // owns the *description* of the movement — representation, builders, the
@@ -66,6 +67,13 @@ template <typename T>
                                       rank);
 }
 
+/// True when every element of `sec` is an index of `arr`.
+template <typename T>
+[[nodiscard]] bool section_within(const DistributedArray<T>& arr, const RegularSection& sec) {
+  return sec.empty() || (sec.lower >= 0 && sec.lower < arr.size() && sec.last() >= 0 &&
+                         sec.last() < arr.size());
+}
+
 /// Visit every element of `sec` (array index space) owned by `rank`,
 /// passing (t, local_addr) where t is the position within the section and
 /// local_addr the element's packed local address. Enumeration is in
@@ -74,10 +82,8 @@ template <typename T>
 template <typename T, typename Body>
 i64 for_each_owned(const DistributedArray<T>& arr, const RegularSection& sec, i64 rank,
                    Body&& body) {
+  CYCLICK_REQUIRE(section_within(arr, sec), "section must lie within the array");
   if (sec.empty()) return 0;
-  CYCLICK_REQUIRE(sec.lower >= 0 && sec.lower < arr.size() && sec.last() >= 0 &&
-                      sec.last() < arr.size(),
-                  "section must lie within the array");
   const AffineAlignment& al = arr.alignment();
   // Hoist the per-rank layout lookup out of the loop: rank() queries are
   // per-element, but the layout object itself is loop-invariant.
@@ -101,108 +107,104 @@ i64 for_each_owned(const DistributedArray<T>& arr, const RegularSection& sec, i6
   });
 }
 
-/// Owner-run cursor: maps a section position t to the owning rank (and
-/// packed local address) of `arr`'s element `sec.element(t)`. The template
-/// cell is linear in t, so consecutive positions resolve against a cached
-/// owner block; the floor-division re-seek runs once per block crossing,
-/// not once per element (the "owner-run enumeration" of the plan builder).
+/// Owner cursor over a section of `arr`: the owning rank and packed local
+/// address of element sec.element(t) as t steps by a fixed dt. The template
+/// cell is affine in t, so advance() carries the cell's (row, owner, block
+/// offset) coordinates forward with adds and compares; only seek() divides.
 class OwnerCursor {
  public:
   template <typename T>
-  OwnerCursor(const DistributedArray<T>& arr, const RegularSection& sec)
-      : dist_(arr.dist()),
+  OwnerCursor(const DistributedArray<T>& arr, const RegularSection& sec, i64 dt = 1)
+      : p_(arr.dist().procs()),
+        k_(arr.dist().block_size()),
         slope_(arr.alignment().a * sec.stride),
-        base_(arr.alignment().a * sec.lower + arr.alignment().b) {
-    if (!arr.alignment().is_identity()) {
-      layouts_.reserve(static_cast<std::size_t>(dist_.procs()));
-      for (i64 m = 0; m < dist_.procs(); ++m)
-        layouts_.push_back(arr.packed_layout_or_null(m));
-    }
+        base_(arr.alignment().a * sec.lower + arr.alignment().b),
+        step_(split(slope_ * dt)) {
+    if (!arr.alignment().is_identity())
+      for (i64 m = 0; m < p_; ++m) layouts_.push_back(arr.packed_layout_or_null(m));
   }
 
-  struct Hit {
-    i64 owner;
-    i64 local;
-  };
+  /// Position the cursor at t.
+  void seek(i64 t) { at_ = split(base_ + slope_ * t); }
 
-  /// Owning rank of position t (no local-address work).
-  i64 owner_at(i64 t) {
-    seek(base_ + slope_ * t);
-    return owner_;
+  /// Move `len` positions, the first len - 1 of them inside the block
+  /// (len <= run()).
+  void advance(i64 len) noexcept {
+    at_.cell += len * step_.cell;
+    at_.off += step_.off + (len - 1) * step_.cell;
+    const bool next_block = at_.off >= k_;
+    at_.off -= next_block ? k_ : 0;
+    at_.owner += step_.owner + (next_block ? 1 : 0);
+    const bool next_row = at_.owner >= p_;
+    at_.owner -= next_row ? p_ : 0;
+    at_.row += step_.row + (next_row ? 1 : 0);
   }
 
-  /// Owning rank and packed local address of position t.
-  Hit at(i64 t) {
-    const i64 c = base_ + slope_ * t;
-    seek(c);
-    const i64 local = layouts_.empty()
-                          ? row_base_ + (c - blk_lo_)
-                          : layouts_[static_cast<std::size_t>(owner_)]->rank(c);
-    return {owner_, local};
+  /// True when packed addresses follow the cell within a block (a unit
+  /// cell step under identity alignment), so runs can be longer than 1.
+  [[nodiscard]] bool unit() const noexcept {
+    return layouts_.empty() && (step_.cell == 1 || step_.cell == -1);
+  }
+  /// Positions from this one to the end of its block along the walk
+  /// (unit() cursors only).
+  [[nodiscard]] i64 run() const noexcept {
+    return step_.cell == 1 ? k_ - at_.off : at_.off + 1;
+  }
+  /// Packed-address step between the positions of one run.
+  [[nodiscard]] i64 step() const noexcept { return step_.cell; }
+  [[nodiscard]] i64 owner() const noexcept { return at_.owner; }
+  [[nodiscard]] i64 local() const {
+    return layouts_.empty() ? at_.row * k_ + at_.off
+                            : layouts_[static_cast<std::size_t>(at_.owner)]->rank(at_.cell);
   }
 
  private:
-  void seek(i64 c) {
-    if (c >= blk_lo_ && c < blk_hi_) return;
-    const i64 row = floor_div(c, dist_.row_length());
-    const i64 x = c - row * dist_.row_length();
-    owner_ = x / dist_.block_size();
-    blk_lo_ = row * dist_.row_length() + owner_ * dist_.block_size();
-    blk_hi_ = blk_lo_ + dist_.block_size();
-    row_base_ = row * dist_.block_size();
+  struct Coord {
+    i64 cell, row, owner, off;
+  };
+  [[nodiscard]] Coord split(i64 c) const {
+    const i64 row = floor_div(c, p_ * k_);
+    const i64 x = c - row * p_ * k_;
+    return {c, row, x / k_, x % k_};
   }
 
-  BlockCyclic dist_;
-  i64 slope_;
-  i64 base_;
-  i64 owner_ = 0;
-  i64 blk_lo_ = 1, blk_hi_ = 0;  // empty range: the first query always seeks
-  i64 row_base_ = 0;
+  i64 p_, k_;
+  i64 slope_, base_;
+  Coord step_;  ///< one step of dt positions, split like a cell
+  Coord at_{};
   std::vector<const PackedLayout*> layouts_;  // empty for identity alignment
 };
 
 namespace detail {
 
-/// Per-channel accumulator used during plan construction: records the two
-/// start addresses and the local-address delta streams, which finalization
-/// compresses to their shortest period.
-struct ChannelAccum {
-  i64 count = 0;
-  i64 src_start = 0, dst_start = 0;
-  i64 prev_src = 0, prev_dst = 0;
-  std::vector<i64> src_deltas, dst_deltas;
+/// Per-channel address streams, flat and grouped by channel: the form every
+/// plan builder hands CommPlan::from_streams. Channel c (= receiver * ranks
+/// + sender) holds elements [begin[c], begin[c + 1]) of `src` and `dst`
+/// (packed local addresses on sender and receiver) in stream order. Filled
+/// in two passes: count() every element, layout(), then put_run() each.
+struct ChannelStreams {
+  std::vector<i64> begin;
+  std::vector<i64> next;  ///< fill cursor per channel
+  std::vector<i64> src, dst;
 
-  void append(i64 sla, i64 la) {
-    if (count == 0) {
-      src_start = sla;
-      dst_start = la;
-    } else {
-      src_deltas.push_back(sla - prev_src);
-      dst_deltas.push_back(la - prev_dst);
-    }
-    prev_src = sla;
-    prev_dst = la;
-    ++count;
+  void reset(i64 channels) { begin.assign(static_cast<std::size_t>(channels + 1), 0); }
+  void count(i64 c, i64 len = 1) { begin[static_cast<std::size_t>(c + 1)] += len; }
+  void layout() {
+    for (std::size_t c = 1; c < begin.size(); ++c) begin[c] += begin[c - 1];
+    next.assign(begin.begin(), begin.end() - 1);
+    src.resize(static_cast<std::size_t>(begin.back()));
+    dst.resize(static_cast<std::size_t>(begin.back()));
   }
-
-  /// Append n elements whose source and destination addresses are both
-  /// contiguous from (sla, la) — the dense-run build path's bulk insert.
-  void append_run(i64 sla, i64 la, i64 n) {
-    append(sla, la);
-    if (n > 1) {
-      src_deltas.insert(src_deltas.end(), static_cast<std::size_t>(n - 1), 1);
-      dst_deltas.insert(dst_deltas.end(), static_cast<std::size_t>(n - 1), 1);
-      prev_src = sla + n - 1;
-      prev_dst = la + n - 1;
-      count += n - 1;
+  /// `len` elements at s, s + ds, ... and d, d + dd, ...
+  void put_run(i64 c, i64 s, i64 ds, i64 d, i64 dd, i64 len) {
+    i64& at = next[static_cast<std::size_t>(c)];
+    for (i64 j = 0; j < len; ++j) {
+      src[static_cast<std::size_t>(at + j)] = s + j * ds;
+      dst[static_cast<std::size_t>(at + j)] = d + j * dd;
     }
+    at += len;
   }
 };
-
-/// Smallest pi >= 1 such that (a[i], b[i]) == (a[i-pi], b[i-pi]) for all
-/// i >= pi (KMP border period over the paired delta stream); 0 for empty
-/// streams. The streams need not be a whole number of periods long.
-i64 smallest_gap_period(std::span<const i64> a, std::span<const i64> b);
 
 /// Pack `count` values from `local` into `out`. The channel's address
 /// stream is start + j*advance + off[r] (off = prefix sums of the gap
@@ -290,9 +292,10 @@ struct CommPlan {
   /// Heap bytes currently held by the scratch arena.
   [[nodiscard]] std::size_t scratch_bytes() const noexcept;
 
-  /// Build-time finalization: compress the accumulated delta streams into
-  /// pooled periodic offset tables and precompute the statistics.
-  void adopt_channels(std::vector<detail::ChannelAccum>&& accum);
+  /// The one finalizer: compress each channel's address streams to their
+  /// shortest gap period, pooled as offset tables, and precompute the
+  /// statistics. Consumes the streams: their addresses become gaps in place.
+  static CommPlan from_streams(i64 ranks, detail::ChannelStreams& streams);
 
   /// Reusable per-channel pack buffer (execution arena). Mutable so that
   /// executing a shared immutable plan can reuse buffers across calls.
@@ -308,9 +311,10 @@ struct CommPlan {
 };
 
 /// Build the compressed plan for dst(dsec) = src(ssec) (sizes must match).
-/// Each receiver enumerates its destination elements with the table-free
-/// iterator; the matching source owner and address come from the owner-run
-/// cursor — no per-element owner_of / local_address calls anywhere.
+/// One serial walk in ascending destination-cell order, so each channel's
+/// stream is its receiver's owned cells in ascending order; the owner
+/// cursors give both sides' owner and address without per-element
+/// divisions.
 template <typename T>
 CommPlan build_copy_plan(const DistributedArray<T>& src, const RegularSection& ssec,
                          DistributedArray<T>& dst, const RegularSection& dsec,
@@ -318,49 +322,43 @@ CommPlan build_copy_plan(const DistributedArray<T>& src, const RegularSection& s
   CYCLICK_REQUIRE(ssec.size() == dsec.size(), "section size mismatch in copy");
   CYCLICK_REQUIRE(exec.ranks() == dst.dist().procs(), "executor/destination rank mismatch");
   CYCLICK_REQUIRE(exec.ranks() == src.dist().procs(), "executor/source rank mismatch");
+  CYCLICK_REQUIRE(section_within(dst, dsec), "section must lie within the array");
+  CYCLICK_REQUIRE(section_within(src, ssec),
+                  "source section must lie within the source array");
   const i64 p = exec.ranks();
   CYCLICK_COUNT("commplan.builds", 0, 1);
   CYCLICK_TIME_SCOPE("commplan.build_us", 0);
-  std::vector<detail::ChannelAccum> accum(static_cast<std::size_t>(p * p));
-  const bool dense_pair = ssec.stride == 1 && dsec.stride == 1 &&
-                          src.alignment().is_identity() && dst.alignment().is_identity();
-  if (!dsec.empty() && dense_pair) {
-    // Both sides are unit-stride and identity-aligned: every destination
-    // block run maps to a contiguous source span, so channels fill in bulk
-    // run inserts split only at source block crossings — no owner cursor,
-    // no per-element appends.
-    CYCLICK_REQUIRE(dsec.lower >= 0 && dsec.last() < dst.size(),
-                    "section must lie within the array");
-    const BlockCyclic& sd = src.dist();
-    const i64 sk = sd.block_size();
-    exec.run([&](i64 m) {
-      CYCLICK_SPAN("plan_build", m);
-      detail::ChannelAccum* row = accum.data() + m * p;
-      owned_plan(dst, dsec, m).for_each_run([&](i64 g0, i64 l0, i64 len) {
-        i64 emitted = 0;
-        while (emitted < len) {
-          const i64 c = ssec.lower + (g0 - dsec.lower) + emitted;  // source cell
-          const i64 n = std::min(len - emitted, sk - sd.block_offset(c));
-          row[sd.owner(c)].append_run(sd.local_index(c), l0 + emitted, n);
-          emitted += n;
-        }
-      });
-    });
-  } else if (!dsec.empty()) {
-    exec.run([&](i64 m) {
-      CYCLICK_SPAN("plan_build", m);
-      OwnerCursor cur(src, ssec);
-      detail::ChannelAccum* row = accum.data() + m * p;
-      for_each_owned(dst, dsec, m, [&](i64 t, i64 la) {
-        const auto hit = cur.at(t);
-        row[hit.owner].append(hit.local, la);
-      });
-    });
-  }
-  CommPlan plan;
-  plan.ranks = p;
-  plan.adopt_channels(std::move(accum));
-  return plan;
+  CYCLICK_SPAN("plan_build", 0);
+  const i64 n = dsec.size();
+  const bool up = dst.alignment().a * dsec.stride > 0;
+  const i64 t0 = up ? 0 : n - 1;
+  const i64 dt = up ? 1 : -1;
+  OwnerCursor dcur(dst, dsec, dt);
+  OwnerCursor scur(src, ssec, dt);
+  // This thread's streams, reused across builds: they are O(|section|), and
+  // fresh arrays per build pay page faults on 2^16-element remaps.
+  thread_local detail::ChannelStreams s;
+  // Both passes step run by run: a run stays in one block on each side, so
+  // it is one channel with consecutive addresses.
+  const bool runs = dcur.unit() && scur.unit();
+  const auto walk = [&](auto&& emit) {
+    dcur.seek(t0);
+    scur.seek(t0);
+    for (i64 i = 0; i < n;) {
+      const i64 len = runs ? std::min({n - i, dcur.run(), scur.run()}) : 1;
+      emit(dcur.owner() * p + scur.owner(), len);
+      dcur.advance(len);
+      scur.advance(len);
+      i += len;
+    }
+  };
+  s.reset(p * p);
+  walk([](i64 c, i64 len) { s.count(c, len); });
+  s.layout();
+  walk([&](i64 c, i64 len) {
+    s.put_run(c, scur.local(), scur.step(), dcur.local(), dcur.step(), len);
+  });
+  return CommPlan::from_streams(p, s);
 }
 
 }  // namespace cyclick

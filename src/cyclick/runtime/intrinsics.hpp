@@ -65,9 +65,7 @@ T dot_product(const DistributedArray<T>& a, const RegularSection& asec,
     auto lb = tb.local(rank);
     T acc{};
     if (!asec.empty() && a.packed_layout_or_null(rank) == nullptr) {
-      CYCLICK_REQUIRE(asec.lower >= 0 && asec.lower < a.size() && asec.last() >= 0 &&
-                          asec.last() < a.size(),
-                      "section must lie within the array");
+      CYCLICK_REQUIRE(section_within(a, asec), "section must lie within the array");
       const KernelPlan kp = compile_kernel(owned_plan(a, asec, rank));
       // Kernels accumulate in ascending address order; for descending
       // sections only the run-copy class matches the order the fallback
@@ -97,9 +95,7 @@ i64 count_section(const DistributedArray<T>& arr, const RegularSection& sec, Pre
     auto local = arr.local(rank);
     i64 c = 0;
     if (!sec.empty() && arr.packed_layout_or_null(rank) == nullptr) {
-      CYCLICK_REQUIRE(sec.lower >= 0 && sec.lower < arr.size() && sec.last() >= 0 &&
-                          sec.last() < arr.size(),
-                      "section must lie within the array");
+      CYCLICK_REQUIRE(section_within(arr, sec), "section must lie within the array");
       // Counting is order-free, so every kernel class applies regardless of
       // the section's traversal direction.
       const KernelPlan kp = compile_kernel(owned_plan(arr, sec, rank));

@@ -274,30 +274,35 @@ template <typename T>
   const i64 p = exec.ranks();
   CYCLICK_COUNT("redist.region_builds", 0, 1);
   CYCLICK_TIME_SCOPE("redist.region_build_us", 0);
-  std::vector<detail::ChannelAccum> accum(static_cast<std::size_t>(p * p));
-  exec.run([&](i64 m) {
-    CYCLICK_SPAN("plan_build", m);
-    std::vector<i64> sidx(sregion.size());
-    detail::ChannelAccum* row = accum.data() + m * p;
-    for_each_owned_region(dst, dregion, m, [&](const std::vector<i64>& didx, i64 addr) {
-      for (std::size_t d = 0; d < sregion.size(); ++d) {
-        // A size-1 source dimension pins its subscript (broadcast); every
-        // other dimension maps the destination position back through the
-        // section pair.
-        if (sregion[d].size() == 1) {
-          sidx[d] = sregion[d].lower;
-        } else {
-          const i64 t = (didx[d] - dregion[d].lower) / dregion[d].stride;
-          sidx[d] = sregion[d].element(t);
+  CYCLICK_SPAN("plan_build", 0);
+  // Count, then fill: the only transient is the two flat streams.
+  std::vector<i64> sidx(sregion.size());
+  const auto walk = [&](auto&& emit) {
+    for (i64 m = 0; m < p; ++m)
+      for_each_owned_region(dst, dregion, m, [&](const std::vector<i64>& didx, i64 addr) {
+        for (std::size_t d = 0; d < sregion.size(); ++d) {
+          // A size-1 source dimension pins its subscript (broadcast); every
+          // other dimension maps the destination position back through the
+          // section pair.
+          if (sregion[d].size() == 1) {
+            sidx[d] = sregion[d].lower;
+          } else {
+            const i64 t = (didx[d] - dregion[d].lower) / dregion[d].stride;
+            sidx[d] = sregion[d].element(t);
+          }
         }
-      }
-      row[src.mapping().owner_rank(sidx)].append(src.mapping().local_address(sidx), addr);
-    });
+        emit(m * p + src.mapping().owner_rank(sidx), addr);
+      });
+  };
+  detail::ChannelStreams streams;
+  streams.reset(p * p);
+  walk([&](i64 c, i64) { streams.count(c); });
+  streams.layout();
+  walk([&](i64 c, i64 addr) {
+    streams.put_run(c, src.mapping().local_address(sidx), 0, addr, 0, 1);
   });
-  CommPlan plan;
-  plan.ranks = p;
-  plan.adopt_channels(std::move(accum));
-  return finish_redistribution_plan(std::move(plan), static_cast<i64>(dregion.size()));
+  return finish_redistribution_plan(CommPlan::from_streams(p, streams),
+                                    static_cast<i64>(dregion.size()));
 }
 
 /// Cache-aware region plan lookup (process-wide RegionPlanCache).

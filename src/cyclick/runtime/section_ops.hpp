@@ -37,9 +37,7 @@ void fill_section(DistributedArray<T>& arr, const RegularSection& sec, const T& 
   exec.run([&](i64 rank) {
     auto local = arr.local(rank);
     if (!sec.empty() && arr.packed_layout_or_null(rank) == nullptr) {
-      CYCLICK_REQUIRE(sec.lower >= 0 && sec.lower < arr.size() && sec.last() >= 0 &&
-                          sec.last() < arr.size(),
-                      "section must lie within the array");
+      CYCLICK_REQUIRE(section_within(arr, sec), "section must lie within the array");
       const KernelPlan kp = compile_kernel(owned_plan(arr, sec, rank));
       if (kp.bulk()) {
         kernel_fill(kp, local.data(), value);
@@ -61,9 +59,7 @@ void transform_section(DistributedArray<T>& arr, const RegularSection& sec, F&& 
   exec.run([&](i64 rank) {
     auto local = arr.local(rank);
     if (!sec.empty() && arr.packed_layout_or_null(rank) == nullptr) {
-      CYCLICK_REQUIRE(sec.lower >= 0 && sec.lower < arr.size() && sec.last() >= 0 &&
-                          sec.last() < arr.size(),
-                      "section must lie within the array");
+      CYCLICK_REQUIRE(section_within(arr, sec), "section must lie within the array");
       const KernelPlan kp = compile_kernel(owned_plan(arr, sec, rank));
       if (kp.bulk()) {
         kernel_for_each_local(kp, [&](i64 la) {
@@ -105,9 +101,7 @@ T reduce_section(const DistributedArray<T>& arr, const RegularSection& sec, T in
     // per-rank fold order identical to the traversal order (op need not be
     // commutative).
     if (!sec.empty() && sec.stride > 0 && arr.packed_layout_or_null(rank) == nullptr) {
-      CYCLICK_REQUIRE(sec.lower >= 0 && sec.lower < arr.size() && sec.last() >= 0 &&
-                          sec.last() < arr.size(),
-                      "section must lie within the array");
+      CYCLICK_REQUIRE(section_within(arr, sec), "section must lie within the array");
       const KernelPlan kp = compile_kernel(owned_plan(arr, sec, rank));
       if (kp.bulk()) {
         kernel_for_each_local(kp, fold);
@@ -142,9 +136,7 @@ void copy_section(const DistributedArray<T>& src, const RegularSection& ssec,
       auto out = dst.local(rank);
       auto in = src.local(rank);
       if (dst.packed_layout_or_null(rank) == nullptr) {
-        CYCLICK_REQUIRE(dsec.lower >= 0 && dsec.lower < dst.size() && dsec.last() >= 0 &&
-                            dsec.last() < dst.size(),
-                        "section must lie within the array");
+        CYCLICK_REQUIRE(section_within(dst, dsec), "section must lie within the array");
         const KernelPlan kp = compile_kernel(owned_plan(dst, dsec, rank));
         if (kp.bulk()) {
           kernel_copy_same(kp, in.data(), out.data());

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <random>
 
 #include "cyclick/runtime/section_ops.hpp"
 #include "support/legacy_comm_plan.hpp"
@@ -89,6 +90,122 @@ TEST(CommPlanDifferential, CompressedMatchesLegacyByteIdentically) {
             << c.name << " t=" << t;
     }
   }
+}
+
+void expect_same_plan(const CommPlan& a, const CommPlan& b, const std::string& what) {
+  ASSERT_EQ(a.ranks, b.ranks) << what;
+  ASSERT_EQ(a.channels.size(), b.channels.size()) << what;
+  for (std::size_t c = 0; c < a.channels.size(); ++c) {
+    const CommPlan::Channel& x = a.channels[c];
+    const CommPlan::Channel& y = b.channels[c];
+    ASSERT_TRUE(x.count == y.count && x.src_start == y.src_start &&
+                x.dst_start == y.dst_start && x.period == y.period &&
+                x.gap_begin == y.gap_begin && x.src_advance == y.src_advance &&
+                x.dst_advance == y.dst_advance && x.src_contig == y.src_contig &&
+                x.dst_contig == y.dst_contig)
+        << what << " channel " << c;
+  }
+  EXPECT_EQ(a.src_off, b.src_off) << what;
+  EXPECT_EQ(a.dst_off, b.dst_off) << what;
+  EXPECT_EQ(a.message_count(), b.message_count()) << what;
+  EXPECT_EQ(a.remote_elements(), b.remote_elements()) << what;
+  EXPECT_EQ(a.total_elements(), b.total_elements()) << what;
+}
+
+/// Expand every channel of `fast` (element i at start + (i / period) *
+/// advance + off[i % period] on both sides) and compare it, in order, with
+/// the legacy plan's items.
+void expect_streams_match_legacy(const DistributedArray<double>& src,
+                                 const RegularSection& ssec, DistributedArray<double>& dst,
+                                 const RegularSection& dsec, const SpmdExecutor& exec,
+                                 const std::string& what) {
+  const LegacyCommPlan legacy = build_legacy_copy_plan(src, ssec, dst, dsec, exec);
+  const CommPlan fast = build_copy_plan(src, ssec, dst, dsec, exec);
+  const i64 p = exec.ranks();
+  for (i64 m = 0; m < p; ++m)
+    for (i64 q = 0; q < p; ++q) {
+      const CommPlan::Channel& ch = fast.channel(m, q);
+      const auto& items = legacy.items(m, q);
+      ASSERT_EQ(static_cast<i64>(items.size()), ch.count)
+          << what << " (" << m << "," << q << ")";
+      for (i64 i = 0; i < ch.count; ++i) {
+        i64 s = ch.src_start;
+        i64 d = ch.dst_start;
+        if (ch.period > 0) {
+          const auto r = static_cast<std::size_t>(ch.gap_begin + i % ch.period);
+          s += (i / ch.period) * ch.src_advance + fast.src_off[r];
+          d += (i / ch.period) * ch.dst_advance + fast.dst_off[r];
+        }
+        const LegacyCommPlan::Item& it = items[static_cast<std::size_t>(i)];
+        ASSERT_EQ(d, it.dst_local) << what << " (" << m << "," << q << ") i=" << i;
+        ASSERT_EQ(s, src.local_address(it.src_global)) << what << " (" << m << "," << q
+                                                       << ") i=" << i;
+      }
+    }
+  const SpmdExecutor threads(p, SpmdExecutor::Mode::kThreads);
+  expect_same_plan(fast, build_copy_plan(src, ssec, dst, dsec, threads), what + " (threads)");
+}
+
+TEST(CommPlanDifferential, ChannelStreamsMatchLegacyItems) {
+  for (const CopyCase& c : differential_grid()) {
+    const SpmdExecutor exec(c.p);
+    DistributedArray<double> src(BlockCyclic(c.p, c.src_k), c.src_n, c.src_al);
+    DistributedArray<double> dst(BlockCyclic(c.p, c.dst_k), c.dst_n, c.dst_al);
+    expect_streams_match_legacy(src, c.ssec, dst, c.dsec, exec, c.name);
+  }
+
+  // sections_cold-shaped draws: cyclic(3) <-> cyclic(64) on 8 ranks, |stride|
+  // 1..63 (1 in 8 descending), 32..1024 elements.
+  const i64 p = 8;
+  const i64 n = i64{1} << 16;
+  const SpmdExecutor exec(p);
+  DistributedArray<double> a3(BlockCyclic(p, 3), n);
+  DistributedArray<double> a64(BlockCyclic(p, 64), n);
+  std::mt19937_64 rng(20261018);
+  const auto draw = [&rng](i64 lo, i64 hi) {
+    return std::uniform_int_distribution<i64>(lo, hi)(rng);
+  };
+  for (int i = 0; i < 300; ++i) {
+    const bool forward = draw(0, 1) == 1;
+    const i64 len = draw(32, 1024);
+    const auto section = [&] {
+      const i64 s = draw(1, 63) * (draw(0, 7) == 0 ? -1 : 1);
+      const i64 span = (len - 1) * (s < 0 ? -s : s);
+      const i64 lo = draw(0, n - 1 - span);
+      return s > 0 ? RegularSection{lo, lo + span, s} : RegularSection{lo + span, lo, s};
+    };
+    const RegularSection ssec = section();
+    const RegularSection dsec = section();
+    expect_streams_match_legacy(forward ? a3 : a64, ssec, forward ? a64 : a3, dsec, exec,
+                                "draw " + std::to_string(i));
+  }
+
+  // Whole-array remaps cyclic(k1) -> cyclic(k2).
+  const i64 remap_n = 5000;
+  for (const i64 k1 : {1, 3, 7, 64, 128})
+    for (const i64 k2 : {1, 3, 7, 64, 128}) {
+      DistributedArray<double> src(BlockCyclic(p, k1), remap_n);
+      DistributedArray<double> dst(BlockCyclic(p, k2), remap_n);
+      const RegularSection whole{0, remap_n - 1, 1};
+      expect_streams_match_legacy(src, whole, dst, whole, exec,
+                                  "remap " + std::to_string(k1) + "->" + std::to_string(k2));
+    }
+}
+
+TEST(CommPlan, SourceSectionOutsideArrayIsRejected) {
+  const SpmdExecutor exec(4);
+  DistributedArray<double> src(BlockCyclic(4, 3), 40);
+  DistributedArray<double> dst(BlockCyclic(4, 5), 80);
+  // Past the end of the 40-element source (the destination holds 80).
+  EXPECT_THROW(copy_section(src, {0, 79, 1}, dst, {0, 79, 1}, exec), precondition_error);
+  // A negative lower bound.
+  EXPECT_THROW(copy_section(src, {-2, 7, 1}, dst, {0, 9, 1}, exec), precondition_error);
+  // A descending stride that crosses 0.
+  EXPECT_THROW(copy_section(src, {6, -3, -3}, dst, {0, 3, 1}, exec), precondition_error);
+  EXPECT_THROW((void)build_copy_plan(src, {6, -3, -3}, dst, {0, 3, 1}, exec),
+               precondition_error);
+  // The same sections inside the array still copy.
+  copy_section(src, {6, 0, -3}, dst, {0, 2, 1}, exec);
 }
 
 TEST(CommPlanDifferential, CompressedPlanIsSmallOnLargeSections) {

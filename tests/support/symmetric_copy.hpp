@@ -54,8 +54,8 @@ void symmetric_copy_section(const DistributedArray<T>& src, const RegularSection
 
   // Phase 1: every sender q walks its source elements in t order and
   // appends the *value only* to the buffer of the receiving rank. The
-  // destination owner comes from the owner-run cursor (divisions only at
-  // block crossings), and a first counting pass sizes every per-receiver
+  // destination owner comes from an owner cursor seeked to each t, and a
+  // first counting pass sizes every per-receiver
   // buffer exactly before the fill — no push_back growth reallocations.
   std::vector<std::vector<T>> wire(static_cast<std::size_t>(p * p));  // [m*p + q]
   exec.run([&](i64 q) {
@@ -63,14 +63,16 @@ void symmetric_copy_section(const DistributedArray<T>& src, const RegularSection
     OwnerCursor dst_owner(dst, dsec);
     std::vector<i64> counts(static_cast<std::size_t>(p), 0);
     for_each_owned_t(src, ssec, q, [&](i64 t, i64) {
-      ++counts[static_cast<std::size_t>(dst_owner.owner_at(t))];
+      dst_owner.seek(t);
+      ++counts[static_cast<std::size_t>(dst_owner.owner())];
     });
     for (i64 m = 0; m < p; ++m)
       if (counts[static_cast<std::size_t>(m)] > 0)
         wire[static_cast<std::size_t>(m * p + q)].reserve(
             static_cast<std::size_t>(counts[static_cast<std::size_t>(m)]));
     for_each_owned_t(src, ssec, q, [&](i64 t, i64 la) {
-      const i64 m = dst_owner.owner_at(t);
+      dst_owner.seek(t);
+      const i64 m = dst_owner.owner();
       wire[static_cast<std::size_t>(m * p + q)].push_back(
           local[static_cast<std::size_t>(la)]);
     });
@@ -83,7 +85,8 @@ void symmetric_copy_section(const DistributedArray<T>& src, const RegularSection
     OwnerCursor src_owner(src, ssec);
     std::vector<std::size_t> cursor(static_cast<std::size_t>(p), 0);
     for_each_owned_t(dst, dsec, m, [&](i64 t, i64 la) {
-      const i64 q = src_owner.owner_at(t);
+      src_owner.seek(t);
+      const i64 q = src_owner.owner();
       auto& stream = wire[static_cast<std::size_t>(m * p + q)];
       auto& pos = cursor[static_cast<std::size_t>(q)];
       CYCLICK_ASSERT(pos < stream.size());
