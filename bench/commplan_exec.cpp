@@ -14,7 +14,11 @@
 //     copies (p = 8, cyclic(3) <-> cyclic(64), |stride| 1..63 with 1 in 8
 //     descending, 32..1024 elements): median and quartiles of the per-build
 //     time over rounds that alternate the set's order, and allocations per
-//     build (a count that repeats exactly).
+//     build (a count that repeats exactly),
+//   * cold N-D region plan construction: heat2d's four shifted operand
+//     regions (254 x 254 interior of a 256 x 256 array, cyclic(5) x
+//     cyclic(7) over a 2 x 2 grid), median and quartiles of the per-build
+//     time, and allocations per build.
 //
 // `--csv` prints machine-readable rows; `--json` writes
 // BENCH_commplan.json for the perf trajectory.
@@ -25,7 +29,7 @@
 #include <random>
 
 #include "bench_common.hpp"
-#include "cyclick/runtime/section_ops.hpp"
+#include "cyclick/runtime/multidim_array.hpp"
 #include "support/legacy_comm_plan.hpp"
 
 // --- global allocation counter -------------------------------------------
@@ -200,6 +204,35 @@ int main(int argc, char** argv) {
   const double cold_allocs =
       static_cast<double>(cold_allocs_total) / static_cast<double>(copies.size());
 
+  // Cold N-D region plan construction (heat2d's operand copies).
+  const i64 hn = 256;
+  const SpmdExecutor region_exec(4);
+  const auto heat_map = [&] {
+    std::vector<DimMapping> dims;
+    dims.emplace_back(hn, AffineAlignment::identity(), BlockCyclic(2, 5));
+    dims.emplace_back(hn, AffineAlignment::identity(), BlockCyclic(2, 7));
+    return MultiDimMapping{std::move(dims), ProcessorGrid({2, 2})};
+  };
+  const MultiDimArray<double> heat_src(heat_map());
+  const MultiDimArray<double> heat_tmp(heat_map());
+  const RegularSection in{1, hn - 2, 1}, lo{0, hn - 3, 1}, hi{2, hn - 1, 1};
+  const Region dreg{in, in};
+  const std::vector<Region> sregs = {{lo, in}, {hi, in}, {in, lo}, {in, hi}};
+  const auto build_region = [&](const Region& sreg) {
+    const RedistributionPlan plan =
+        build_region_plan(heat_src, sreg, heat_tmp, dreg, region_exec);
+    do_not_optimize(plan.comm.channels.data());
+  };
+  for (const Region& sreg : sregs) build_region(sreg);  // warm-up round
+  std::vector<double> region_us;
+  for (int r = 0; r < 8; ++r)
+    for (const Region& sreg : sregs)
+      region_us.push_back(time_once_us([&] { build_region(sreg); }));
+  std::sort(region_us.begin(), region_us.end());
+  const long long region_allocs = allocs_during(1, [&] {
+    for (const Region& sreg : sregs) build_region(sreg);
+  }) / static_cast<long long>(sregs.size());
+
   const auto legacy_bytes = static_cast<i64>(legacy.plan_bytes());
   const auto fast_bytes = static_cast<i64>(fast.plan_bytes());
 
@@ -225,6 +258,10 @@ int main(int argc, char** argv) {
   table.add_row({"cold_build_us_q1", TextTable::fixed(quantile(cold_us, 0.25), 2)});
   table.add_row({"cold_build_us_q3", TextTable::fixed(quantile(cold_us, 0.75), 2)});
   table.add_row({"cold_build_allocs", TextTable::fixed(cold_allocs, 2)});
+  table.add_row({"region_build_us", TextTable::fixed(quantile(region_us, 0.5), 1)});
+  table.add_row({"region_build_us_q1", TextTable::fixed(quantile(region_us, 0.25), 1)});
+  table.add_row({"region_build_us_q3", TextTable::fixed(quantile(region_us, 0.75), 1)});
+  table.add_row({"region_build_allocs", TextTable::num(region_allocs)});
   emit(table, csv);
   if (json) {
     JsonWriter w("BENCH_commplan.json");

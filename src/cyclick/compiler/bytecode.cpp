@@ -61,16 +61,6 @@ const char* relop_name(i32 code) noexcept {
   }
 }
 
-std::string region_text(const Region& region) {
-  std::string out = "(";
-  for (std::size_t d = 0; d < region.size(); ++d) {
-    if (d) out += ", ";
-    out += std::to_string(region[d].lower) + ':' + std::to_string(region[d].upper) + ':' +
-           std::to_string(region[d].stride);
-  }
-  return out + ')';
-}
-
 void format_instr(std::ostringstream& ss, const Instr& in,
                   const std::vector<Operand>& operands) {
   const auto opnd = [&]() -> const Operand& {

@@ -44,7 +44,7 @@
 
 #include "cyclick/core/engine.hpp"
 #include "cyclick/core/kernels.hpp"
-#include "cyclick/runtime/multidim_array.hpp"
+#include "cyclick/runtime/section_ops.hpp"
 #include "cyclick/runtime/redistribute.hpp"
 #include "cyclick/support/lru_cache.hpp"
 #include "cyclick/support/types.hpp"

@@ -1,6 +1,7 @@
 #include "cyclick/compiler/interp.hpp"
 
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <sstream>
 
@@ -29,6 +30,19 @@ constexpr const char* stmt_label(const ExplainStmt&) { return "dsl.explain"; }
 constexpr const char* stmt_label(const RedistributeStmt&) { return "dsl.redistribute"; }
 constexpr const char* stmt_label(const WhereStmt&) { return "dsl.where"; }
 constexpr const char* stmt_label(const RepeatStmt&) { return "dsl.repeat"; }
+
+constexpr std::size_t kTempPoolCap = 16;
+
+/// The DSL's named reductions (sum, min, max) over arr(region).
+double reduce_named(const std::string& op, const DistributedArray<double>& arr,
+                    const Region& region, const SpmdExecutor& exec) {
+  if (op == "sum") return reduce_region(arr, region, 0.0, std::plus<>(), exec);
+  if (op == "min")
+    return reduce_region(arr, region, std::numeric_limits<double>::infinity(),
+                         [](double a, double b) { return a < b ? a : b; }, exec);
+  return reduce_region(arr, region, -std::numeric_limits<double>::infinity(),
+                       [](double a, double b) { return a > b ? a : b; }, exec);
+}
 
 }  // namespace
 
@@ -100,79 +114,37 @@ void Machine::run(const Program& program) {
         stmt);
 }
 
-std::unique_ptr<DistributedArray<double>> Machine::acquire_temp(
-    const DistributedArray<double>& like) {
-  return acquire_temp(like.dist(), like.size(), like.alignment());
-}
-
-namespace {
-
-constexpr std::size_t kTempPoolCap = 16;
-
-/// Pop the first pooled temporary `match` accepts, or null on a miss.
-template <typename Arr, typename Match>
-std::unique_ptr<Arr> take_pooled(std::vector<std::unique_ptr<Arr>>& pool, Match&& match) {
-  for (auto it = pool.begin(); it != pool.end(); ++it) {
-    if (match(**it)) {
+std::unique_ptr<DistributedArray<double>> Machine::acquire_temp(const MultiDimMapping& map) {
+  for (auto it = temp_pool_.begin(); it != temp_pool_.end(); ++it) {
+    if ((*it)->mapping() == map) {
       auto out = std::move(*it);
-      pool.erase(it);
+      temp_pool_.erase(it);
       CYCLICK_COUNT("dsl.temp_pool_hits", 0, 1);
       // Stale values are fine: every consumer fully writes the owned slots
-      // it later reads (plan unpacks, ramps, and shifts cover the section
-      // or region).
+      // it later reads (plan unpacks, ramps, and shifts cover the region).
       return out;
     }
   }
   CYCLICK_COUNT("dsl.temp_pool_misses", 0, 1);
-  return nullptr;
+  return std::make_unique<DistributedArray<double>>(map);
 }
 
-template <typename Arr>
-void give_pooled(std::vector<std::unique_ptr<Arr>>& pool, std::unique_ptr<Arr> temp) {
-  if (temp && pool.size() < kTempPoolCap) pool.push_back(std::move(temp));
-}
-
-}  // namespace
-
-std::unique_ptr<DistributedArray<double>> Machine::acquire_temp(
-    const BlockCyclic& dist, i64 n, const AffineAlignment& align) {
-  auto out = take_pooled(temp_pool_, [&](const DistributedArray<double>& t) {
-    return t.dist() == dist && t.size() == n && t.alignment() == align;
-  });
-  if (!out) out = std::make_unique<DistributedArray<double>>(dist, n, align);
-  return out;
+std::unique_ptr<DistributedArray<double>> Machine::acquire_temp(const BlockCyclic& dist,
+                                                                 i64 n) {
+  return acquire_temp(MultiDimMapping({DimMapping(n, AffineAlignment::identity(), dist)},
+                                      ProcessorGrid({dist.procs()})));
 }
 
 void Machine::release_temp(std::unique_ptr<DistributedArray<double>> temp) {
-  give_pooled(temp_pool_, std::move(temp));
-}
-
-std::unique_ptr<MultiDimArray<double>> Machine::acquire_temp(const MultiDimMapping& map) {
-  auto out = take_pooled(temp_pool_nd_,
-                         [&](const MultiDimArray<double>& t) { return t.mapping() == map; });
-  if (!out) out = std::make_unique<MultiDimArray<double>>(map);
-  return out;
-}
-
-void Machine::release_temp(std::unique_ptr<MultiDimArray<double>> temp) {
-  give_pooled(temp_pool_nd_, std::move(temp));
+  if (temp && temp_pool_.size() < kTempPoolCap) temp_pool_.push_back(std::move(temp));
 }
 
 const DistributedArray<double>& Machine::array(const std::string& name) const {
-  const ArrayInfo& info = lookup(name, 0);
-  if (!info.is_1d()) throw dsl_error("array '" + name + "' is multidimensional", 0);
-  return *info.d1;
-}
-
-const MultiDimArray<double>& Machine::nd_array(const std::string& name) const {
-  const ArrayInfo& info = lookup(name, 0);
-  if (info.is_1d()) throw dsl_error("array '" + name + "' is one-dimensional", 0);
-  return *info.dn;
+  return *lookup(name, 0).arr;
 }
 
 std::vector<double> Machine::global_image(const std::string& name) const {
-  const ArrayInfo& info = lookup(name, 0);
-  return info.is_1d() ? info.d1->gather() : info.dn->gather();
+  return array(name).gather();
 }
 
 double Machine::scalar(const std::string& name) const {
@@ -264,22 +236,15 @@ void Machine::exec(const ArrayDecl& d) {
     aligns.push_back(al);
   }
 
-  ArrayInfo info;
-  info.tmpl = d.tmpl;
-  if (dims == 1) {
-    info.d1 = std::make_unique<DistributedArray<double>>(t->second.dists[0], d.extents[0],
-                                                         aligns[0]);
-  } else {
-    std::vector<DimMapping> mapping;
-    std::vector<i64> grid_extents;
-    for (std::size_t dim = 0; dim < dims; ++dim) {
-      mapping.emplace_back(d.extents[dim], aligns[dim], t->second.dists[dim]);
-      grid_extents.push_back(t->second.dists[dim].procs());
-    }
-    info.dn = std::make_unique<MultiDimArray<double>>(
-        MultiDimMapping{std::move(mapping), ProcessorGrid{grid_extents}});
+  std::vector<DimMapping> mapping;
+  std::vector<i64> grid_extents;
+  for (std::size_t dim = 0; dim < dims; ++dim) {
+    mapping.emplace_back(d.extents[dim], aligns[dim], t->second.dists[dim]);
+    grid_extents.push_back(t->second.dists[dim].procs());
   }
-  arrays_[d.name] = std::move(info);
+  arrays_[d.name] = ArrayInfo{std::make_unique<DistributedArray<double>>(MultiDimMapping{
+                                  std::move(mapping), ProcessorGrid{grid_extents}}),
+                              d.tmpl};
 }
 
 Machine::ArrayInfo& Machine::lookup(const std::string& name, int line) {
@@ -294,37 +259,29 @@ const Machine::ArrayInfo& Machine::lookup(const std::string& name, int line) con
   return it->second;
 }
 
-RegularSection Machine::make_section(const SectionRef& ref,
-                                     const DistributedArray<double>& arr) {
-  if (ref.subs.size() != 1)
-    throw dsl_error("array '" + ref.array + "' is one-dimensional", ref.line);
-  const Triplet& t = ref.dim0();
-  if (t.stride == 0) throw dsl_error("section stride must be nonzero", ref.line);
-  const RegularSection sec{t.lower, t.upper, t.stride};
-  if (sec.empty()) throw dsl_error("section " + sec.to_string() + " is empty", ref.line);
-  if (sec.lower < 0 || sec.lower >= arr.size() || sec.last() < 0 || sec.last() >= arr.size())
-    throw dsl_error("section " + sec.to_string() + " out of bounds for array of size " +
-                        std::to_string(arr.size()),
-                    ref.line);
-  return sec;
-}
-
-Region Machine::make_region(const SectionRef& ref, const MultiDimArray<double>& arr) {
-  if (ref.subs.size() != arr.dims())
-    throw dsl_error("array '" + ref.array + "' has " + std::to_string(arr.dims()) +
-                        " dimensions, reference has " + std::to_string(ref.subs.size()),
+Region Machine::make_region(const SectionRef& ref, const DistributedArray<double>& arr) {
+  // Rank-1 references keep the 1-D wording of their errors.
+  const std::size_t nd = arr.dims();
+  if (ref.subs.size() != nd)
+    throw dsl_error(nd == 1 ? "array '" + ref.array + "' is one-dimensional"
+                            : "array '" + ref.array + "' has " + std::to_string(nd) +
+                                  " dimensions, reference has " +
+                                  std::to_string(ref.subs.size()),
                     ref.line);
   Region region;
-  for (std::size_t dim = 0; dim < ref.subs.size(); ++dim) {
+  for (std::size_t dim = 0; dim < nd; ++dim) {
     const Triplet& t = ref.subs[dim];
     if (t.stride == 0) throw dsl_error("section stride must be nonzero", ref.line);
     const RegularSection sec{t.lower, t.upper, t.stride};
     const i64 extent = arr.mapping().dim(dim).extent;
     if (sec.empty())
-      throw dsl_error("empty section in dimension " + std::to_string(dim), ref.line);
+      throw dsl_error(nd == 1 ? "section " + sec.to_string() + " is empty"
+                              : "empty section in dimension " + std::to_string(dim),
+                      ref.line);
     if (sec.lower < 0 || sec.lower >= extent || sec.last() < 0 || sec.last() >= extent)
-      throw dsl_error("section " + sec.to_string() + " out of bounds in dimension " +
-                          std::to_string(dim),
+      throw dsl_error("section " + sec.to_string() + " out of bounds" +
+                          (nd == 1 ? " for array of size " + std::to_string(extent)
+                                   : " in dimension " + std::to_string(dim)),
                       ref.line);
     region.push_back(sec);
   }
@@ -386,55 +343,24 @@ double Machine::eval_scalar_uncached(const Expr& e, int line) {
         if (anchor == nullptr)
           throw dsl_error("reduction over an expression needs an array section operand",
                           e.line);
-        const ArrayInfo& ainfo = lookup(anchor->array, e.line);
-        if (!ainfo.is_1d())
+        const DistributedArray<double>& arr = *lookup(anchor->array, e.line).arr;
+        if (arr.dims() != 1)
           throw dsl_error("reduction over expressions supports one-dimensional arrays",
                           e.line);
-        const DistributedArray<double>& arr = *ainfo.d1;
-        const RegularSection sec = make_section(*anchor, arr);
+        const Region region = make_region(*anchor, arr);
         const SpmdExecutor exec_ctx(arr.dist().procs(), mode_);
-        Value v = eval1(*e.lhs, arr, sec, exec_ctx);
+        Value v = eval(*e.lhs, arr, region, exec_ctx);
         if (v.is_scalar())
           throw dsl_error("reduction over an expression needs an array section operand",
                           e.line);
-        const auto sum = [](double a, double b) { return a + b; };
-        const auto mn = [](double a, double b) { return a < b ? a : b; };
-        const auto mx = [](double a, double b) { return a > b ? a : b; };
-        double out = 0.0;
-        if (e.reduce_op == "sum") {
-          out = reduce_section(*v.temp, sec, 0.0, sum, exec_ctx);
-        } else if (e.reduce_op == "min") {
-          out = reduce_section(*v.temp, sec, std::numeric_limits<double>::infinity(), mn,
-                               exec_ctx);
-        } else {
-          out = reduce_section(*v.temp, sec, -std::numeric_limits<double>::infinity(), mx,
-                               exec_ctx);
-        }
+        const double out = reduce_named(e.reduce_op, *v.temp, region, exec_ctx);
         release_temp(std::move(v.temp));
         return out;
       }
-      const ArrayInfo& info = lookup(e.section.array, e.line);
-      const auto sum = [](double a, double b) { return a + b; };
-      const auto mn = [](double a, double b) { return a < b ? a : b; };
-      const auto mx = [](double a, double b) { return a > b ? a : b; };
-      if (info.is_1d()) {
-        const RegularSection sec = make_section(e.section, *info.d1);
-        const SpmdExecutor exec_ctx(info.d1->dist().procs(), mode_);
-        if (e.reduce_op == "sum") return reduce_section(*info.d1, sec, 0.0, sum, exec_ctx);
-        if (e.reduce_op == "min")
-          return reduce_section(*info.d1, sec, std::numeric_limits<double>::infinity(), mn,
-                                exec_ctx);
-        return reduce_section(*info.d1, sec, -std::numeric_limits<double>::infinity(), mx,
-                              exec_ctx);
-      }
-      const Region region = make_region(e.section, *info.dn);
-      const SpmdExecutor exec_ctx(info.dn->mapping().grid().rank_count(), mode_);
-      if (e.reduce_op == "sum") return reduce_region(*info.dn, region, 0.0, sum, exec_ctx);
-      if (e.reduce_op == "min")
-        return reduce_region(*info.dn, region, std::numeric_limits<double>::infinity(), mn,
-                             exec_ctx);
-      return reduce_region(*info.dn, region, -std::numeric_limits<double>::infinity(), mx,
-                           exec_ctx);
+      const DistributedArray<double>& arr = *lookup(e.section.array, e.line).arr;
+      const Region region = make_region(e.section, arr);
+      return reduce_named(e.reduce_op, arr, region,
+                          SpmdExecutor(arr.mapping().grid().rank_count(), mode_));
     }
     case Expr::Kind::kUnaryMinus:
       return -eval_scalar(*e.lhs, line);
@@ -448,8 +374,8 @@ double Machine::eval_scalar_uncached(const Expr& e, int line) {
   throw dsl_error("bad expression", line);
 }
 
-Machine::Value Machine::eval1(const Expr& e, const DistributedArray<double>& dst,
-                              const RegularSection& dsec, const SpmdExecutor& exec_ctx) {
+Machine::Value Machine::eval(const Expr& e, const DistributedArray<double>& dst,
+                             const Region& dregion, const SpmdExecutor& exec_ctx) {
   switch (e.kind) {
     case Expr::Kind::kScalar:
     case Expr::Kind::kScalarVar:
@@ -459,16 +385,18 @@ Machine::Value Machine::eval1(const Expr& e, const DistributedArray<double>& dst
       return v;
     }
     case Expr::Kind::kShift: {
-      const ArrayInfo& info = lookup(e.name, e.line);
-      if (!info.is_1d())
-        throw dsl_error("cshift/eoshift require a one-dimensional array", e.line);
-      const DistributedArray<double>& src = *info.d1;
-      const i64 n = src.size();
-      if (dsec.size() != n)
-        throw dsl_error("shift expression has " + std::to_string(n) +
-                            " elements, statement needs " + std::to_string(dsec.size()),
+      if (dregion.size() != 1)
+        throw dsl_error("cshift/eoshift are not supported for multidimensional arrays",
                         e.line);
-      auto shifted = acquire_temp(src.dist(), n, AffineAlignment::identity());
+      const DistributedArray<double>& src = *lookup(e.name, e.line).arr;
+      if (src.dims() != 1)
+        throw dsl_error("cshift/eoshift require a one-dimensional array", e.line);
+      const i64 n = src.size();
+      if (dregion[0].size() != n)
+        throw dsl_error("shift expression has " + std::to_string(n) +
+                            " elements, statement needs " + std::to_string(dregion[0].size()),
+                        e.line);
+      auto shifted = acquire_temp(src.dist(), n);
       trace(std::string("  ") + (e.circular ? "cshift " : "eoshift ") + e.name + " by " +
             std::to_string(e.shift));
       if (e.circular) {
@@ -477,35 +405,28 @@ Machine::Value Machine::eval1(const Expr& e, const DistributedArray<double>& dst
         eoshift(src, *shifted, e.shift, e.scalar, exec_ctx);
       }
       Value v;
-      v.temp = acquire_temp(dst);
-      copy_section(*shifted, RegularSection{0, n - 1, 1}, *v.temp, dsec, exec_ctx);
+      v.temp = acquire_temp(dst.mapping());
+      copy_section(*shifted, RegularSection{0, n - 1, 1}, *v.temp, dregion[0], exec_ctx);
       release_temp(std::move(shifted));
       return v;
     }
     case Expr::Kind::kSection: {
-      const auto [src, ssec] = operand1(e, dst, dsec);
+      const auto [src, sregion] = operand(e, dst, dregion);
       Value v;
-      v.temp = acquire_temp(dst);
-      // One cached plan serves both the trace diagnostics and the copy;
-      // repeated statements with the same shape replay it from the cache.
-      const auto plan = cached_copy_plan(src, ssec, *v.temp, dsec, exec_ctx);
-      if (tracing_) {
-        trace("  copy " + e.section.array + ssec.to_string() + " -> temp@" +
-              dsec.to_string() + "  [messages=" + std::to_string(plan->message_count()) +
-              ", remote=" + std::to_string(plan->remote_elements()) + "/" +
-              std::to_string(ssec.size()) + "]");
-      }
-      execute_copy_plan(*plan, src, *v.temp, exec_ctx);
+      v.temp = acquire_temp(dst.mapping());
+      copy_traced(e.section.array, src, sregion, "temp@", *v.temp, dregion, exec_ctx);
       return v;
     }
     case Expr::Kind::kRamp: {
       // forall index as a value: the t-th element of the statement is the
       // index value ramp_lower + t*ramp_stride.
+      if (dregion.size() != 1)
+        throw dsl_error("forall is not supported for multidimensional arrays", e.line);
       Value v;
-      v.temp = acquire_temp(dst);
+      v.temp = acquire_temp(dst.mapping());
       exec_ctx.run([&](i64 rank) {
         auto local = v.temp->local(rank);
-        for_each_owned(*v.temp, dsec, rank, [&](i64 t, i64 addr) {
+        for_each_owned(*v.temp, dregion[0], rank, [&](i64 t, i64 addr) {
           local[static_cast<std::size_t>(addr)] =
               static_cast<double>(e.ramp_lower + t * e.ramp_stride);
         });
@@ -513,17 +434,17 @@ Machine::Value Machine::eval1(const Expr& e, const DistributedArray<double>& dst
       return v;
     }
     case Expr::Kind::kUnaryMinus: {
-      Value v = eval1(*e.lhs, dst, dsec, exec_ctx);
+      Value v = eval(*e.lhs, dst, dregion, exec_ctx);
       if (v.is_scalar()) {
         v.scalar = -v.scalar;
         return v;
       }
-      transform_section(*v.temp, dsec, [](double x) { return -x; }, exec_ctx);
+      transform_region(*v.temp, dregion, [](double x) { return -x; }, exec_ctx);
       return v;
     }
     case Expr::Kind::kBinary: {
-      Value a = eval1(*e.lhs, dst, dsec, exec_ctx);
-      Value b = eval1(*e.rhs, dst, dsec, exec_ctx);
+      Value a = eval(*e.lhs, dst, dregion, exec_ctx);
+      Value b = eval(*e.rhs, dst, dregion, exec_ctx);
       const char op = e.op;
       const int line = e.line;
       if (a.is_scalar() && b.is_scalar()) {
@@ -531,26 +452,21 @@ Machine::Value Machine::eval1(const Expr& e, const DistributedArray<double>& dst
         return a;
       }
       if (!a.is_scalar() && b.is_scalar()) {
-        transform_section(*a.temp, dsec,
-                          [&](double x) { return apply_op(op, x, b.scalar, line); },
-                          exec_ctx);
+        transform_region(*a.temp, dregion,
+                         [&](double x) { return apply_op(op, x, b.scalar, line); },
+                         exec_ctx);
         return a;
       }
       if (a.is_scalar() && !b.is_scalar()) {
-        transform_section(*b.temp, dsec,
-                          [&](double y) { return apply_op(op, a.scalar, y, line); },
-                          exec_ctx);
+        transform_region(*b.temp, dregion,
+                         [&](double y) { return apply_op(op, a.scalar, y, line); },
+                         exec_ctx);
         return b;
       }
-      trace(std::string("  combine local '") + op + "' over " + dsec.to_string());
-      exec_ctx.run([&](i64 rank) {
-        auto la = a.temp->local(rank);
-        auto lb = b.temp->local(rank);
-        for_each_owned(*a.temp, dsec, rank, [&](i64, i64 addr) {
-          const auto i = static_cast<std::size_t>(addr);
-          la[i] = apply_op(op, la[i], lb[i], line);
-        });
-      });
+      if (tracing_)
+        trace(std::string("  combine local '") + op + "' over " + region_text(dregion));
+      combine_region(*a.temp, *b.temp, dregion,
+                     [&](double x, double y) { return apply_op(op, x, y, line); }, exec_ctx);
       release_temp(std::move(b.temp));
       return a;
     }
@@ -558,171 +474,74 @@ Machine::Value Machine::eval1(const Expr& e, const DistributedArray<double>& dst
   throw dsl_error("bad expression", e.line);
 }
 
-std::pair<const DistributedArray<double>&, RegularSection> Machine::operand1(
-    const Expr& e, const DistributedArray<double>& dst, const RegularSection& dsec) {
-  const ArrayInfo& info = lookup(e.section.array, e.line);
-  if (!info.is_1d())
+std::pair<const DistributedArray<double>&, Region> Machine::operand(
+    const Expr& e, const DistributedArray<double>& dst, const Region& dregion) {
+  const DistributedArray<double>& src = *lookup(e.section.array, e.line).arr;
+  if (src.dims() != dst.dims())
     throw dsl_error("cannot mix array dimensionalities in one statement", e.line);
-  const DistributedArray<double>& src = *info.d1;
-  const RegularSection ssec = make_section(e.section, src);
-  if (ssec.size() != dsec.size())
-    throw dsl_error("section length mismatch: " + ssec.to_string() + " has " +
-                        std::to_string(ssec.size()) + " elements, statement needs " +
-                        std::to_string(dsec.size()),
-                    e.line);
-  if (src.dist().procs() != dst.dist().procs())
-    throw dsl_error("arrays in one statement must share a processor arrangement", e.line);
-  return {src, ssec};
-}
-
-std::pair<const MultiDimArray<double>&, Region> Machine::operandn(
-    const Expr& e, const MultiDimArray<double>& dst, const Region& dregion) {
-  const ArrayInfo& info = lookup(e.section.array, e.line);
-  if (info.is_1d())
-    throw dsl_error("cannot mix array dimensionalities in one statement", e.line);
-  const MultiDimArray<double>& src = *info.dn;
   Region sregion = make_region(e.section, src);
-  if (sregion.size() != dregion.size())
-    throw dsl_error("operand dimensionality mismatch", e.line);
-  for (std::size_t d = 0; d < sregion.size(); ++d)
-    if (sregion[d].size() != dregion[d].size())
-      throw dsl_error("section extent mismatch in dimension " + std::to_string(d), e.line);
+  for (std::size_t d = 0; d < sregion.size(); ++d) {
+    if (sregion[d].size() == dregion[d].size()) continue;
+    if (sregion.size() == 1)
+      throw dsl_error("section length mismatch: " + sregion[0].to_string() + " has " +
+                          std::to_string(sregion[0].size()) + " elements, statement needs " +
+                          std::to_string(dregion[0].size()),
+                      e.line);
+    throw dsl_error("section extent mismatch in dimension " + std::to_string(d), e.line);
+  }
   if (src.mapping().grid().rank_count() != dst.mapping().grid().rank_count())
     throw dsl_error("arrays in one statement must share a processor arrangement", e.line);
   return {src, std::move(sregion)};
 }
 
-Machine::Value Machine::evaln(const Expr& e, const MultiDimArray<double>& dst,
-                              const Region& dregion, const SpmdExecutor& exec_ctx) {
-  switch (e.kind) {
-    case Expr::Kind::kScalar:
-    case Expr::Kind::kScalarVar:
-    case Expr::Kind::kReduce: {
-      Value v;
-      v.scalar = eval_scalar(e, e.line);
-      return v;
+void Machine::copy_traced(const std::string& src_name, const DistributedArray<double>& src,
+                          const Region& sregion, const std::string& dst_text,
+                          DistributedArray<double>& dst, const Region& dregion,
+                          const SpmdExecutor& exec_ctx) {
+  if (tracing_) {
+    // The cached plan the copy replays (a same-mapping copy runs locally,
+    // and its plan reports all-local counts).
+    i64 messages = 0;
+    i64 remote = 0;
+    if (dregion.size() == 1) {
+      const auto plan = cached_copy_plan(src, sregion[0], dst, dregion[0], exec_ctx);
+      messages = plan->message_count();
+      remote = plan->remote_elements();
+    } else {
+      const auto plan = cached_region_plan(src, sregion, dst, dregion, exec_ctx);
+      messages = plan->message_count();
+      remote = plan->remote_elements();
     }
-    case Expr::Kind::kShift:
-      throw dsl_error("cshift/eoshift are not supported for multidimensional arrays",
-                      e.line);
-    case Expr::Kind::kRamp:
-      throw dsl_error("forall is not supported for multidimensional arrays", e.line);
-    case Expr::Kind::kSection: {
-      const auto [src, sregion] = operandn(e, dst, dregion);
-      Value v;
-      v.temp_nd = acquire_temp(dst.mapping());
-      copy_region(src, sregion, *v.temp_nd, dregion, exec_ctx);
-      return v;
-    }
-    case Expr::Kind::kUnaryMinus: {
-      Value v = evaln(*e.lhs, dst, dregion, exec_ctx);
-      if (v.is_scalar()) {
-        v.scalar = -v.scalar;
-        return v;
-      }
-      transform_region(*v.temp_nd, dregion, [](double x) { return -x; }, exec_ctx);
-      return v;
-    }
-    case Expr::Kind::kBinary: {
-      Value a = evaln(*e.lhs, dst, dregion, exec_ctx);
-      Value b = evaln(*e.rhs, dst, dregion, exec_ctx);
-      const char op = e.op;
-      const int line = e.line;
-      if (a.is_scalar() && b.is_scalar()) {
-        a.scalar = apply_op(op, a.scalar, b.scalar, line);
-        return a;
-      }
-      if (!a.is_scalar() && b.is_scalar()) {
-        transform_region(*a.temp_nd, dregion,
-                         [&](double x) { return apply_op(op, x, b.scalar, line); },
-                         exec_ctx);
-        return a;
-      }
-      if (a.is_scalar() && !b.is_scalar()) {
-        transform_region(*b.temp_nd, dregion,
-                         [&](double y) { return apply_op(op, a.scalar, y, line); },
-                         exec_ctx);
-        return b;
-      }
-      exec_ctx.run([&](i64 rank) {
-        auto la = a.temp_nd->local(rank);
-        auto lb = b.temp_nd->local(rank);
-        for_each_owned_region(*a.temp_nd, dregion, rank,
-                              [&](const std::vector<i64>&, i64 addr) {
-                                const auto i = static_cast<std::size_t>(addr);
-                                la[i] = apply_op(op, la[i], lb[i], line);
-                              });
-      });
-      release_temp(std::move(b.temp_nd));
-      return a;
-    }
+    trace("  copy " + src_name + region_text(sregion) + " -> " + dst_text +
+          region_text(dregion) + "  [messages=" + std::to_string(messages) +
+          ", remote=" + std::to_string(remote) + "/" + std::to_string(region_size(sregion)) +
+          "]");
   }
-  throw dsl_error("bad expression", e.line);
+  copy_region(src, sregion, dst, dregion, exec_ctx);
 }
 
 void Machine::exec(const AssignStmt& s) {
   if (tier_ == Tier::kBytecode && jit().try_assign(s)) return;
-  // A bare section copy is one copy_section/copy_region call on either
-  // tier: no destination-shaped temporary, no store pass.
-  const bool bare_copy = s.value->kind == Expr::Kind::kSection;
-  ArrayInfo& info = lookup(s.target.array, s.line);
-  if (info.is_1d()) {
-    DistributedArray<double>& dst = *info.d1;
-    const RegularSection dsec = make_section(s.target, dst);
-    trace("assign " + s.target.array + dsec.to_string());
-    const SpmdExecutor exec_ctx(dst.dist().procs(), mode_);
-    if (bare_copy) {
-      const auto [src, ssec] = operand1(*s.value, dst, dsec);
-      if (tracing_) {
-        const auto plan = cached_copy_plan(src, ssec, dst, dsec, exec_ctx);
-        trace("  copy " + s.value->section.array + ssec.to_string() + " -> " +
-              s.target.array + dsec.to_string() +
-              "  [messages=" + std::to_string(plan->message_count()) +
-              ", remote=" + std::to_string(plan->remote_elements()) + "/" +
-              std::to_string(ssec.size()) + "]");
-      }
-      copy_section(src, ssec, dst, dsec, exec_ctx);
-      return;
-    }
-    Value v = eval1(*s.value, dst, dsec, exec_ctx);
-    if (v.is_scalar()) {
-      trace("  fill scalar");
-      fill_section(dst, dsec, v.scalar, exec_ctx);
-      return;
-    }
-    trace("  store local from temp");
-    exec_ctx.run([&](i64 rank) {
-      auto out = dst.local(rank);
-      auto in = v.temp->local(rank);
-      for_each_owned(dst, dsec, rank, [&](i64, i64 addr) {
-        out[static_cast<std::size_t>(addr)] = in[static_cast<std::size_t>(addr)];
-      });
-    });
-    release_temp(std::move(v.temp));
-    return;
-  }
-
-  MultiDimArray<double>& dst = *info.dn;
+  DistributedArray<double>& dst = *lookup(s.target.array, s.line).arr;
   const Region dregion = make_region(s.target, dst);
+  if (tracing_) trace("assign " + s.target.array + region_text(dregion));
   const SpmdExecutor exec_ctx(dst.mapping().grid().rank_count(), mode_);
-  if (bare_copy) {
-    const auto [src, sregion] = operandn(*s.value, dst, dregion);
-    copy_region(src, sregion, dst, dregion, exec_ctx);
+  // A bare section copy is one runtime copy on either tier: no
+  // destination-shaped temporary, no store pass.
+  if (s.value->kind == Expr::Kind::kSection) {
+    const auto [src, sregion] = operand(*s.value, dst, dregion);
+    copy_traced(s.value->section.array, src, sregion, s.target.array, dst, dregion, exec_ctx);
     return;
   }
-  Value v = evaln(*s.value, dst, dregion, exec_ctx);
+  Value v = eval(*s.value, dst, dregion, exec_ctx);
   if (v.is_scalar()) {
+    trace("  fill scalar");
     fill_region(dst, dregion, v.scalar, exec_ctx);
     return;
   }
-  exec_ctx.run([&](i64 rank) {
-    auto out = dst.local(rank);
-    auto in = v.temp_nd->local(rank);
-    for_each_owned_region(dst, dregion, rank, [&](const std::vector<i64>&, i64 addr) {
-      out[static_cast<std::size_t>(addr)] = in[static_cast<std::size_t>(addr)];
-    });
-  });
-  release_temp(std::move(v.temp_nd));
+  trace("  store local from temp");
+  copy_region(*v.temp, dregion, dst, dregion, exec_ctx);
+  release_temp(std::move(v.temp));
 }
 
 void Machine::exec(const ScalarAssignStmt& s) {
@@ -731,16 +550,15 @@ void Machine::exec(const ScalarAssignStmt& s) {
 }
 
 void Machine::exec(const RedistributeStmt& s) {
-  const auto it = arrays_.find(s.array);
-  if (it == arrays_.end()) throw dsl_error("unknown array '" + s.array + "'", s.line);
-  if (!it->second.is_1d())
+  ArrayInfo& info = lookup(s.array, s.line);
+  if (info.arr->dims() != 1)
     throw dsl_error("redistribute supports one-dimensional arrays", s.line);
   const auto pr = procs_.find(s.procs);
   if (pr == procs_.end())
     throw dsl_error("unknown processor arrangement '" + s.procs + "'", s.line);
   if (pr->second.size() != 1)
     throw dsl_error("redistribute target must be a 1-D processor arrangement", s.line);
-  DistributedArray<double>& old = *it->second.d1;
+  DistributedArray<double>& old = *info.arr;
   const i64 p = pr->second[0];
   if (p != old.dist().procs())
     throw dsl_error("redistribute cannot change the processor count", s.line);
@@ -770,17 +588,15 @@ void Machine::exec(const RedistributeStmt& s) {
           std::to_string(old.size()) + ", phases=" + std::to_string(plan.phases) + "]");
   }
   execute_redistribution(plan, old, *fresh, exec_ctx);
-  it->second.d1 = std::move(fresh);
-  it->second.tmpl.clear();  // the array now lives on an anonymous template
+  info.arr = std::move(fresh);
+  info.tmpl.clear();  // the array now lives on an anonymous template
 }
 
 void Machine::exec(const WhereStmt& s) {
   if (tier_ == Tier::kBytecode && jit().try_where(s)) return;
-  ArrayInfo& info = lookup(s.target.array, s.line);
-  if (!info.is_1d())
-    throw dsl_error("where supports one-dimensional arrays", s.line);
-  DistributedArray<double>& dst = *info.d1;
-  const RegularSection dsec = make_section(s.target, dst);
+  DistributedArray<double>& dst = *lookup(s.target.array, s.line).arr;
+  if (dst.dims() != 1) throw dsl_error("where supports one-dimensional arrays", s.line);
+  const Region dregion = make_region(s.target, dst);
   const SpmdExecutor exec_ctx(dst.dist().procs(), mode_);
 
   const auto holds = [&](double x, double y) -> bool {
@@ -793,16 +609,16 @@ void Machine::exec(const WhereStmt& s) {
   };
 
   // Evaluate both mask operands and the value against the target section.
-  Value ml = eval1(*s.mask_lhs, dst, dsec, exec_ctx);
-  Value mr = eval1(*s.mask_rhs, dst, dsec, exec_ctx);
-  Value v = eval1(*s.value, dst, dsec, exec_ctx);
+  Value ml = eval(*s.mask_lhs, dst, dregion, exec_ctx);
+  Value mr = eval(*s.mask_rhs, dst, dregion, exec_ctx);
+  Value v = eval(*s.value, dst, dregion, exec_ctx);
 
   exec_ctx.run([&](i64 rank) {
     auto out = dst.local(rank);
     auto lml = ml.is_scalar() ? std::span<double>() : ml.temp->local(rank);
     auto lmr = mr.is_scalar() ? std::span<double>() : mr.temp->local(rank);
     auto lv = v.is_scalar() ? std::span<double>() : v.temp->local(rank);
-    for_each_owned(dst, dsec, rank, [&](i64, i64 addr) {
+    for_each_owned(dst, dregion[0], rank, [&](i64, i64 addr) {
       const auto i = static_cast<std::size_t>(addr);
       const double x = ml.is_scalar() ? ml.scalar : lml[i];
       const double y = mr.is_scalar() ? mr.scalar : lmr[i];
@@ -827,24 +643,9 @@ void Machine::exec(const PrintStmt& s) {
     output_ += ss.str();
     return;
   }
-  const ArrayInfo& info = lookup(s.section.array, s.line);
-  if (info.is_1d()) {
-    const DistributedArray<double>& arr = *info.d1;
-    const RegularSection sec = make_section(s.section, arr);
-    ss << s.section.array << sec.to_string() << " =";
-    for (i64 t = 0; t < sec.size(); ++t) ss << ' ' << arr.get(sec.element(t));
-    ss << '\n';
-    output_ += ss.str();
-    return;
-  }
-  const MultiDimArray<double>& arr = *info.dn;
+  const DistributedArray<double>& arr = *lookup(s.section.array, s.line).arr;
   const Region region = make_region(s.section, arr);
-  ss << s.section.array << '(';
-  for (std::size_t d = 0; d < region.size(); ++d) {
-    if (d) ss << ", ";
-    ss << region[d].lower << ':' << region[d].upper << ':' << region[d].stride;
-  }
-  ss << ") =";
+  ss << s.section.array << region_text(region) << " =";
   // Row-major walk of the region (last dimension fastest), one line per
   // leading-dimension slice for 2-D arrays.
   std::vector<i64> pos(region.size(), 0);
@@ -885,58 +686,69 @@ void Machine::exec(const ExplainStmt& s) {
     }
     return;
   }
-  const ArrayInfo& info = lookup(s.section.array, s.line);
-  if (!info.is_1d()) {
-    // Multidimensional arrays factor into one 1-D access problem per
-    // dimension (paper, Section 2); dump each dimension's patterns per
-    // grid coordinate.
-    const MultiDimArray<double>& arr = *info.dn;
-    const Region region = make_region(s.section, arr);
-    std::ostringstream ss;
-    ss << "explain " << s.section.array << " (" << arr.dims()
-       << "-D; per-dimension patterns):\n";
-    for (std::size_t d = 0; d < arr.dims(); ++d) {
-      const DimMapping& dm = arr.mapping().dim(d);
-      const RegularSection image = dm.align.image(region[d]).ascending();
-      ss << " dim " << d << " " << region[d].to_string() << " over cyclic("
-         << dm.dist.block_size() << ") x " << dm.dist.procs() << ", class "
-         << access_class_name(AddressEngine::classify(dm.dist, image.stride)) << ":\n";
-      for (i64 c = 0; c < dm.dist.procs(); ++c) {
-        const SectionPlan plan = AddressEngine::global().plan(dm.dist, image, c);
-        if (plan.empty()) {
-          ss << "   coord " << c << ": no elements\n";
-          continue;
-        }
-        const AccessPattern pat = plan.make_pattern();
-        ss << "   coord " << c << ": start cell " << pat.start_global << " local "
-           << pat.start_local << ", period " << pat.length << ", AM = [";
-        for (std::size_t i = 0; i < pat.gaps.size(); ++i)
-          ss << (i ? ", " : "") << pat.gaps[i];
-        ss << "]\n";
+  const DistributedArray<double>& arr = *lookup(s.section.array, s.line).arr;
+  const Region region = make_region(s.section, arr);
+  std::ostringstream ss;
+  const auto gaps = [&ss](const std::vector<i64>& am) {
+    ss << ", AM = [";
+    for (std::size_t i = 0; i < am.size(); ++i) ss << (i ? ", " : "") << am[i];
+    ss << "]\n";
+  };
+  if (arr.dims() == 1) {
+    const RegularSection& sec = region[0];
+    const BlockCyclic& dist = arr.dist();
+    ss << "explain " << s.section.array << sec.to_string() << " on " << dist.procs()
+       << " processors [cyclic(" << dist.block_size() << ")], class "
+       << access_class_name(AddressEngine::classify(dist, sec.stride * arr.alignment().a))
+       << ":\n";
+    for (i64 m = 0; m < dist.procs(); ++m) {
+      const AlignedAccessPattern pat =
+          compute_aligned_pattern(dist, arr.alignment(), arr.size(), sec, m);
+      if (pat.empty() || !sec.contains(pat.start_array_index)) {
+        ss << "  proc " << m << ": no elements\n";
+        continue;
       }
+      ss << "  proc " << m << ": start " << s.section.array << "(" << pat.start_array_index
+         << ") local " << pat.start_packed_local << ", period " << pat.length;
+      gaps(pat.gaps);
     }
     output_ += ss.str();
     return;
   }
-  const DistributedArray<double>& arr = *info.d1;
-  const RegularSection sec = make_section(s.section, arr);
-  const BlockCyclic& dist = arr.dist();
-  std::ostringstream ss;
-  ss << "explain " << s.section.array << sec.to_string() << " on " << dist.procs()
-     << " processors [cyclic(" << dist.block_size() << ")], class "
-     << access_class_name(AddressEngine::classify(dist, sec.stride * arr.alignment().a))
-     << ":\n";
-  for (i64 m = 0; m < dist.procs(); ++m) {
-    const AlignedAccessPattern pat =
-        compute_aligned_pattern(dist, arr.alignment(), arr.size(), sec, m);
-    if (pat.empty() || !sec.contains(pat.start_array_index)) {
-      ss << "  proc " << m << ": no elements\n";
-      continue;
+  // Multidimensional arrays factor into one 1-D access problem per
+  // dimension (paper, Section 2); dump each dimension's patterns per grid
+  // coordinate. A packed (non-identity-aligned) dimension reports packed
+  // starts through the two-application solver, as the 1-D explain does.
+  ss << "explain " << s.section.array << " (" << arr.dims() << "-D; per-dimension patterns):\n";
+  for (std::size_t d = 0; d < arr.dims(); ++d) {
+    const DimMapping& dm = arr.mapping().dim(d);
+    const RegularSection image = dm.align.image(region[d]).ascending();
+    ss << " dim " << d << " " << region[d].to_string() << " over cyclic("
+       << dm.dist.block_size() << ") x " << dm.dist.procs() << ", class "
+       << access_class_name(AddressEngine::classify(dm.dist, image.stride)) << ":\n";
+    for (i64 c = 0; c < dm.dist.procs(); ++c) {
+      if (!dm.align.is_identity()) {
+        const AlignedAccessPattern pat =
+            compute_aligned_pattern(dm.dist, dm.align, dm.extent, region[d], c);
+        if (pat.empty() || !region[d].contains(pat.start_array_index)) {
+          ss << "   coord " << c << ": no elements\n";
+          continue;
+        }
+        ss << "   coord " << c << ": start index " << pat.start_array_index << " local "
+           << pat.start_packed_local << ", period " << pat.length;
+        gaps(pat.gaps);
+        continue;
+      }
+      const SectionPlan plan = AddressEngine::global().plan(dm.dist, image, c);
+      if (plan.empty()) {
+        ss << "   coord " << c << ": no elements\n";
+        continue;
+      }
+      const AccessPattern pat = plan.make_pattern();
+      ss << "   coord " << c << ": start cell " << pat.start_global << " local "
+         << pat.start_local << ", period " << pat.length;
+      gaps(pat.gaps);
     }
-    ss << "  proc " << m << ": start " << s.section.array << "(" << pat.start_array_index
-       << ") local " << pat.start_packed_local << ", period " << pat.length << ", AM = [";
-    for (std::size_t i = 0; i < pat.gaps.size(); ++i) ss << (i ? ", " : "") << pat.gaps[i];
-    ss << "]\n";
   }
   output_ += ss.str();
 }

@@ -1,12 +1,13 @@
 // Executor for mini-HPF DSL programs: binds declarations to cyclick runtime
-// objects and lowers array-assignment statements onto the section/region
-// operation engines (communicate into destination-shaped temporaries, then
-// compute locally) — the shape of node code an HPF compiler would emit.
+// objects and lowers array-assignment statements onto the region operation
+// engine (communicate into destination-shaped temporaries, then compute
+// locally) — the shape of node code an HPF compiler would emit.
 //
-// One-dimensional arrays use the full DistributedArray feature set (packed
-// aligned storage, shifts, redistribute, explain); multidimensional arrays
-// use MultiDimArray region operations (fills, copies, elementwise
-// expressions, reductions, print).
+// Every array is one DistributedArray of its declared rank, and every
+// statement is evaluated over a Region (a 1-D section is the rank-1
+// region): fills, copies, elementwise expressions, reductions, print and
+// explain take one path at every rank, and so does the -v lowering trace.
+// Shifts, forall index ramps, where and redistribute are rank-1 only.
 #pragma once
 
 #include <map>
@@ -20,7 +21,6 @@
 #include "cyclick/compiler/ast.hpp"
 #include "cyclick/compiler/lexer.hpp"  // dsl_error
 #include "cyclick/runtime/distributed_array.hpp"
-#include "cyclick/runtime/multidim_array.hpp"
 #include "cyclick/runtime/spmd.hpp"
 
 namespace cyclick::dsl {
@@ -82,11 +82,8 @@ class Machine {
   void enable_trace() noexcept { tracing_ = true; }
   [[nodiscard]] const std::string& trace_log() const noexcept { return trace_; }
 
-  /// Access a declared 1-D array (throws dsl_error if unknown or N-D).
+  /// Access a declared array of any rank (throws dsl_error if unknown).
   [[nodiscard]] const DistributedArray<double>& array(const std::string& name) const;
-
-  /// Access a declared multidimensional array (throws if unknown or 1-D).
-  [[nodiscard]] const MultiDimArray<double>& nd_array(const std::string& name) const;
 
   /// The assembled global image (row-major for N-D arrays).
   [[nodiscard]] std::vector<double> global_image(const std::string& name) const;
@@ -103,10 +100,8 @@ class Machine {
   };
 
   struct ArrayInfo {
-    std::unique_ptr<DistributedArray<double>> d1;  // 1-D arrays
-    std::unique_ptr<MultiDimArray<double>> dn;     // N-D arrays
+    std::unique_ptr<DistributedArray<double>> arr;
     std::string tmpl;
-    [[nodiscard]] bool is_1d() const noexcept { return d1 != nullptr; }
   };
 
   void exec(const ProcsDecl& d);
@@ -123,30 +118,32 @@ class Machine {
 
   ArrayInfo& lookup(const std::string& name, int line);
   const ArrayInfo& lookup(const std::string& name, int line) const;
-  static RegularSection make_section(const SectionRef& ref, const DistributedArray<double>& arr);
-  static Region make_region(const SectionRef& ref, const MultiDimArray<double>& arr);
+  /// The region a section reference names in `arr`, with the dsl_error
+  /// checks every reference passes (arity, stride, emptiness, bounds).
+  static Region make_region(const SectionRef& ref, const DistributedArray<double>& arr);
 
   /// Evaluation result: scalar, or a destination-shaped temporary holding
-  /// per-element values at the destination section/region local slots.
+  /// per-element values at the destination region's local slots.
   struct Value {
     double scalar = 0.0;
-    std::unique_ptr<DistributedArray<double>> temp;   // 1-D statements
-    std::unique_ptr<MultiDimArray<double>> temp_nd;   // N-D statements
-    [[nodiscard]] bool is_scalar() const noexcept { return !temp && !temp_nd; }
+    std::unique_ptr<DistributedArray<double>> temp;
+    [[nodiscard]] bool is_scalar() const noexcept { return !temp; }
   };
 
-  Value eval1(const Expr& e, const DistributedArray<double>& dst, const RegularSection& dsec,
-              const SpmdExecutor& exec_ctx);
-  /// Section operand `e` of a statement over dst(dsec) or dst(dregion): its
-  /// array and section or region, with the dsl_error checks every operand
-  /// passes (dimensionality, extent, processor arrangement).
-  std::pair<const DistributedArray<double>&, RegularSection> operand1(
-      const Expr& e, const DistributedArray<double>& dst, const RegularSection& dsec);
-  std::pair<const MultiDimArray<double>&, Region> operandn(const Expr& e,
-                                                           const MultiDimArray<double>& dst,
-                                                           const Region& dregion);
-  Value evaln(const Expr& e, const MultiDimArray<double>& dst, const Region& dregion,
-              const SpmdExecutor& exec_ctx);
+  Value eval(const Expr& e, const DistributedArray<double>& dst, const Region& dregion,
+             const SpmdExecutor& exec_ctx);
+  /// Section operand `e` of a statement over dst(dregion): its array and
+  /// region, with the dsl_error checks every operand passes
+  /// (dimensionality, extent, processor arrangement).
+  std::pair<const DistributedArray<double>&, Region> operand(const Expr& e,
+                                                            const DistributedArray<double>& dst,
+                                                            const Region& dregion);
+  /// dst(dregion) = src(sregion) through the runtime copy, first logging
+  /// the copy and its plan's message counts when tracing.
+  void copy_traced(const std::string& src_name, const DistributedArray<double>& src,
+                   const Region& sregion, const std::string& dst_text,
+                   DistributedArray<double>& dst, const Region& dregion,
+                   const SpmdExecutor& exec_ctx);
 
   /// Evaluate an expression that must come out scalar (no free sections).
   /// Memoizes literal-closed subtrees (see const_memo_); the uncached
@@ -161,17 +158,14 @@ class Machine {
   /// sections, or reductions) whose value cannot change between statements.
   static bool is_const_scalar(const Expr& e) noexcept;
 
-  /// Scratch-temporary pools: destination-shaped temporaries are recycled
+  /// Scratch-temporary pool: destination-shaped temporaries are recycled
   /// across statements instead of reallocated (and re-zeroed) per operand.
-  /// Safe because every consumer fully writes the section- or region-owned
-  /// slots it later reads. N-D temporaries match on mapping equality.
-  std::unique_ptr<DistributedArray<double>> acquire_temp(
-      const DistributedArray<double>& like);
-  std::unique_ptr<DistributedArray<double>> acquire_temp(const BlockCyclic& dist, i64 n,
-                                                         const AffineAlignment& align);
+  /// Safe because every consumer fully writes the region-owned slots it
+  /// later reads. Temporaries match on mapping equality; the (dist, n)
+  /// form is an identity-aligned rank-1 temporary.
+  std::unique_ptr<DistributedArray<double>> acquire_temp(const MultiDimMapping& map);
+  std::unique_ptr<DistributedArray<double>> acquire_temp(const BlockCyclic& dist, i64 n);
   void release_temp(std::unique_ptr<DistributedArray<double>> temp);
-  std::unique_ptr<MultiDimArray<double>> acquire_temp(const MultiDimMapping& map);
-  void release_temp(std::unique_ptr<MultiDimArray<double>> temp);
 
   JitEngine& jit();
 
@@ -196,7 +190,6 @@ class Machine {
   std::unordered_map<const Expr*, double> const_memo_;
   int run_depth_ = 0;
   std::vector<std::unique_ptr<DistributedArray<double>>> temp_pool_;
-  std::vector<std::unique_ptr<MultiDimArray<double>>> temp_pool_nd_;
   std::unique_ptr<JitEngine> jit_;
 };
 

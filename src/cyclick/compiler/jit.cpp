@@ -97,22 +97,14 @@ struct JitCompiler {
   std::vector<u8> free_lanes;
   std::vector<bool> skonst;  // sreg value known at compile time
   std::vector<double> sval;
-  DistributedArray<double>* dst = nullptr;   // 1-D target
-  MultiDimArray<double>* dstn = nullptr;     // N-D target
+  DistributedArray<double>* dst = nullptr;  // the target array
   std::optional<SpmdExecutor> exec;
 
   // -- lookup / validation ---------------------------------------------------
 
-  DistributedArray<double>* find1d(const std::string& name) {
+  DistributedArray<double>* find(const std::string& name) {
     const auto it = m.arrays_.find(name);
-    if (it == m.arrays_.end() || !it->second.is_1d()) return nullptr;
-    return it->second.d1.get();
-  }
-
-  MultiDimArray<double>* findnd(const std::string& name) {
-    const auto it = m.arrays_.find(name);
-    if (it == m.arrays_.end() || it->second.is_1d()) return nullptr;
-    return it->second.dn.get();
+    return it == m.arrays_.end() ? nullptr : it->second.arr.get();
   }
 
   // -- cache keys ------------------------------------------------------------
@@ -123,35 +115,24 @@ struct JitCompiler {
   // referenced array's mapping, so a redistribute makes the statement hash
   // to a different program.
 
+  /// Mapping signature: per dimension extent, alignment, procs and block
+  /// size (';'-separated); the grid axis extent is the procs.
   static void mapping_sig(std::ostringstream& ss, const DistributedArray<double>& a) {
-    ss << '[' << a.dist().procs() << ',' << a.dist().block_size() << ',' << a.alignment().a
-       << ',' << a.alignment().b << ',' << a.size() << ']';
-  }
-
-  /// N-D signature: per dimension extent, alignment, procs, block size and
-  /// grid extent (';'-separated, so it never collides with a 1-D one).
-  static void mapping_sig(std::ostringstream& ss, const MultiDimArray<double>& a) {
     const MultiDimMapping& map = a.mapping();
     ss << '[';
     for (std::size_t d = 0; d < map.dims(); ++d) {
       const DimMapping& dm = map.dim(d);
       ss << (d ? ";" : "") << dm.extent << ',' << dm.align.a << ',' << dm.align.b << ','
-         << dm.dist.procs() << ',' << dm.dist.block_size() << ',' << map.grid().extent(d);
+         << dm.dist.procs() << ',' << dm.dist.block_size();
     }
     ss << ']';
   }
 
-  /// Mapping signature of a 1-D or N-D array; false when it is unknown.
+  /// Mapping signature of array `name`; false when it is unknown.
   bool array_sig(std::ostringstream& ss, const std::string& name) {
-    if (const DistributedArray<double>* a = find1d(name)) {
-      mapping_sig(ss, *a);
-      return true;
-    }
-    if (const MultiDimArray<double>* a = findnd(name)) {
-      mapping_sig(ss, *a);
-      return true;
-    }
-    return false;
+    const DistributedArray<double>* a = find(name);
+    if (a != nullptr) mapping_sig(ss, *a);
+    return a != nullptr;
   }
 
   static void triplet_sig(std::ostringstream& ss, const SectionRef& ref) {
@@ -179,8 +160,9 @@ struct JitCompiler {
       }
       case Expr::Kind::kReduce: {
         if (e.lhs) return false;  // expression reduces only fuse at statement root
-        const DistributedArray<double>* a = find1d(e.section.array);
-        if (a == nullptr) return false;  // N-D reduces stay on the interpreter
+        const DistributedArray<double>* a = find(e.section.array);
+        // N-D reduces stay on the interpreter.
+        if (a == nullptr || a->dims() != 1) return false;
         ss << 'r' << e.reduce_op << e.section.array;
         mapping_sig(ss, *a);
         triplet_sig(ss, e.section);
@@ -188,8 +170,8 @@ struct JitCompiler {
         return true;
       }
       case Expr::Kind::kShift: {
-        const DistributedArray<double>* a = find1d(e.name);
-        if (a == nullptr) return false;
+        const DistributedArray<double>* a = find(e.name);
+        if (a == nullptr || a->dims() != 1) return false;
         ss << 'h' << e.name << (e.circular ? 'c' : 'e') << e.shift << ':' << std::hexfloat
            << e.scalar << std::defaultfloat;
         mapping_sig(ss, *a);
@@ -298,9 +280,9 @@ struct JitCompiler {
       }
       case Expr::Kind::kReduce: {
         if (e.lhs) throw BailOut{};
-        const DistributedArray<double>* a = find1d(e.section.array);
-        if (a == nullptr) throw BailOut{};
-        const RegularSection sec = Machine::make_section(e.section, *a);
+        const DistributedArray<double>* a = find(e.section.array);
+        if (a == nullptr || a->dims() != 1) throw BailOut{};
+        const RegularSection sec = Machine::make_region(e.section, *a)[0];
         const u8 r = new_sreg(0.0, false);
         const i32 aux = add_operand(bc::Operand{.array = e.section.array, .sec = sec, .plan = nullptr});
         p.prelude.push_back(bc::Instr{.op = bc::Op::kReduceSec,
@@ -356,14 +338,13 @@ struct JitCompiler {
 
   u8 lane_from_section(const Expr& e) {
     if (p.nd()) return lane_from_region(e);
-    DistributedArray<double>* src = find1d(e.section.array);
-    if (src == nullptr) throw BailOut{};
-    const RegularSection ssec = Machine::make_section(e.section, *src);
+    const DistributedArray<double>* src = find(e.section.array);
+    if (src == nullptr || src->dims() != 1) throw BailOut{};
+    const RegularSection ssec = Machine::make_region(e.section, *src)[0];
     if (ssec.size() != p.dsec.size()) throw BailOut{};  // interp raises at run time
     if (src->dist().procs() != dst->dist().procs()) throw BailOut{};
     const u8 lane = alloc_lane();
-    if (src->dist() == dst->dist() && src->alignment() == dst->alignment() &&
-        src->size() == dst->size() && ssec == p.dsec) {
+    if (src->mapping() == dst->mapping() && ssec == p.dsec) {
       // Same mapping, same section: every element is already local at the
       // destination address — the lane aliases the source span directly.
       const i32 aux = add_operand(bc::Operand{.array = e.section.array, .sec = ssec, .plan = nullptr});
@@ -398,99 +379,27 @@ struct JitCompiler {
     return bc::Instr{.op = bc::Op::kLaneScratch, .a = lane, .b = slot, .line = line};
   }
 
-  // -- target layout ---------------------------------------------------------
+  // -- target share ----------------------------------------------------------
 
-  /// The target's per-dimension layout, which region_runs and build_halo
-  /// walk: a 1-D target is one dimension over its processor arrangement.
-  struct Layout {
-    std::vector<DimMapping> dims;
-    std::vector<i64> grid;  // processors per dimension
-    std::vector<i64> lext;  // local extent per dimension (row-major addresses)
-  };
+  /// The target region: the N-D region, or the 1-D section as a rank-1 one.
+  [[nodiscard]] Region target_region() const { return p.nd() ? p.dregion : Region{p.dsec}; }
 
-  /// One rank's share of a region: the outer dimensions' shares (the same
-  /// detail::dim_share sequences the interpreter walks) and the innermost
-  /// dimension's ascending address plan, walked run by run.
-  struct Share {
-    std::vector<detail::DimShare> outer;
-    SectionPlan inner;
-  };
-
-  [[nodiscard]] Layout layout() const {
-    if (!p.nd())
-      return {{DimMapping(dst->size(), AffineAlignment::identity(), dst->dist())},
-              {p.ranks},
-              {0}};
-    const MultiDimMapping& map = dstn->mapping();
-    Layout lay;
-    for (std::size_t d = 0; d < map.dims(); ++d) {
-      lay.dims.push_back(map.dim(d));
-      lay.grid.push_back(map.grid().extent(d));
-      lay.lext.push_back(map.local_extent(d));
-    }
-    return lay;
-  }
-
-  /// Rank `rank`'s share of `region` (ranks row-major, last dimension
-  /// fastest); nullopt when it owns nothing.
-  static std::optional<Share> share_of(const Layout& lay, const Region& region, i64 rank) {
-    const std::size_t nd = lay.dims.size();
-    std::vector<i64> coords(nd);
-    for (std::size_t d = nd; d-- > 0;) {
-      coords[d] = rank % lay.grid[d];
-      rank /= lay.grid[d];
-    }
-    Share sh;
-    for (std::size_t d = 0; d + 1 < nd; ++d) {
-      sh.outer.push_back(detail::dim_share(lay.dims[d], region[d], coords[d]));
-      if (sh.outer.back().local_idx.empty()) return std::nullopt;
-    }
-    const DimMapping& in = lay.dims[nd - 1];
-    sh.inner = AddressEngine::global().plan(in.dist, in.align.image(region[nd - 1]).ascending(),
-                                            coords[nd - 1]);
-    if (sh.inner.empty()) return std::nullopt;
-    return sh;
-  }
-
-  /// Visit each local row of a share — one per combination of outer
-  /// per-dimension shares, row-major like for_each_owned_region, each
-  /// covering the innermost share — as f(local address of the row's first
-  /// element, index into each outer dimension's share).
-  template <typename F>
-  static void for_each_row(const Layout& lay, const Share& sh, F&& f) {
-    const std::size_t nd = lay.dims.size();
-    std::vector<std::size_t> pos(nd - 1, 0);
-    while (true) {
-      i64 base = 0;
-      for (std::size_t d = 0; d + 1 < nd; ++d)
-        base = base * lay.lext[d] + sh.outer[d].local_idx[pos[d]];
-      base = base * lay.lext[nd - 1] + sh.inner.first_local();
-      f(base, pos);
-      std::size_t d = nd - 1;  // advance the outer odometer, last outer dim fastest
-      while (true) {
-        if (d == 0) return;
-        --d;
-        if (++pos[d] < sh.outer[d].local_idx.size()) break;
-        pos[d] = 0;
-      }
-    }
-  }
-
-  /// Rank `rank`'s share of `region` as runs, one per local row; with
-  /// `merge`, address-adjacent rows merge into one run. Bails unless the
-  /// innermost share is one contiguous local run.
-  static std::vector<bc::Run> region_runs(const Layout& lay, const Region& region, i64 rank,
-                                          bool merge) {
-    const std::optional<Share> sh = share_of(lay, region, rank);
-    if (!sh) return {};
-    const i64 first = sh->inner.first_local();
+  /// Rank `rank`'s share of `region` as runs, one per local row (the
+  /// runtime's owned walk, row by row); with `merge`, address-adjacent
+  /// rows merge into one run. Bails unless the innermost share is one
+  /// contiguous local run.
+  std::vector<bc::Run> region_runs(const Region& region, i64 rank, bool merge) const {
+    const detail::OwnedShare sh = detail::owned_share(dst->mapping(), region, rank);
+    if (sh.empty) return {};
+    const i64 first = sh.plan.first_local();
     i64 len = 0;
-    sh->inner.for_each_run([&](i64, i64 la, i64 n) {
+    sh.plan.for_each_run([&](i64, i64 la, i64 n) {
       if (la != first + len) throw BailOut{};  // strided innermost share
       len += n;
     });
     std::vector<bc::Run> runs;
-    for_each_row(lay, *sh, [&](i64 base, const std::vector<std::size_t>&) {
+    detail::for_each_row(sh, [&](i64 row, const std::vector<std::size_t>&) {
+      const i64 base = row + first;
       if (merge && !runs.empty() && runs.back().base + runs.back().len == base) {
         runs.back().len += len;
       } else {
@@ -532,7 +441,7 @@ struct JitCompiler {
   /// region's extents.) `dim` is set only when `sreg` is the target region
   /// moved along some dimension with the same strides — a shift, whose
   /// demotion gets a note — to the (last) moved dimension.
-  const char* region_shift_blocker(const MultiDimArray<double>& src, const Region& sreg,
+  const char* region_shift_blocker(const DistributedArray<double>& src, const Region& sreg,
                                    std::size_t& dim) {
     std::size_t moved = 0;
     std::size_t at = 0;
@@ -546,10 +455,10 @@ struct JitCompiler {
     if (moved == 0) return "same region under another mapping";
     dim = at;
     if (moved > 1) return "shifted in more than one dimension";
-    if (&src == dstn) return "reads the target array";
-    if (src.mapping() != dstn->mapping()) return "mapping differs from the target's";
+    if (&src == dst) return "reads the target array";
+    if (src.mapping() != dst->mapping()) return "mapping differs from the target's";
     const i64 delta = sreg[dim].lower - p.dregion[dim].lower;
-    const i64 k = dstn->mapping().dim(dim).dist.block_size();
+    const i64 k = dst->mapping().dim(dim).dist.block_size();
     if (delta <= -k || delta >= k) return "|delta| >= the block size";
     return nullptr;
   }
@@ -574,24 +483,24 @@ struct JitCompiler {
         if (in.op != bc::Op::kLaneShift) continue;
         const bc::Operand& o = p.operands[static_cast<std::size_t>(in.aux)];
         note_shift_fallback(in.line, o, why);
-        in = p.nd() ? load_region(in.a, in.aux, *findnd(o.array), in.line)
-                    : load_section(in.a, in.aux, *find1d(o.array), in.line);
+        const DistributedArray<double>& src = *find(o.array);
+        in = p.nd() ? load_region(in.a, in.aux, src, in.line)
+                    : load_section(in.a, in.aux, src, in.line);
       }
       return;
     }
     const auto is_shift = [](const bc::Instr& in) { return in.op == bc::Op::kLaneShift; };
     if (std::none_of(p.lanes.begin(), p.lanes.end(), is_shift)) return;
-    const Layout lay = layout();
     if (p.nd()) {
       // The halo read maps are per local row: unmerge the runs.
       for (i64 r = 0; r < p.ranks; ++r)
-        p.runs[static_cast<std::size_t>(r)] = region_runs(lay, p.dregion, r, /*merge=*/false);
+        p.runs[static_cast<std::size_t>(r)] = region_runs(p.dregion, r, /*merge=*/false);
     }
     for (bc::Instr& in : p.lanes) {
       if (in.op != bc::Op::kLaneShift) continue;
       bc::Operand& o = p.operands[static_cast<std::size_t>(in.aux)];
       if (p.n_halo >= kMaxScratch) throw BailOut{};
-      build_halo(o, lay);
+      build_halo(o);
       if (o.halo.staged) p.strip = kStripElems;
       in.b = static_cast<u8>(p.n_halo++);
     }
@@ -622,21 +531,22 @@ struct JitCompiler {
   /// every boundary row in turn; for the innermost d, every row in turn,
   /// one w-wide slot per local block from the first to the last block that
   /// holds a boundary element of the share.
-  void build_halo(bc::Operand& o, const Layout& lay) const {
+  void build_halo(bc::Operand& o) const {
     bc::Halo& h = o.halo;
-    const Region region = p.nd() ? p.dregion : Region{p.dsec};
-    const std::size_t nd = lay.dims.size();
+    const Region region = target_region();
+    const MultiDimMapping& map = dst->mapping();
+    const std::size_t nd = map.dims();
     const auto d = static_cast<std::size_t>(h.dim);
-    const BlockCyclic& dist = lay.dims[d].dist;
+    const BlockCyclic& dist = map.dim(d).dist;
     const i64 k = dist.block_size();
     const i64 delta = o.shift;
     const i64 w = delta < 0 ? -delta : delta;
     const i64 j0 = delta < 0 ? 0 : k - delta;
     i64 rank_step = 1;  // rank and local-address distance of one step along d
     i64 addr_step = 1;
-    for (std::size_t e = d + 1; e < nd; ++e) {
-      rank_step *= lay.grid[e];
-      addr_step *= lay.lext[e];
+    for (std::size_t e = d + 1; e < nd; ++e) {  // identity-aligned: one extent per dimension
+      rank_step *= map.dim(e).dist.procs();
+      addr_step *= map.local_extent(e, 0);
     }
     h.offset = delta * addr_step;
     h.block = k;
@@ -659,12 +569,12 @@ struct JitCompiler {
       i64 rank;   // source rank
       i64 shift;  // source local address minus the target's
     };
-    std::vector<std::optional<Share>> shares;
+    std::vector<detail::OwnedShare> shares;
     std::vector<std::vector<Edge>> row_edges(static_cast<std::size_t>(p.ranks));
     for (i64 r = 0; r < p.ranks; ++r) {
-      shares.push_back(share_of(lay, region, r));
-      if (!shares.back() || !h.staged) continue;
-      shares.back()->inner.for_each_run([&](i64 g, i64 la, i64 n) {
+      shares.push_back(detail::owned_share(map, region, r));
+      if (shares.back().empty || !h.staged) continue;
+      shares.back().plan.for_each_run([&](i64 g, i64 la, i64 n) {
         for (i64 b = la - la % k; b < la + n; b += k)
           for (i64 l = std::max(b + j0, la); l < std::min(b + j0 + w, la + n); ++l) {
             const auto [dr, da] = source(g + l - la, l);
@@ -679,16 +589,17 @@ struct JitCompiler {
       h.runs.assign(static_cast<std::size_t>(p.ranks), {});
       i64 len = 1;
       for (i64 r = 0; r < p.ranks; ++r) {
-        const std::optional<Share>& sh = shares[static_cast<std::size_t>(r)];
-        if (!sh) continue;
+        const detail::OwnedShare& sh = shares[static_cast<std::size_t>(r)];
+        if (sh.empty) continue;
         std::vector<bc::HaloRun>& runs = h.runs[static_cast<std::size_t>(r)];
         i64& count = h.counts[static_cast<std::size_t>(r)];
-        const i64 first = sh->inner.first_local();
+        const i64 first = sh.plan.first_local();
         i64 used = 0;  // this rank's halo length so far
         if (!h.staged) {
-          const i64 row_len = sh->inner.last_local() - first + 1;  // contiguous (region_runs)
-          const detail::DimShare& sd = sh->outer[d];
-          for_each_row(lay, *sh, [&](i64 base, const std::vector<std::size_t>& pos) {
+          const i64 row_len = sh.plan.last_local() - first + 1;  // contiguous (region_runs)
+          const detail::DimShare& sd = sh.outer[d];
+          detail::for_each_row(sh, [&](i64 row, const std::vector<std::size_t>& pos) {
+            const i64 base = row + first;
             const i64 l = sd.local_idx[pos[d]];
             if (!boundary(l)) {
               runs.push_back({0, -1});
@@ -706,7 +617,8 @@ struct JitCompiler {
           // share to the last, so full rows leave no gaps between them.
           const i64 first_block = edges.empty() ? 0 : edges.front().at / k;
           const i64 row_slots = edges.empty() ? 0 : (edges.back().at / k - first_block + 1) * w;
-          for_each_row(lay, *sh, [&](i64 base, const std::vector<std::size_t>&) {
+          detail::for_each_row(sh, [&](i64 row, const std::vector<std::size_t>&) {
+            const i64 base = row + first;
             for (const Edge& e : edges)
               emit(r * p.ranks + e.rank, base + e.at - first + e.shift,
                    used + (e.at / k - first_block) * w + e.at % k - j0, i64{1});
@@ -732,7 +644,7 @@ struct JitCompiler {
   /// The source region of an N-D operand, validated against the target
   /// region. Anything the interpreter would reject bails (or raises the
   /// same dsl_error), so the interpreter reports it at run time.
-  Region operand_region(const SectionRef& ref, const MultiDimArray<double>& src) const {
+  Region operand_region(const SectionRef& ref, const DistributedArray<double>& src) const {
     const Region sreg = Machine::make_region(ref, src);
     if (sreg.size() != p.dregion.size()) throw BailOut{};
     for (std::size_t d = 0; d < sreg.size(); ++d)
@@ -742,12 +654,12 @@ struct JitCompiler {
   }
 
   u8 lane_from_region(const Expr& e) {
-    const MultiDimArray<double>* src = findnd(e.section.array);
-    if (src == nullptr) throw BailOut{};  // mixed dimensionality
+    const DistributedArray<double>* src = find(e.section.array);
+    if (src == nullptr || src->dims() != dst->dims()) throw BailOut{};  // mixed dimensionality
     const Region sreg = operand_region(e.section, *src);
     const u8 lane = alloc_lane();
     const i32 aux = add_operand(bc::Operand{.array = e.section.array, .region = sreg});
-    if (src->mapping() == dstn->mapping() && sreg == p.dregion) {
+    if (src->mapping() == dst->mapping() && sreg == p.dregion) {
       // Same mapping, same region: the operand already sits at the
       // destination's local addresses, run for run.
       p.lanes.push_back(
@@ -774,11 +686,11 @@ struct JitCompiler {
   /// scratch slot; returns the lane instruction that reads the slot. The
   /// interpreter copies into the same kind of temporary, so the plan is the
   /// very RegionPlanCache entry its copy_region replays.
-  bc::Instr load_region(u8 lane, i32 aux, const MultiDimArray<double>& src, int line) {
+  bc::Instr load_region(u8 lane, i32 aux, const DistributedArray<double>& src, int line) {
     if (p.n_scratch >= kMaxScratch) throw BailOut{};
     const u8 slot = static_cast<u8>(p.n_scratch++);
     bc::Operand& o = p.operands[static_cast<std::size_t>(aux)];
-    o.region_plan = cached_region_plan(src, o.region, *dstn, p.dregion, *exec);
+    o.region_plan = cached_region_plan(src, o.region, *dst, p.dregion, *exec);
     p.loads.push_back(
         bc::Instr{.op = bc::Op::kLoadRegion, .a = slot, .aux = aux, .line = line});
     return bc::Instr{.op = bc::Op::kLaneScratch, .a = lane, .b = slot, .line = line};
@@ -786,8 +698,8 @@ struct JitCompiler {
 
   u8 lane_from_shift(const Expr& e) {
     if (p.nd()) throw BailOut{};  // the interpreter rejects N-D shifts
-    DistributedArray<double>* src = find1d(e.name);
-    if (src == nullptr) throw BailOut{};
+    const DistributedArray<double>* src = find(e.name);
+    if (src == nullptr || src->dims() != 1) throw BailOut{};
     const i64 n = src->size();
     if (p.dsec.size() != n) throw BailOut{};  // interp raises at run time
     if (src->dist().procs() != dst->dist().procs()) throw BailOut{};
@@ -926,37 +838,32 @@ struct JitCompiler {
 
   // -- statement entry points ------------------------------------------------
 
-  void open_target(const std::string& array, const SectionRef& section) {
-    dst = find1d(array);
-    if (dst == nullptr || !dst->alignment().is_identity()) throw BailOut{};
-    p.dsec = Machine::make_section(section, *dst);
-    p.target = array;
-    p.ranks = dst->dist().procs();
-    p.lane_count = p.dsec.size();
-    exec.emplace(p.ranks, m.mode_);
-  }
-
-  /// N-D target: compiles only under identity alignment in every dimension
-  /// and an innermost share that is one contiguous local run on each rank
-  /// (region_runs); every other N-D shape stays on the interpreter.
-  void open_region_target(const SectionRef& section) {
-    dstn = findnd(section.array);
-    if (dstn == nullptr) throw BailOut{};
-    const MultiDimMapping& map = dstn->mapping();
+  /// Target dst(section): compiles only under identity alignment in every
+  /// dimension. A rank-1 target runs through its per-rank kernels; an N-D
+  /// one needs an innermost share that is one contiguous local run on each
+  /// rank (region_runs). Every other shape stays on the interpreter.
+  void open_target(const SectionRef& section) {
+    dst = find(section.array);
+    if (dst == nullptr) throw BailOut{};
+    const MultiDimMapping& map = dst->mapping();
     for (std::size_t d = 0; d < map.dims(); ++d)
       if (!map.dim(d).align.is_identity()) throw BailOut{};
-    p.dregion = Machine::make_region(section, *dstn);
+    const Region region = Machine::make_region(section, *dst);
     p.target = section.array;
     p.ranks = map.grid().rank_count();
-    p.lane_count = region_size(p.dregion);
+    p.lane_count = region_size(region);
     exec.emplace(p.ranks, m.mode_);
-    const Layout lay = layout();
+    if (region.size() == 1) {
+      p.dsec = region[0];
+      return;
+    }
+    p.dregion = region;
     for (i64 r = 0; r < p.ranks; ++r)
-      p.runs.push_back(region_runs(lay, p.dregion, r, /*merge=*/true));
+      p.runs.push_back(region_runs(p.dregion, r, /*merge=*/true));
   }
 
   void build_kernels() {
-    if (p.nd()) return;  // open_region_target built the runs
+    if (p.nd()) return;  // open_target built the runs
     for (i64 r = 0; r < p.ranks; ++r) {
       SectionPlan sp = owned_plan(*dst, p.dsec, r);
       p.kernels.push_back(compile_kernel(sp));
@@ -1018,11 +925,7 @@ struct JitCompiler {
   /// Callers keep runtime assignments (fills, bare copies) away from here.
   std::shared_ptr<const bc::CompiledProgram> compile_assign(const SectionRef& target,
                                                             const Expr& value) {
-    if (findnd(target.array) != nullptr) {
-      open_region_target(target);
-    } else {
-      open_target(target.array, target);
-    }
+    open_target(target);
     const u8 r = compile_vec(value);
     p.lanes.push_back(bc::Instr{.op = bc::Op::kStoreLanes, .a = r, .line = value.line});
     finalize_store(r);
@@ -1030,7 +933,8 @@ struct JitCompiler {
   }
 
   std::shared_ptr<const bc::CompiledProgram> compile_where(const WhereStmt& s) {
-    open_target(s.target.array, s.target);
+    open_target(s.target);
+    if (p.nd()) throw BailOut{};  // the interpreter rejects N-D where
     u8 flags = 0;
     u8 ml = 0, mr = 0, v = 0;
     if (scalar_shape(*s.mask_lhs)) {
@@ -1071,7 +975,8 @@ struct JitCompiler {
     if (scalar_shape(*root.lhs)) throw BailOut{};
     const SectionRef* anchor = find_reduce_anchor(*root.lhs);
     if (anchor == nullptr) throw BailOut{};
-    open_target(anchor->array, *anchor);
+    open_target(*anchor);
+    if (p.nd()) throw BailOut{};  // the interpreter rejects N-D anchors
     const u8 r = compile_vec(*root.lhs);
     const u8 out = new_sreg(0.0, false);
     p.lanes.push_back(bc::Instr{.op = bc::Op::kReduceLanes,
@@ -1510,7 +1415,7 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
       }
       case bc::Op::kReduceSec: {
         const bc::Operand& o = p.operands[static_cast<std::size_t>(in.aux)];
-        const DistributedArray<double>& arr = *m_.lookup(o.array, in.line).d1;
+        const DistributedArray<double>& arr = *m_.lookup(o.array, in.line).arr;
         const SpmdExecutor rexec(arr.dist().procs(), m_.mode_);
         switch (in.b) {
           case bc::kRedSum:
@@ -1551,29 +1456,23 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
 
   // Load phase: land remote operands in destination-shaped scratch arrays
   // through the compile-time plans.
+  const DistributedArray<double>& target = *dst.arr;
   std::vector<std::unique_ptr<DistributedArray<double>>> scratch(
-      p.nd() ? 0 : static_cast<std::size_t>(p.n_scratch));
-  std::vector<std::unique_ptr<MultiDimArray<double>>> scratch_nd(
-      p.nd() ? static_cast<std::size_t>(p.n_scratch) : 0);
+      static_cast<std::size_t>(p.n_scratch));
   for (const bc::Instr& in : p.loads) {
     const bc::Operand& o = p.operands[static_cast<std::size_t>(in.aux)];
-    const Machine::ArrayInfo& src = m_.lookup(o.array, in.line);
+    const DistributedArray<double>& src = *m_.lookup(o.array, in.line).arr;
+    auto t = m_.acquire_temp(target.mapping());
     if (in.op == bc::Op::kLoadRegion) {
-      auto t = m_.acquire_temp(dst.dn->mapping());
-      execute_redistribution(*o.region_plan, *src.dn, *t, exec);
-      scratch_nd[in.a] = std::move(t);
-      continue;
-    }
-    auto t = m_.acquire_temp(*dst.d1);
-    if (in.op == bc::Op::kLoadSection) {
-      execute_copy_plan(*o.plan, *src.d1, *t, exec);
+      execute_redistribution(*o.region_plan, src, *t, exec);
+    } else if (in.op == bc::Op::kLoadSection) {
+      execute_copy_plan(*o.plan, src, *t, exec);
     } else {  // kLoadShift
-      const DistributedArray<double>& from = *src.d1;
-      auto sh = m_.acquire_temp(from.dist(), from.size(), AffineAlignment::identity());
+      auto sh = m_.acquire_temp(src.dist(), src.size());
       if (o.circular) {
-        cshift(from, *sh, o.shift, exec);
+        cshift(src, *sh, o.shift, exec);
       } else {
-        eoshift(from, *sh, o.shift, o.boundary, exec);
+        eoshift(src, *sh, o.shift, o.boundary, exec);
       }
       execute_copy_plan(*o.plan, *sh, *t, exec);
       m_.release_temp(std::move(sh));
@@ -1588,14 +1487,8 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
     if (in.op != bc::Op::kLaneShift) continue;
     CYCLICK_SPAN("jit.halo", obs::kMainTid);
     const bc::Operand& o = p.operands[static_cast<std::size_t>(in.aux)];
-    const Machine::ArrayInfo& from = m_.lookup(o.array, in.line);
-    auto h = m_.acquire_temp(BlockCyclic(p.ranks, o.halo.len), p.ranks * o.halo.len,
-                             AffineAlignment::identity());
-    if (from.is_1d()) {
-      execute_copy_plan(*o.plan, *from.d1, *h, exec);
-    } else {
-      execute_copy_plan(*o.plan, *from.dn, *h, exec);
-    }
+    auto h = m_.acquire_temp(BlockCyclic(p.ranks, o.halo.len), p.ranks * o.halo.len);
+    execute_copy_plan(*o.plan, *m_.lookup(o.array, in.line).arr, *h, exec);
     for (i64 r = 0; r < p.ranks; ++r)
       CYCLICK_COUNT("jit.halo_elems", r, o.halo.counts[static_cast<std::size_t>(r)]);
     halos[in.b] = std::move(h);
@@ -1606,19 +1499,16 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
   const auto ranks = static_cast<std::size_t>(p.ranks);
   const std::size_t halo0 = p.operands.size() + static_cast<std::size_t>(p.n_scratch);
   const std::size_t nsrc = halo0 + static_cast<std::size_t>(p.n_halo);
-  const auto local_of = [](const Machine::ArrayInfo& a, i64 rank) {
-    return a.is_1d() ? a.d1->local(rank) : a.dn->local(rank);
-  };
   std::vector<const double*> src(ranks * nsrc, nullptr);
   std::vector<i64> len(ranks * nsrc, 0);  // local span lengths, read by lane.shift
   std::vector<double*> dloc(ranks);
-  for (std::size_t r = 0; r < ranks; ++r) dloc[r] = local_of(dst, static_cast<i64>(r)).data();
+  for (std::size_t r = 0; r < ranks; ++r) dloc[r] = dst.arr->local(static_cast<i64>(r)).data();
   for (const bc::Instr& in : p.lanes) {
     if (in.op != bc::Op::kLaneDirect && in.op != bc::Op::kLaneShift) continue;
     const auto aux = static_cast<std::size_t>(in.aux);
-    const Machine::ArrayInfo& a = m_.lookup(p.operands[aux].array, in.line);
+    DistributedArray<double>& a = *m_.lookup(p.operands[aux].array, in.line).arr;
     for (std::size_t r = 0; r < ranks; ++r) {
-      const std::span<double> l = local_of(a, static_cast<i64>(r));
+      const std::span<double> l = a.local(static_cast<i64>(r));
       src[r * nsrc + aux] = l.data();
       len[r * nsrc + aux] = static_cast<i64>(l.size());
     }
@@ -1626,8 +1516,7 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
   for (std::size_t slot = 0; slot < static_cast<std::size_t>(p.n_scratch); ++slot)
     for (std::size_t r = 0; r < ranks; ++r) {
       const auto rank = static_cast<i64>(r);
-      src[r * nsrc + p.operands.size() + slot] =
-          p.nd() ? scratch_nd[slot]->local(rank).data() : scratch[slot]->local(rank).data();
+      src[r * nsrc + p.operands.size() + slot] = scratch[slot]->local(rank).data();
     }
   for (std::size_t h = 0; h < halos.size(); ++h)
     for (std::size_t r = 0; r < ranks; ++r)
@@ -1675,7 +1564,6 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
   }
 
   for (auto& t : scratch) m_.release_temp(std::move(t));
-  for (auto& t : scratch_nd) m_.release_temp(std::move(t));
   for (auto& t : halos) m_.release_temp(std::move(t));
 }
 

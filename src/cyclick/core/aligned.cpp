@@ -7,50 +7,6 @@
 
 namespace cyclick {
 
-PackedLayout::PackedLayout(const BlockCyclic& dist, const AffineAlignment& align, i64 n,
-                           i64 proc) {
-  CYCLICK_REQUIRE(n >= 1, "array must have at least one element");
-  CYCLICK_REQUIRE(proc >= 0 && proc < dist.procs(), "processor id out of range");
-  const RegularSection layout = align.layout(n);  // ascending, stride |a|
-  const i64 a = layout.stride;
-  const i64 pk = dist.row_length();
-  const i64 k = dist.block_size();
-  const EgcdResult eg = extended_euclid(floor_mod(a, pk), pk);
-  const i64 d = eg.g;
-  const i64 steps = pk / d;  // j-period at a fixed offset
-  period_ = steps * a;
-
-  const i64 window_lo = k * proc;
-  for (i64 o = window_lo + floor_mod(layout.lower - window_lo, d); o < window_lo + k; o += d) {
-    const auto j0 = solve_congruence_min_nonneg(a, o - layout.lower, pk, eg);
-    CYCLICK_ASSERT(j0.has_value());
-    // Offsets first reached beyond the array extent (j0 >= n) hold no real
-    // element (count 0) but still belong to the idealized unbounded layout.
-    const i64 count = *j0 >= n ? 0 : (n - 1 - *j0) / steps + 1;
-    classes_.push_back({layout.lower + *j0 * a, count});
-    size_ += count;
-  }
-}
-
-i64 PackedLayout::rank(i64 cell) const {
-  i64 below = 0;
-  for (const OffsetClass& cls : classes_) {
-    if (cls.first_cell >= cell) continue;
-    const i64 in_range = (cell - 1 - cls.first_cell) / period_ + 1;
-    below += in_range < cls.count ? in_range : cls.count;
-  }
-  return below;
-}
-
-i64 PackedLayout::rank_unbounded(i64 cell) const {
-  i64 below = 0;
-  for (const OffsetClass& cls : classes_) {
-    if (cls.first_cell >= cell) continue;
-    below += (cell - 1 - cls.first_cell) / period_ + 1;
-  }
-  return below;
-}
-
 AlignedAccessPattern compute_aligned_pattern(const BlockCyclic& dist,
                                              const AffineAlignment& align, i64 n,
                                              const RegularSection& sec, i64 proc) {

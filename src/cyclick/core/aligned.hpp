@@ -24,9 +24,7 @@
 #include <vector>
 
 #include "cyclick/core/access_pattern.hpp"
-#include "cyclick/hpf/alignment.hpp"
-#include "cyclick/hpf/distribution.hpp"
-#include "cyclick/hpf/section.hpp"
+#include "cyclick/hpf/multidim.hpp"  // PackedLayout: application 1
 
 namespace cyclick {
 
@@ -40,38 +38,6 @@ struct AlignedAccessPattern {
   std::vector<i64> gaps;       ///< gaps in packed local addresses
 
   [[nodiscard]] bool empty() const noexcept { return length == 0; }
-};
-
-/// Rank oracle for application 1: packed local addresses of template cells
-/// on one processor. Construction is O(k); each rank query is O(k).
-class PackedLayout {
- public:
-  /// Layout of an n-element array aligned by `align` to a template
-  /// distributed by `dist`, on processor `proc`.
-  PackedLayout(const BlockCyclic& dist, const AffineAlignment& align, i64 n, i64 proc);
-
-  /// Number of array elements stored on this processor.
-  [[nodiscard]] i64 size() const noexcept { return size_; }
-
-  /// Packed local address of template cell `cell` (must hold an array
-  /// element owned by this processor): the number of owned layout cells
-  /// strictly below `cell`.
-  [[nodiscard]] i64 rank(i64 cell) const;
-
-  /// rank() against the idealized *unbounded* layout (the array extended
-  /// past n with the same alignment). Coincides with rank() for cells
-  /// within the layout extent; used to build the periodic gap table, whose
-  /// wrap-around entries may reference cells beyond the array's end.
-  [[nodiscard]] i64 rank_unbounded(i64 cell) const;
-
- private:
-  struct OffsetClass {
-    i64 first_cell;  ///< smallest layout cell at this offset
-    i64 count;       ///< how many layout cells at this offset (bounded by n)
-  };
-  std::vector<OffsetClass> classes_;
-  i64 period_ = 0;  ///< cell distance between consecutive layout cells at one offset
-  i64 size_ = 0;
 };
 
 /// Two-application solver: the packed-storage access pattern of section

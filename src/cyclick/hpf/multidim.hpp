@@ -5,8 +5,10 @@
 // distributions of each dimension are independent of one another"), so the
 // multidimensional access problem factors into one one-dimensional problem
 // per dimension. This module provides the processor grid, the per-dimension
-// mapping descriptor, and the owner / local-address algebra; the cross
-// product of per-dimension access sequences is assembled in the runtime.
+// mapping descriptor, and the owner / local-address algebra — the storage
+// rule every distributed array follows, whatever its rank (a 1-D array is
+// the rank-1 case); the cross product of per-dimension access sequences is
+// assembled in the runtime.
 #pragma once
 
 #include <vector>
@@ -59,13 +61,53 @@ struct DimMapping {
   friend bool operator==(const DimMapping&, const DimMapping&) = default;
 };
 
-/// Full mapping of a multidimensional array onto a processor grid. The
-/// number of dimensions must match the grid's. Local storage on each rank is
-/// dense row-major over the per-dimension *template* local capacities, so
-/// that per-dimension local addresses compose linearly. (A packed layout per
-/// alignment is what core/aligned.hpp computes for 1-D; for multidimensional
-/// arrays we use the standard template-capacity layout that HPF compilers
-/// use, which wastes space only for non-unit alignment coefficients.)
+/// Application 1 of the paper's two-application reduction for aligned
+/// arrays (see core/aligned.hpp): the template cells occupied by an
+/// n-element array aligned by `align` form a regular section, and a
+/// processor stores its share of them packed in increasing-cell order, so
+/// the packed local address of a cell is its *rank* among the processor's
+/// layout cells. Construction is O(k); each rank query is O(k).
+class PackedLayout {
+ public:
+  /// Layout of an n-element array aligned by `align` to a template
+  /// distributed by `dist`, on processor `proc`.
+  PackedLayout(const BlockCyclic& dist, const AffineAlignment& align, i64 n, i64 proc);
+
+  /// Number of array elements stored on this processor.
+  [[nodiscard]] i64 size() const noexcept { return size_; }
+
+  /// Packed local address of template cell `cell` (must hold an array
+  /// element owned by this processor): the number of owned layout cells
+  /// strictly below `cell`.
+  [[nodiscard]] i64 rank(i64 cell) const;
+
+  /// rank() against the idealized *unbounded* layout (the array extended
+  /// past n with the same alignment). Coincides with rank() for cells
+  /// within the layout extent; used to build the periodic gap table, whose
+  /// wrap-around entries may reference cells beyond the array's end.
+  [[nodiscard]] i64 rank_unbounded(i64 cell) const;
+
+ private:
+  struct OffsetClass {
+    i64 first_cell;  ///< smallest layout cell at this offset
+    i64 count;       ///< how many layout cells at this offset (bounded by n)
+  };
+  std::vector<OffsetClass> classes_;
+  i64 period_ = 0;  ///< cell distance between consecutive layout cells at one offset
+  i64 size_ = 0;
+};
+
+/// Full mapping of an array of any rank onto a processor grid. The number
+/// of dimensions must match the grid's. Each dimension is stored one of two
+/// ways on a grid coordinate:
+///   - identity alignment: at its template local index, over the
+///     template's local capacity (the distribution's natural layout);
+///   - any other alignment: packed through that coordinate's PackedLayout,
+///     one slot per owned array element.
+/// A rank's local storage is dense row-major over its per-dimension local
+/// extents, so per-dimension local indices compose linearly. Identity-only
+/// mappings give every rank the same storage size; packed dimensions give
+/// each rank exactly the elements it owns.
 class MultiDimMapping {
  public:
   MultiDimMapping(std::vector<DimMapping> dims, ProcessorGrid grid);
@@ -80,24 +122,49 @@ class MultiDimMapping {
   /// Row-major local address of `index` on its owning rank.
   [[nodiscard]] i64 local_address(const std::vector<i64>& index) const;
 
-  /// Per-rank local storage size (identical on all ranks by construction).
-  [[nodiscard]] i64 local_capacity() const noexcept { return capacity_; }
+  /// Local index of subscript i in dimension d, on the grid coordinate that
+  /// owns it: the template local index under identity alignment, the
+  /// packed rank otherwise.
+  [[nodiscard]] i64 local_index(std::size_t d, i64 i) const;
 
-  /// Local storage extent of dimension d (local addresses are row-major
-  /// over these extents).
-  [[nodiscard]] i64 local_extent(std::size_t d) const { return local_extent_.at(d); }
+  /// Local extent of dimension d on grid coordinate `coord`.
+  [[nodiscard]] i64 local_extent(std::size_t d, i64 coord) const {
+    const DimStorage& st = storage_[d];
+    return st.packed.empty() ? st.capacity : st.packed[static_cast<std::size_t>(coord)].size();
+  }
+
+  /// Dimension d's packed layout on grid coordinate `coord`, or null under
+  /// identity alignment (where the distribution's local index applies).
+  [[nodiscard]] const PackedLayout* packed_layout(std::size_t d, i64 coord) const {
+    const DimStorage& st = storage_.at(d);
+    return st.packed.empty() ? nullptr : &st.packed.at(static_cast<std::size_t>(coord));
+  }
+
+  /// Local storage size of `rank`.
+  [[nodiscard]] i64 local_size(i64 rank) const;
+
+  /// Largest local storage size over the ranks; every local address lies
+  /// below it.
+  [[nodiscard]] i64 local_capacity() const noexcept { return capacity_; }
 
   /// Total number of array elements.
   [[nodiscard]] i64 total_elements() const noexcept;
 
   /// Same per-dimension mappings on the same grid: two arrays that compare
   /// equal place every index at the same rank and local address.
-  friend bool operator==(const MultiDimMapping&, const MultiDimMapping&) = default;
+  friend bool operator==(const MultiDimMapping& x, const MultiDimMapping& y) {
+    return x.dims_ == y.dims_ && x.grid_ == y.grid_;
+  }
 
  private:
+  struct DimStorage {
+    i64 capacity = 0;                  ///< largest local extent over coordinates
+    std::vector<PackedLayout> packed;  ///< one per coordinate; empty under identity
+  };
+
   std::vector<DimMapping> dims_;
   ProcessorGrid grid_;
-  std::vector<i64> local_extent_;  ///< per-dim local capacity
+  std::vector<DimStorage> storage_;
   i64 capacity_;
 };
 

@@ -2,14 +2,14 @@
 // decomposition that Dongarra, van de Geijn and Walker advocate — the use
 // case the paper's introduction cites for efficient cyclic(k) support.
 //
-// A DistMatrix wraps a 2-D MultiDimArray whose rows are cyclic(rb) over the
+// A DistMatrix wraps a 2-D DistributedArray whose rows are cyclic(rb) over the
 // grid's row dimension and columns cyclic(cb) over its column dimension.
 // The key structural property (used by SUMMA, `blas.hpp`): every rank in
 // one grid row owns the same set of matrix rows, and every rank in one grid
 // column owns the same set of matrix columns.
 #pragma once
 
-#include "cyclick/runtime/multidim_array.hpp"
+#include "cyclick/runtime/section_ops.hpp"
 
 namespace cyclick {
 
@@ -31,8 +31,8 @@ class DistMatrix {
   [[nodiscard]] const ProcessorGrid& grid() const noexcept { return data_.mapping().grid(); }
   [[nodiscard]] i64 ranks() const noexcept { return grid().rank_count(); }
 
-  [[nodiscard]] MultiDimArray<T>& data() noexcept { return data_; }
-  [[nodiscard]] const MultiDimArray<T>& data() const noexcept { return data_; }
+  [[nodiscard]] DistributedArray<T>& data() noexcept { return data_; }
+  [[nodiscard]] const DistributedArray<T>& data() const noexcept { return data_; }
 
   [[nodiscard]] T get(i64 i, i64 j) const { return data_.get({i, j}); }
   void set(i64 i, i64 j, const T& v) { data_.set({i, j}, v); }
@@ -77,7 +77,7 @@ class DistMatrix {
   i64 cols_;
   BlockCyclic row_dist_;
   BlockCyclic col_dist_;
-  MultiDimArray<T> data_;
+  DistributedArray<T> data_;
 };
 
 }  // namespace cyclick

@@ -17,10 +17,10 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string>
 #include <string_view>
 
 #include "cyclick/runtime/distributed_array.hpp"
-#include "cyclick/runtime/multidim_array.hpp"
 
 namespace cyclick {
 
@@ -108,53 +108,46 @@ inline std::vector<i64> read_binary_header(std::istream& is) {
   return extents;
 }
 
-}  // namespace detail
-
-/// Write a 1-D array as a text image.
+/// The array's shape, one extent per dimension.
 template <typename T>
-void save_text(std::ostream& os, const DistributedArray<T>& arr) {
-  const i64 extents[] = {arr.size()};
-  detail::write_text_header(os, extents);
-  detail::write_text_values(os, arr.gather(), /*per_line=*/16);
+std::vector<i64> extents_of(const DistributedArray<T>& arr) {
+  std::vector<i64> extents;
+  for (std::size_t d = 0; d < arr.dims(); ++d) extents.push_back(arr.mapping().dim(d).extent);
+  return extents;
 }
 
-/// Load a text image into a 1-D array (sizes must match; the data lands in
-/// whatever distribution the array already has).
+/// Reject an image whose header shape differs from the array's.
+template <typename T>
+void require_shape(const std::vector<i64>& extents, const DistributedArray<T>& arr,
+                   const char* what) {
+  if (extents != extents_of(arr))
+    throw io_error(std::string(what) + " image shape does not match the array");
+}
+
+}  // namespace detail
+
+/// Write an array as a text image: a row-major payload, one line per
+/// innermost row (a 1-D image wraps every 16 values).
+template <typename T>
+void save_text(std::ostream& os, const DistributedArray<T>& arr) {
+  const std::vector<i64> extents = detail::extents_of(arr);
+  detail::write_text_header(os, extents);
+  detail::write_text_values(os, arr.gather(), arr.dims() == 1 ? 16 : extents.back());
+}
+
+/// Load a text image (shapes must match; the data lands in whatever
+/// mapping the array already has).
 template <typename T>
 void load_text(std::istream& is, DistributedArray<T>& arr) {
-  const auto extents = detail::read_text_header(is);
-  if (extents.size() != 1 || extents[0] != arr.size())
-    throw io_error("text image shape does not match the array");
+  detail::require_shape(detail::read_text_header(is), arr, "text");
   arr.scatter(detail::read_text_values<T>(is, arr.size()));
 }
 
-/// Write a multidimensional array as a text image (row-major payload).
-template <typename T>
-void save_text(std::ostream& os, const MultiDimArray<T>& arr) {
-  std::vector<i64> extents;
-  for (std::size_t d = 0; d < arr.dims(); ++d)
-    extents.push_back(arr.mapping().dim(d).extent);
-  detail::write_text_header(os, extents);
-  detail::write_text_values(os, arr.gather(),
-                            /*per_line=*/extents.back());
-}
-
-template <typename T>
-void load_text(std::istream& is, MultiDimArray<T>& arr) {
-  const auto extents = detail::read_text_header(is);
-  if (extents.size() != arr.dims()) throw io_error("text image rank mismatch");
-  for (std::size_t d = 0; d < arr.dims(); ++d)
-    if (extents[d] != arr.mapping().dim(d).extent)
-      throw io_error("text image shape does not match the array");
-  arr.scatter(detail::read_text_values<T>(is, arr.mapping().total_elements()));
-}
-
-/// Binary checkpoint of a 1-D array.
+/// Binary checkpoint of an array.
 template <typename T>
 void save_binary(std::ostream& os, const DistributedArray<T>& arr) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const i64 extents[] = {arr.size()};
-  detail::write_binary_header(os, extents);
+  detail::write_binary_header(os, detail::extents_of(arr));
   const auto image = arr.gather();
   os.write(reinterpret_cast<const char*>(image.data()),
            static_cast<std::streamsize>(image.size() * sizeof(T)));
@@ -163,9 +156,7 @@ void save_binary(std::ostream& os, const DistributedArray<T>& arr) {
 template <typename T>
 void load_binary(std::istream& is, DistributedArray<T>& arr) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const auto extents = detail::read_binary_header(is);
-  if (extents.size() != 1 || extents[0] != arr.size())
-    throw io_error("binary image shape does not match the array");
+  detail::require_shape(detail::read_binary_header(is), arr, "binary");
   std::vector<T> image(static_cast<std::size_t>(arr.size()));
   is.read(reinterpret_cast<char*>(image.data()),
           static_cast<std::streamsize>(image.size() * sizeof(T)));

@@ -58,8 +58,8 @@ namespace cyclick {
 
 /// The engine plan for `rank`'s share of `sec` over `arr`'s template cells
 /// (ascending cell order). Plan globals are template cells; plan locals are
-/// packed addresses only under identity alignment (use index_of_cell /
-/// PackedLayout otherwise, as for_each_owned does).
+/// local addresses only under identity alignment (use index_of_cell /
+/// PackedLayout otherwise, as the owned walk in distributed_array.hpp does).
 template <typename T>
 [[nodiscard]] SectionPlan owned_plan(const DistributedArray<T>& arr, const RegularSection& sec,
                                      i64 rank) {
@@ -72,39 +72,6 @@ template <typename T>
 [[nodiscard]] bool section_within(const DistributedArray<T>& arr, const RegularSection& sec) {
   return sec.empty() || (sec.lower >= 0 && sec.lower < arr.size() && sec.last() >= 0 &&
                          sec.last() < arr.size());
-}
-
-/// Visit every element of `sec` (array index space) owned by `rank`,
-/// passing (t, local_addr) where t is the position within the section and
-/// local_addr the element's packed local address. Enumeration is in
-/// ascending template-cell order (ownership enumeration; statement-order
-/// semantics are the caller's concern). Returns the visit count.
-template <typename T, typename Body>
-i64 for_each_owned(const DistributedArray<T>& arr, const RegularSection& sec, i64 rank,
-                   Body&& body) {
-  CYCLICK_REQUIRE(section_within(arr, sec), "section must lie within the array");
-  if (sec.empty()) return 0;
-  const AffineAlignment& al = arr.alignment();
-  // Hoist the per-rank layout lookup out of the loop: rank() queries are
-  // per-element, but the layout object itself is loop-invariant.
-  const PackedLayout* layout = arr.packed_layout_or_null(rank);
-  const SectionPlan plan = owned_plan(arr, sec, rank);
-  if (layout == nullptr && plan.contiguous()) {
-    // Identity alignment + unit stride: t and the local address both move
-    // by a fixed step within each owned block run — no per-element
-    // index_of_cell inversions.
-    const i64 dt = sec.stride > 0 ? 1 : -1;
-    return plan.for_each_run([&](i64 g0, i64 l0, i64 len) {
-      i64 t = (g0 - sec.lower) / sec.stride;
-      for (i64 i = 0; i < len; ++i, t += dt) body(t, l0 + i);
-    });
-  }
-  return plan.for_each([&](i64 cell, i64 la) {
-    const auto idx = al.index_of_cell(cell);
-    CYCLICK_ASSERT(idx.has_value());
-    const i64 t = (*idx - sec.lower) / sec.stride;
-    body(t, layout ? layout->rank(cell) : la);
-  });
 }
 
 /// Owner cursor over a section of `arr`: the owning rank and packed local

@@ -52,33 +52,22 @@ void eoshift(const DistributedArray<T>& in, DistributedArray<T>& out, i64 shift,
 
 /// DOT_PRODUCT over two equally sized sections (arrays may be distributed
 /// differently; the b-operand is landed in an a-shaped temporary first).
+/// Each rank accumulates in ascending local-address order.
 template <typename T>
 T dot_product(const DistributedArray<T>& a, const RegularSection& asec,
               const DistributedArray<T>& b, const RegularSection& bsec,
               const SpmdExecutor& exec) {
   CYCLICK_REQUIRE(asec.size() == bsec.size(), "dot_product sections must match");
-  DistributedArray<T> tb(a.dist(), a.size(), a.alignment());
+  DistributedArray<T> tb(a.mapping());
   copy_section(b, bsec, tb, asec, exec);
   std::vector<T> partial(static_cast<std::size_t>(exec.ranks()), T{});
   exec.run([&](i64 rank) {
-    auto la = a.local(rank);
-    auto lb = tb.local(rank);
+    const detail::OwnedShare sh = detail::owned_share(a.mapping(), Region{asec}, rank);
+    if (sh.empty) return;
+    const T* la = a.local(rank).data();
+    const T* lb = tb.local(rank).data();
     T acc{};
-    if (!asec.empty() && a.packed_layout_or_null(rank) == nullptr) {
-      CYCLICK_REQUIRE(section_within(a, asec), "section must lie within the array");
-      const KernelPlan kp = compile_kernel(owned_plan(a, asec, rank));
-      // Kernels accumulate in ascending address order; for descending
-      // sections only the run-copy class matches the order the fallback
-      // would use (FP sums are order-sensitive).
-      if (kp.bulk() && (asec.stride > 0 || kp.cls() == AccessClass::kRuns)) {
-        partial[static_cast<std::size_t>(rank)] = kernel_dot(kp, la.data(), lb.data());
-        return;
-      }
-    }
-    for_each_owned(a, asec, rank, [&](i64, i64 addr) {
-      const auto i = static_cast<std::size_t>(addr);
-      acc += la[i] * lb[i];
-    });
+    detail::for_each_local(sh, [&](i64 i) { acc += la[i] * lb[i]; });
     partial[static_cast<std::size_t>(rank)] = acc;
   });
   T out{};
@@ -92,24 +81,11 @@ i64 count_section(const DistributedArray<T>& arr, const RegularSection& sec, Pre
                   const SpmdExecutor& exec) {
   std::vector<i64> partial(static_cast<std::size_t>(exec.ranks()), 0);
   exec.run([&](i64 rank) {
-    auto local = arr.local(rank);
+    const detail::OwnedShare sh = detail::owned_share(arr.mapping(), Region{sec}, rank);
+    if (sh.empty) return;
+    const T* local = arr.local(rank).data();
     i64 c = 0;
-    if (!sec.empty() && arr.packed_layout_or_null(rank) == nullptr) {
-      CYCLICK_REQUIRE(section_within(arr, sec), "section must lie within the array");
-      // Counting is order-free, so every kernel class applies regardless of
-      // the section's traversal direction.
-      const KernelPlan kp = compile_kernel(owned_plan(arr, sec, rank));
-      if (kp.bulk()) {
-        kernel_for_each_local(kp, [&](i64 addr) {
-          if (pred(local[static_cast<std::size_t>(addr)])) ++c;
-        });
-        partial[static_cast<std::size_t>(rank)] = c;
-        return;
-      }
-    }
-    for_each_owned(arr, sec, rank, [&](i64, i64 addr) {
-      if (pred(local[static_cast<std::size_t>(addr)])) ++c;
-    });
+    detail::for_each_local(sh, [&](i64 i) { c += pred(local[i]) ? 1 : 0; });
     partial[static_cast<std::size_t>(rank)] = c;
   });
   i64 total = 0;

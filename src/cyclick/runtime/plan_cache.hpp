@@ -116,8 +116,7 @@ class PlanCache {
 
 /// Key for N-D region plans: arbitrary arity means a flat i64 vector
 /// (ranks, spread flag, then per-dimension mapping + grid + section
-/// fields) instead of a fixed struct. Built by cached_region_plan in
-/// multidim_array.hpp.
+/// fields) instead of a fixed struct. Built by make_region_plan_key.
 using RegionPlanKey = std::vector<i64>;
 
 struct RegionPlanKeyHash {
@@ -165,7 +164,7 @@ class RegionPlanCache {
   /// Drop every plan and zero the counters.
   void clear() { cache_.clear(); }
 
-  /// The process-wide cache copy_region / spread_region consult.
+  /// The process-wide cache N-D copy_region / spread_region consult.
   static RegionPlanCache& global() {
     static RegionPlanCache cache;
     return cache;
@@ -191,6 +190,57 @@ std::shared_ptr<const CommPlan> cached_copy_plan(const DistributedArray<T>& src,
   // plan first, ours is dropped. Safe because PlanKey fully determines the
   // plan's content — returning either copy is equivalent; inserting here is
   // never a refresh. See LruCache::insert for the contract.
+  cache.insert(key, plan);
+  return plan;
+}
+
+namespace detail {
+
+/// Everything an N-D region plan's shape depends on, flattened: rank
+/// count, spread flag, arity, then per dimension the source and
+/// destination mapping fields (extent, alignment, distribution; the grid
+/// axis extent is the distribution's processor count) and both sections.
+template <typename T>
+RegionPlanKey make_region_plan_key(const DistributedArray<T>& src, const Region& sregion,
+                                   const DistributedArray<T>& dst, const Region& dregion,
+                                   const SpmdExecutor& exec, bool spread) {
+  RegionPlanKey key;
+  key.reserve(3 + sregion.size() * 16);
+  key.push_back(exec.ranks());
+  key.push_back(spread ? 1 : 0);
+  key.push_back(static_cast<i64>(sregion.size()));
+  const auto mix_dim = [&key](const DimMapping& dm, const RegularSection& sec) {
+    key.push_back(dm.extent);
+    key.push_back(dm.align.a);
+    key.push_back(dm.align.b);
+    key.push_back(dm.dist.procs());
+    key.push_back(dm.dist.block_size());
+    key.push_back(sec.lower);
+    key.push_back(sec.upper);
+    key.push_back(sec.stride);
+  };
+  for (std::size_t d = 0; d < sregion.size(); ++d) {
+    mix_dim(src.mapping().dim(d), sregion[d]);
+    mix_dim(dst.mapping().dim(d), dregion[d]);
+  }
+  return key;
+}
+
+}  // namespace detail
+
+/// Cache-aware region plan lookup (process-wide RegionPlanCache).
+template <typename T>
+std::shared_ptr<const RedistributionPlan> cached_region_plan(
+    const DistributedArray<T>& src, const Region& sregion, const DistributedArray<T>& dst,
+    const Region& dregion, const SpmdExecutor& exec, bool spread = false,
+    RegionPlanCache& cache = RegionPlanCache::global()) {
+  const RegionPlanKey key =
+      detail::make_region_plan_key(src, sregion, dst, dregion, exec, spread);
+  if (auto hit = cache.find(key)) return hit;
+  auto plan = std::make_shared<const RedistributionPlan>(
+      build_region_plan(src, sregion, dst, dregion, exec, spread));
+  // Keep-existing insert, as in cached_copy_plan: the key fully determines
+  // the plan's content, so returning either racing copy is equivalent.
   cache.insert(key, plan);
   return plan;
 }

@@ -55,10 +55,9 @@
 // needs only the consume phase. W is the constant kRedistWindow for all
 // of them, and it is also each receiver's CompletionQueue credit limit.
 //
-// The executor is generic over the array type: anything with local(rank)
-// spans of a trivially copyable element works (DistributedArray,
-// MultiDimArray), so 1-D section copies and N-D region remaps execute
-// through the same entry points.
+// The executor takes arrays of any rank and any trivially copyable element
+// type, so 1-D section copies and N-D region remaps execute through the
+// same entry points.
 //
 // RedistributionPlan wraps a CommPlan with its schedule metadata (phase
 // count, dimensionality); build_redistribution_plan composes the
@@ -135,16 +134,124 @@ template <typename T>
 
 namespace detail {
 
-/// Element type of an array's local spans.
-template <typename Arr>
-using local_element_t = std::remove_cvref_t<decltype(std::declval<Arr&>().local(i64{0})[0])>;
+/// Common validation for region plans. With `spread` set, a source
+/// dimension of size 1 is allowed to broadcast across the matching
+/// destination dimension.
+template <typename T>
+void require_region_copy_shape(const DistributedArray<T>& src, const Region& sregion,
+                               const DistributedArray<T>& dst, const Region& dregion,
+                               const SpmdExecutor& exec, bool spread) {
+  CYCLICK_REQUIRE(sregion.size() == src.dims() && dregion.size() == dst.dims(),
+                  "region arity mismatch");
+  CYCLICK_REQUIRE(sregion.size() == dregion.size(), "copy regions must have equal rank");
+  for (std::size_t d = 0; d < sregion.size(); ++d) {
+    if (spread && sregion[d].size() == 1) continue;
+    CYCLICK_REQUIRE(sregion[d].size() == dregion[d].size(),
+                    "copy region extents must match per dimension");
+  }
+  CYCLICK_REQUIRE(exec.ranks() == dst.mapping().grid().rank_count(),
+                  "executor/destination rank mismatch");
+  CYCLICK_REQUIRE(exec.ranks() == src.mapping().grid().rank_count(),
+                  "executor/source rank mismatch");
+}
+
+}  // namespace detail
+
+/// Build the scheduled plan for dst(dregion) = src(sregion): each receiver
+/// walks its destination share (the Cartesian product of per-dim access
+/// sequences) and the per-channel address streams compress to their
+/// shortest period exactly like the 1-D builder's. The source side of each
+/// destination position is resolved once per dimension per build — owner
+/// coordinate, local index and that coordinate's local extent — so the
+/// element loop composes the source rank and address from table lookups.
+/// With `spread`, source dimensions of size 1 broadcast across the
+/// matching destination dimension (HPF SPREAD semantics — the shape
+/// SUMMA's panel broadcasts take).
+template <typename T>
+[[nodiscard]] RedistributionPlan build_region_plan(const DistributedArray<T>& src,
+                                                   const Region& sregion,
+                                                   const DistributedArray<T>& dst,
+                                                   const Region& dregion,
+                                                   const SpmdExecutor& exec,
+                                                   bool spread = false) {
+  detail::require_region_copy_shape(src, sregion, dst, dregion, exec, spread);
+  const i64 p = exec.ranks();
+  CYCLICK_COUNT("redist.region_builds", 0, 1);
+  CYCLICK_TIME_SCOPE("redist.region_build_us", 0);
+  CYCLICK_SPAN("plan_build", 0);
+  const MultiDimMapping& smap = src.mapping();
+  const std::size_t nd = dregion.size();
+  // Per dimension and destination position t: the source element's owner
+  // coordinate, local index and owner's local extent. A size-1 source
+  // dimension pins its subscript (broadcast).
+  struct SourceDim {
+    std::vector<i64> coord, local, extent;
+  };
+  std::vector<SourceDim> from(nd);
+  for (std::size_t d = 0; d < nd; ++d) {
+    const bool pinned = sregion[d].size() == 1;
+    for (i64 t = 0; t < dregion[d].size(); ++t) {
+      if (pinned && t > 0) {
+        from[d].coord.push_back(from[d].coord[0]);
+        from[d].local.push_back(from[d].local[0]);
+        from[d].extent.push_back(from[d].extent[0]);
+        continue;
+      }
+      const i64 s = sregion[d].element(t);
+      const i64 c = smap.dim(d).owner(s);
+      from[d].coord.push_back(c);
+      from[d].local.push_back(smap.local_index(d, s));
+      from[d].extent.push_back(smap.local_extent(d, c));
+    }
+  }
+  const auto position = [&](std::size_t d, i64 index) {
+    const RegularSection& sec = dregion[d];
+    return static_cast<std::size_t>(sec.stride == 1 ? index - sec.lower
+                                                    : (index - sec.lower) / sec.stride);
+  };
+  std::vector<detail::OwnedShare> shares;
+  for (i64 m = 0; m < p; ++m) shares.push_back(detail::owned_share(dst.mapping(), dregion, m));
+  // Count, then fill: the only transient is the two flat streams.
+  const std::size_t in = nd - 1;
+  const i64 inner_procs = smap.dim(in).dist.procs();
+  const auto walk = [&](auto&& emit) {
+    for (i64 m = 0; m < p; ++m) {
+      const detail::OwnedShare& sh = shares[static_cast<std::size_t>(m)];
+      if (sh.empty) continue;
+      detail::for_each_row(sh, [&](i64 base, const std::vector<std::size_t>& pos) {
+        i64 rank = 0;
+        i64 addr = 0;
+        for (std::size_t d = 0; d < in; ++d) {
+          const std::size_t t = position(d, sh.outer[d].index[pos[d]]);
+          rank = rank * smap.dim(d).dist.procs() + from[d].coord[t];
+          addr = addr * from[d].extent[t] + from[d].local[t];
+        }
+        const SourceDim& fi = from[in];
+        detail::for_each_inner(sh, [&](i64 i, i64 la) {
+          const std::size_t t = position(in, i);
+          emit(m * p + rank * inner_procs + fi.coord[t], addr * fi.extent[t] + fi.local[t],
+               base + la);
+        });
+      });
+    }
+  };
+  detail::ChannelStreams streams;
+  streams.reset(p * p);
+  walk([&](i64 c, i64, i64) { streams.count(c); });
+  streams.layout();
+  walk([&](i64 c, i64 sa, i64 da) { streams.put_run(c, sa, 0, da, 0, 1); });
+  return finish_redistribution_plan(CommPlan::from_streams(p, streams), static_cast<i64>(nd));
+}
+
+namespace detail {
 
 /// True when src's and dst's local spans for `rank` share any bytes. A
 /// direct copy would write destinations while sources are still live, so
 /// aliased copies (same array, shifted sections) stage their local
 /// channels through the plan arena instead.
-template <typename SrcArr, typename DstArr>
-[[nodiscard]] bool rank_locals_alias(const SrcArr& src, DstArr& dst, i64 rank) {
+template <typename T>
+[[nodiscard]] bool rank_locals_alias(const DistributedArray<T>& src, DistributedArray<T>& dst,
+                                     i64 rank) {
   const auto s = src.local(rank);
   const auto d = dst.local(rank);
   if (s.empty() || d.empty()) return false;
@@ -156,8 +263,9 @@ template <typename SrcArr, typename DstArr>
   return lt(s0, d1) && lt(d0, s1);
 }
 
-template <typename SrcArr, typename DstArr>
-[[nodiscard]] bool arrays_alias(const SrcArr& src, DstArr& dst, i64 ranks) {
+template <typename T>
+[[nodiscard]] bool arrays_alias(const DistributedArray<T>& src, DistributedArray<T>& dst,
+                                i64 ranks) {
   for (i64 r = 0; r < ranks; ++r)
     if (rank_locals_alias(src, dst, r)) return true;
   return false;
@@ -270,13 +378,13 @@ class CancelPosted {
 
 /// The executor core: the post / produce / consume stages over one plan,
 /// with the channel endpoints fixed for the whole execution.
-template <typename SrcArr, typename DstArr>
+template <typename T>
 class Exchange {
  public:
-  using T = local_element_t<DstArr>;
   static_assert(std::is_trivially_copyable_v<T>, "plans move raw bytes");
 
-  Exchange(const CommPlan& plan, const SrcArr& src, DstArr& dst, Endpoints ends,
+  Exchange(const CommPlan& plan, const DistributedArray<T>& src, DistributedArray<T>& dst,
+           Endpoints ends,
            i64 counter_rank)
       : plan_(plan), src_(src), dst_(dst), ends_(ends), p_(plan.ranks) {
     CYCLICK_COUNT("commplan.execs", counter_rank, 1);
@@ -392,8 +500,8 @@ class Exchange {
   }
 
   const CommPlan& plan_;
-  const SrcArr& src_;
-  DstArr& dst_;
+  const DistributedArray<T>& src_;
+  DistributedArray<T>& dst_;
   Endpoints ends_;
   i64 p_;
 };
@@ -402,19 +510,19 @@ class Exchange {
 /// Aliased arrays force the arena-staged local copy; `ends.staged` forces
 /// it too, which is how the redistribution bench and tests compare the
 /// staged and fused shapes of the same plan.
-template <typename SrcArr, typename DstArr>
-void run_machine(const CommPlan& plan, const SrcArr& src, DstArr& dst,
+template <typename T>
+void run_machine(const CommPlan& plan, const DistributedArray<T>& src, DistributedArray<T>& dst,
                  const SpmdExecutor& exec, Endpoints ends) {
   CYCLICK_REQUIRE(plan.ranks == exec.ranks(), "plan built for a different machine");
   ends.staged = ends.staged || arrays_alias(src, dst, plan.ranks);
-  const Exchange<SrcArr, DstArr> x(plan, src, dst, ends, std::max<i64>(ends.replica, 0));
+  const Exchange<T> x(plan, src, dst, ends, std::max<i64>(ends.replica, 0));
   std::vector<RecvWindow> windows(ends.wire != nullptr ? static_cast<std::size_t>(plan.ranks)
                                                        : 0);
   const CancelPosted guard(ends.wire, windows);
   // One captured reference keeps each std::function in its small buffer,
   // so the in-process steady state allocates nothing.
   struct Stages {
-    const Exchange<SrcArr, DstArr>& x;
+    const Exchange<T>& x;
     RecvWindow* w;  ///< [rank], null without a wire
   };
   const Stages st{x, ends.wire != nullptr ? windows.data() : nullptr};
@@ -432,9 +540,9 @@ void run_machine(const CommPlan& plan, const SrcArr& src, DstArr& dst,
 /// corruption shows up as a checksum error or a divergent replica), then
 /// an installed TransportProvider (the simulated mesh), else in-process —
 /// where the fused copy needs no arena and no allocation in steady state.
-template <typename SrcArr, typename DstArr>
-void execute_copy_plan(const CommPlan& plan, const SrcArr& src, DstArr& dst,
-                       const SpmdExecutor& exec) {
+template <typename T>
+void execute_copy_plan(const CommPlan& plan, const DistributedArray<T>& src,
+                       DistributedArray<T>& dst, const SpmdExecutor& exec) {
   detail::Endpoints ends;
   const ProcessContext& pc = process_context();
   if (pc.active() && plan.ranks == pc.world) {
@@ -450,9 +558,10 @@ void execute_copy_plan(const CommPlan& plan, const SrcArr& src, DstArr& dst,
 /// Execute a compressed plan on the whole machine with every remote
 /// channel carried as one message over `transport` — the entry point an
 /// MPI port would rebind. Identical results to execute_copy_plan.
-template <typename SrcArr, typename DstArr>
-void execute_copy_plan_over(const CommPlan& plan, const SrcArr& src, DstArr& dst,
-                            const SpmdExecutor& exec, Transport& transport) {
+template <typename T>
+void execute_copy_plan_over(const CommPlan& plan, const DistributedArray<T>& src,
+                            DistributedArray<T>& dst, const SpmdExecutor& exec,
+                            Transport& transport) {
   detail::run_machine(plan, src, dst, exec, {.wire = &transport});
 }
 
@@ -464,13 +573,12 @@ void execute_copy_plan_over(const CommPlan& plan, const SrcArr& src, DstArr& dst
 /// so the protocol is deadlock-free regardless of peer pacing, and
 /// completions that land while this rank is still sending are unpacked
 /// between sends unless the locals alias.
-template <typename SrcArr, typename DstArr>
-void execute_copy_plan_rank(const CommPlan& plan, const SrcArr& src, DstArr& dst, i64 rank,
-                            Transport& transport) {
+template <typename T>
+void execute_copy_plan_rank(const CommPlan& plan, const DistributedArray<T>& src,
+                            DistributedArray<T>& dst, i64 rank, Transport& transport) {
   CYCLICK_REQUIRE(rank >= 0 && rank < plan.ranks, "rank out of range");
   const bool aliased = detail::rank_locals_alias(src, dst, rank);
-  const detail::Exchange<SrcArr, DstArr> x(plan, src, dst,
-                                           {.wire = &transport, .staged = aliased}, rank);
+  const detail::Exchange<T> x(plan, src, dst, {.wire = &transport, .staged = aliased}, rank);
   detail::RecvWindow w;
   const detail::CancelPosted guard(&transport, {&w, 1});
   x.post(rank, w);
@@ -480,9 +588,9 @@ void execute_copy_plan_rank(const CommPlan& plan, const SrcArr& src, DstArr& dst
 
 /// Execute a scheduled plan (records redist.* schedule telemetry on top of
 /// the channel-level counters, then dispatches like execute_copy_plan).
-template <typename SrcArr, typename DstArr>
-void execute_redistribution(const RedistributionPlan& plan, const SrcArr& src, DstArr& dst,
-                            const SpmdExecutor& exec) {
+template <typename T>
+void execute_redistribution(const RedistributionPlan& plan, const DistributedArray<T>& src,
+                            DistributedArray<T>& dst, const SpmdExecutor& exec) {
   CYCLICK_SPAN("redist.exec", 0);
   CYCLICK_COUNT("redist.phases", 0, plan.phases);
   execute_copy_plan(plan.comm, src, dst, exec);

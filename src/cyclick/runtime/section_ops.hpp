@@ -1,114 +1,111 @@
-// SPMD array-statement engine over distributed arrays: fill, elementwise
-// transforms, reductions, and two-sided section copies with explicit
+// SPMD array-statement engine over distributed arrays of any rank: fills,
+// elementwise transforms, reductions, and two-sided copies with explicit
 // communication plans — the operations an HPF-like compiler lowers array
 // assignment statements into, all driven by the paper's access-sequence
 // machinery rather than per-element owner computations.
 //
-// The communication-plan machinery itself (compressed periodic plans, the
-// legacy per-item representation, pack/unpack kernels) lives in
-// comm_plan.hpp; the phase-rotated executors and backend dispatch in
-// redistribute.hpp; the plan cache in plan_cache.hpp. This header provides
-// the statement-level entry points.
+// Every operation takes a Region (one section per dimension; a 1-D section
+// is the rank-1 region, and the *_section forms are its spellings) and runs
+// on the one owned walk of distributed_array.hpp, whose innermost dimension
+// replays the compiled kernel of its access class: contiguous spans are one
+// std::fill_n or memcpy, strided and periodic-gap shapes replay their
+// offset kernels (core/kernels.hpp). Copies between different mappings
+// build — or replay from the plan caches — a communication plan (1-D:
+// build_copy_plan; N-D: build_region_plan) and execute it through the
+// redistribution layer (redistribute.hpp), so they run message-shaped over
+// whichever backend is active with byte-identical results.
 #pragma once
 
-#include <algorithm>
-#include <utility>
-#include <functional>
-#include <numeric>
 #include <vector>
 
-#include "cyclick/codegen/node_loop.hpp"
 #include "cyclick/runtime/distributed_array.hpp"
 #include "cyclick/runtime/plan_cache.hpp"
 #include "cyclick/runtime/redistribute.hpp"
 #include "cyclick/runtime/spmd.hpp"
-#include "cyclick/runtime/transport.hpp"
 
 namespace cyclick {
 
-/// A(sec) = value, executed SPMD. Identity-aligned sections run through the
-/// compiled kernel for the section's class: contiguous spans are one
-/// std::fill_n, strided and periodic-gap shapes replay their offset
-/// kernels (core/kernels.hpp) instead of an element-at-a-time table walk.
+namespace detail {
+
 template <typename T>
-void fill_section(DistributedArray<T>& arr, const RegularSection& sec, const T& value,
-                  const SpmdExecutor& exec) {
-  CYCLICK_REQUIRE(exec.ranks() == arr.dist().procs(), "executor/array rank mismatch");
-  exec.run([&](i64 rank) {
-    auto local = arr.local(rank);
-    if (!sec.empty() && arr.packed_layout_or_null(rank) == nullptr) {
-      CYCLICK_REQUIRE(section_within(arr, sec), "section must lie within the array");
-      const KernelPlan kp = compile_kernel(owned_plan(arr, sec, rank));
-      if (kp.bulk()) {
-        kernel_fill(kp, local.data(), value);
-        return;
-      }
-    }
-    for_each_owned(arr, sec, rank,
-                   [&](i64, i64 la) { local[static_cast<std::size_t>(la)] = value; });
-  });
+void require_ranks(const DistributedArray<T>& arr, const SpmdExecutor& exec) {
+  CYCLICK_REQUIRE(exec.ranks() == arr.mapping().grid().rank_count(),
+                  "executor/array rank mismatch");
 }
 
-/// A(sec) = f(A(sec)) elementwise, executed SPMD. Elementwise updates are
-/// order-free, so identity-aligned sections replay the compiled kernel's
-/// ascending address stream.
-template <typename T, typename F>
-void transform_section(DistributedArray<T>& arr, const RegularSection& sec, F&& f,
-                       const SpmdExecutor& exec) {
-  CYCLICK_REQUIRE(exec.ranks() == arr.dist().procs(), "executor/array rank mismatch");
+}  // namespace detail
+
+/// arr(region) = value, executed SPMD.
+template <typename T>
+void fill_region(DistributedArray<T>& arr, const Region& region, const T& value,
+                 const SpmdExecutor& exec) {
+  detail::require_ranks(arr, exec);
   exec.run([&](i64 rank) {
-    auto local = arr.local(rank);
-    if (!sec.empty() && arr.packed_layout_or_null(rank) == nullptr) {
-      CYCLICK_REQUIRE(section_within(arr, sec), "section must lie within the array");
-      const KernelPlan kp = compile_kernel(owned_plan(arr, sec, rank));
-      if (kp.bulk()) {
-        kernel_for_each_local(kp, [&](i64 la) {
-          auto& slot = local[static_cast<std::size_t>(la)];
-          slot = f(slot);
-        });
-        return;
+    const detail::OwnedShare sh = detail::owned_share(arr.mapping(), region, rank);
+    if (sh.empty) return;
+    T* local = arr.local(rank).data();
+    detail::for_each_row(sh, [&](i64 base, const std::vector<std::size_t>&) {
+      if (sh.packed) {
+        for (const i64 l : sh.inner.local_idx) local[base + l] = value;
+      } else {
+        kernel_fill(sh.kernel, local + base, value);
       }
-    }
-    for_each_owned(arr, sec, rank, [&](i64, i64 la) {
-      auto& slot = local[static_cast<std::size_t>(la)];
-      slot = f(slot);
     });
   });
 }
 
-/// Reduction over A(sec): op-fold of all section elements onto init.
+/// arr(region) = f(arr(region)) elementwise, executed SPMD.
+template <typename T, typename F>
+void transform_region(DistributedArray<T>& arr, const Region& region, F&& f,
+                      const SpmdExecutor& exec) {
+  detail::require_ranks(arr, exec);
+  exec.run([&](i64 rank) {
+    const detail::OwnedShare sh = detail::owned_share(arr.mapping(), region, rank);
+    if (sh.empty) return;
+    T* local = arr.local(rank).data();
+    detail::for_each_local(sh, [&](i64 addr) { local[addr] = f(local[addr]); });
+  });
+}
+
+/// a(region) = f(a(region), b(region)) elementwise, executed SPMD, where
+/// `b` has a's mapping, so both operands of an element share its local
+/// address (the combine step of "communicate, then compute locally").
+template <typename T, typename F>
+void combine_region(DistributedArray<T>& a, const DistributedArray<T>& b, const Region& region,
+                    F&& f, const SpmdExecutor& exec) {
+  CYCLICK_REQUIRE(a.mapping() == b.mapping(), "combined arrays must share a mapping");
+  detail::require_ranks(a, exec);
+  exec.run([&](i64 rank) {
+    const detail::OwnedShare sh = detail::owned_share(a.mapping(), region, rank);
+    if (sh.empty) return;
+    T* la = a.local(rank).data();
+    const T* lb = b.local(rank).data();
+    detail::for_each_local(sh, [&](i64 i) { la[i] = f(la[i], lb[i]); });
+  });
+}
+
+/// Reduction over arr(region): op-fold of all region elements onto init.
+/// Each rank folds its share in ascending local-address order, then the
+/// partials fold onto init in ascending rank order (op need not be
+/// commutative).
 template <typename T, typename Op>
-T reduce_section(const DistributedArray<T>& arr, const RegularSection& sec, T init, Op&& op,
-                 const SpmdExecutor& exec) {
-  CYCLICK_REQUIRE(exec.ranks() == arr.dist().procs(), "executor/array rank mismatch");
+T reduce_region(const DistributedArray<T>& arr, const Region& region, T init, Op&& op,
+                const SpmdExecutor& exec) {
+  detail::require_ranks(arr, exec);
   std::vector<T> partial(static_cast<std::size_t>(exec.ranks()), T{});
   // char, not bool: vector<bool> packs bits and is not safe for concurrent
   // writes to distinct elements under the threaded executor.
   std::vector<char> seen(static_cast<std::size_t>(exec.ranks()), 0);
   exec.run([&](i64 rank) {
-    auto local = arr.local(rank);
-    const auto fold = [&](i64 la) {
-      const T& v = local[static_cast<std::size_t>(la)];
-      auto& acc = partial[static_cast<std::size_t>(rank)];
-      if (!seen[static_cast<std::size_t>(rank)]) {
-        acc = v;
-        seen[static_cast<std::size_t>(rank)] = 1;
-      } else {
-        acc = op(acc, v);
-      }
-    };
-    // Kernel replay is ascending-only, so gate on stride > 0 to keep the
-    // per-rank fold order identical to the traversal order (op need not be
-    // commutative).
-    if (!sec.empty() && sec.stride > 0 && arr.packed_layout_or_null(rank) == nullptr) {
-      CYCLICK_REQUIRE(section_within(arr, sec), "section must lie within the array");
-      const KernelPlan kp = compile_kernel(owned_plan(arr, sec, rank));
-      if (kp.bulk()) {
-        kernel_for_each_local(kp, fold);
-        return;
-      }
-    }
-    for_each_owned(arr, sec, rank, [&](i64, i64 la) { fold(la); });
+    const detail::OwnedShare sh = detail::owned_share(arr.mapping(), region, rank);
+    if (sh.empty) return;
+    const T* local = arr.local(rank).data();
+    T& acc = partial[static_cast<std::size_t>(rank)];
+    char& any = seen[static_cast<std::size_t>(rank)];
+    detail::for_each_local(sh, [&](i64 addr) {
+      acc = any ? op(acc, local[addr]) : local[addr];
+      any = 1;
+    });
   });
   T out = init;
   for (i64 r = 0; r < exec.ranks(); ++r)
@@ -116,41 +113,82 @@ T reduce_section(const DistributedArray<T>& arr, const RegularSection& sec, T in
   return out;
 }
 
-/// dst(dsec) = src(ssec) in one call. When both arrays share the same
-/// mapping and the sections coincide, every element already lives on its
-/// destination rank at the same local address, so the copy is purely
-/// local — no communication plan at all (the engine's dense-run plans turn
-/// it into std::copy_n block runs). Otherwise consults the process-wide
-/// plan cache, so repeated copies with the same shape (iterative solvers,
-/// shift intrinsics in a sweep loop) build their plan once and replay it.
+/// dst(dregion) = src(sregion), where the regions have identical per-dim
+/// sizes. When both arrays share one mapping and the regions coincide,
+/// every element already lives on its destination rank at the same local
+/// address, so the copy is purely local (the compiled kernels turn it into
+/// memcpy runs). Otherwise the process-wide plan caches serve the plan, so
+/// repeated copies with the same shape (iterative solvers, shift
+/// intrinsics in a sweep loop, stencils) build it once and replay it.
 template <typename T>
-void copy_section(const DistributedArray<T>& src, const RegularSection& ssec,
-                  DistributedArray<T>& dst, const RegularSection& dsec,
-                  const SpmdExecutor& exec) {
-  if (src.dist() == dst.dist() && src.alignment() == dst.alignment() &&
-      src.size() == dst.size() && ssec == dsec) {
-    CYCLICK_REQUIRE(exec.ranks() == dst.dist().procs(), "executor/array rank mismatch");
-    if (ssec.empty()) return;
+void copy_region(const DistributedArray<T>& src, const Region& sregion,
+                 DistributedArray<T>& dst, const Region& dregion, const SpmdExecutor& exec) {
+  if (src.mapping() == dst.mapping() && sregion == dregion) {
+    detail::require_ranks(dst, exec);
+    if (region_size(dregion) == 0) return;
     CYCLICK_COUNT("engine.local_copies", 0, 1);
     exec.run([&](i64 rank) {
-      auto out = dst.local(rank);
-      auto in = src.local(rank);
-      if (dst.packed_layout_or_null(rank) == nullptr) {
-        CYCLICK_REQUIRE(section_within(dst, dsec), "section must lie within the array");
-        const KernelPlan kp = compile_kernel(owned_plan(dst, dsec, rank));
-        if (kp.bulk()) {
-          kernel_copy_same(kp, in.data(), out.data());
-          return;
+      const detail::OwnedShare sh = detail::owned_share(dst.mapping(), dregion, rank);
+      if (sh.empty) return;
+      const T* in = src.local(rank).data();
+      T* out = dst.local(rank).data();
+      detail::for_each_row(sh, [&](i64 base, const std::vector<std::size_t>&) {
+        if (sh.packed) {
+          for (const i64 l : sh.inner.local_idx) out[base + l] = in[base + l];
+        } else {
+          kernel_copy_same(sh.kernel, in + base, out + base);
         }
-      }
-      for_each_owned(dst, dsec, rank, [&](i64, i64 la) {
-        out[static_cast<std::size_t>(la)] = in[static_cast<std::size_t>(la)];
       });
     });
     return;
   }
-  const auto plan = cached_copy_plan(src, ssec, dst, dsec, exec);
-  execute_copy_plan(*plan, src, dst, exec);
+  if (sregion.size() == 1 && dregion.size() == 1) {
+    const auto plan = cached_copy_plan(src, sregion[0], dst, dregion[0], exec);
+    execute_copy_plan(*plan, src, dst, exec);
+    return;
+  }
+  detail::require_region_copy_shape(src, sregion, dst, dregion, exec, /*spread=*/false);
+  const auto plan = cached_region_plan(src, sregion, dst, dregion, exec);
+  execute_redistribution(*plan, src, dst, exec);
+}
+
+/// dst(dregion) = SPREAD(src(sregion)): like copy_region, but any source
+/// dimension of size 1 replicates across the matching destination
+/// dimension. This is the HPF SPREAD lowering — e.g. SUMMA's panel
+/// broadcast ta(i, j) = A(i, t) for all j.
+template <typename T>
+void spread_region(const DistributedArray<T>& src, const Region& sregion,
+                   DistributedArray<T>& dst, const Region& dregion, const SpmdExecutor& exec) {
+  detail::require_region_copy_shape(src, sregion, dst, dregion, exec, /*spread=*/true);
+  const auto plan = cached_region_plan(src, sregion, dst, dregion, exec, /*spread=*/true);
+  execute_redistribution(*plan, src, dst, exec);
+}
+
+// The rank-1 spellings.
+
+template <typename T>
+void fill_section(DistributedArray<T>& arr, const RegularSection& sec, const T& value,
+                  const SpmdExecutor& exec) {
+  fill_region(arr, Region{sec}, value, exec);
+}
+
+template <typename T, typename F>
+void transform_section(DistributedArray<T>& arr, const RegularSection& sec, F&& f,
+                       const SpmdExecutor& exec) {
+  transform_region(arr, Region{sec}, std::forward<F>(f), exec);
+}
+
+template <typename T, typename Op>
+T reduce_section(const DistributedArray<T>& arr, const RegularSection& sec, T init, Op&& op,
+                 const SpmdExecutor& exec) {
+  return reduce_region(arr, Region{sec}, init, std::forward<Op>(op), exec);
+}
+
+template <typename T>
+void copy_section(const DistributedArray<T>& src, const RegularSection& ssec,
+                  DistributedArray<T>& dst, const RegularSection& dsec,
+                  const SpmdExecutor& exec) {
+  copy_region(src, Region{ssec}, dst, Region{dsec}, exec);
 }
 
 /// dst(dsec) = f(a(asec), b(bsec)) elementwise. Communication is performed
@@ -163,18 +201,17 @@ void zip_sections(DistributedArray<T>& dst, const RegularSection& dsec,
                   const SpmdExecutor& exec) {
   CYCLICK_REQUIRE(dsec.size() == asec.size() && dsec.size() == bsec.size(),
                   "section size mismatch in zip");
-  DistributedArray<T> ta(dst.dist(), dst.size(), dst.alignment());
-  DistributedArray<T> tb(dst.dist(), dst.size(), dst.alignment());
+  DistributedArray<T> ta(dst.mapping());
+  DistributedArray<T> tb(dst.mapping());
   copy_section(a, asec, ta, dsec, exec);
   copy_section(b, bsec, tb, dsec, exec);
   exec.run([&](i64 rank) {
-    auto out = dst.local(rank);
-    auto la = ta.local(rank);
-    auto lb = tb.local(rank);
-    for_each_owned(dst, dsec, rank, [&](i64, i64 addr) {
-      const auto i = static_cast<std::size_t>(addr);
-      out[i] = f(la[i], lb[i]);
-    });
+    const detail::OwnedShare sh = detail::owned_share(dst.mapping(), Region{dsec}, rank);
+    if (sh.empty) return;
+    T* out = dst.local(rank).data();
+    const T* la = ta.local(rank).data();
+    const T* lb = tb.local(rank).data();
+    detail::for_each_local(sh, [&](i64 i) { out[i] = f(la[i], lb[i]); });
   });
 }
 

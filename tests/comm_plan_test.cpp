@@ -8,8 +8,9 @@
 
 #include <numeric>
 #include <random>
+#include <vector>
 
-#include "cyclick/runtime/section_ops.hpp"
+#include "cyclick/runtime/multidim_array.hpp"
 #include "support/legacy_comm_plan.hpp"
 
 namespace cyclick {
@@ -353,6 +354,82 @@ TEST(CommPlan, GapPeriodIsCompact) {
       EXPECT_LT(ch.period, ch.count) << "(" << m << "," << q << ")";
       EXPECT_LE(ch.period, 60) << "(" << m << "," << q << ")";
     }
+}
+
+
+// --- region plans -------------------------------------------------------------
+
+/// The per-element region builder: each receiver's destination walk
+/// resolves every source element through MultiDimMapping::owner_rank and
+/// local_address, as region plans were first built.
+RedistributionPlan per_element_region_plan(const MultiDimArray<double>& src,
+                                           const Region& sregion,
+                                           const MultiDimArray<double>& dst,
+                                           const Region& dregion, const SpmdExecutor& exec) {
+  const i64 p = exec.ranks();
+  std::vector<i64> sidx(sregion.size());
+  const auto walk = [&](auto&& emit) {
+    for (i64 m = 0; m < p; ++m)
+      for_each_owned_region(dst, dregion, m, [&](const std::vector<i64>& didx, i64 addr) {
+        for (std::size_t d = 0; d < sregion.size(); ++d)
+          sidx[d] = sregion[d].size() == 1
+                        ? sregion[d].lower
+                        : sregion[d].element((didx[d] - dregion[d].lower) / dregion[d].stride);
+        emit(m * p + src.mapping().owner_rank(sidx), addr);
+      });
+  };
+  detail::ChannelStreams streams;
+  streams.reset(p * p);
+  walk([&](i64 c, i64) { streams.count(c); });
+  streams.layout();
+  walk([&](i64 c, i64 addr) {
+    streams.put_run(c, src.mapping().local_address(sidx), 0, addr, 0, 1);
+  });
+  return finish_redistribution_plan(CommPlan::from_streams(p, streams),
+                                    static_cast<i64>(dregion.size()));
+}
+
+TEST(RegionPlan, TabulatedBuilderMatchesPerElementBuilder) {
+  // The builder resolves each source dimension once per build; its plans
+  // must be field-identical to the per-element builder's, across remaps,
+  // shifted and descending regions, packed dimensions and spreads.
+  const auto map2 = [](i64 kr, i64 kc, AffineAlignment ar, AffineAlignment ac) {
+    std::vector<DimMapping> dims;
+    dims.emplace_back(18, ar, BlockCyclic(3, kr));
+    dims.emplace_back(20, ac, BlockCyclic(2, kc));
+    return MultiDimMapping{std::move(dims), ProcessorGrid({3, 2})};
+  };
+  const AffineAlignment id = AffineAlignment::identity();
+  struct Case {
+    const char* what;
+    MultiDimMapping smap, dmap;
+    Region sregion, dregion;
+    bool spread;
+  };
+  const std::vector<Case> cases = {
+      {"remap", map2(2, 3, id, id), map2(4, 1, id, id), {{0, 17, 1}, {0, 19, 1}},
+       {{0, 17, 1}, {0, 19, 1}}, false},
+      {"shift", map2(2, 3, id, id), map2(2, 3, id, id), {{0, 15, 1}, {1, 19, 1}},
+       {{2, 17, 1}, {0, 18, 1}}, false},
+      {"strided descending", map2(3, 2, id, id), map2(1, 5, id, id), {{16, 0, -2}, {0, 18, 3}},
+       {{1, 17, 2}, {19, 1, -3}}, false},
+      {"packed", map2(2, 3, {2, 1}, id), map2(3, 2, id, {-1, 25}), {{0, 17, 1}, {1, 19, 3}},
+       {{0, 17, 1}, {19, 1, -3}}, false},
+      {"spread", map2(2, 3, id, id), map2(4, 2, id, id), {{0, 17, 1}, {5, 5, 1}},
+       {{0, 17, 1}, {0, 19, 1}}, true},
+  };
+  const SpmdExecutor exec(6);
+  for (const Case& c : cases) {
+    const MultiDimArray<double> src(c.smap);
+    const MultiDimArray<double> dst(c.dmap);
+    const RedistributionPlan got =
+        build_region_plan(src, c.sregion, dst, c.dregion, exec, c.spread);
+    const RedistributionPlan want =
+        per_element_region_plan(src, c.sregion, dst, c.dregion, exec);
+    expect_same_plan(got.comm, want.comm, c.what);
+    EXPECT_EQ(got.phases, want.phases) << c.what;
+    EXPECT_EQ(got.dims, want.dims) << c.what;
+  }
 }
 
 }  // namespace

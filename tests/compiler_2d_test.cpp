@@ -1,7 +1,10 @@
 // End-to-end tests for multidimensional arrays in the mini-HPF DSL.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cyclick/compiler/interp.hpp"
+#include "cyclick/core/aligned.hpp"
 
 namespace cyclick::dsl {
 namespace {
@@ -141,6 +144,59 @@ TEST(Interp2D, ExplainDumpsPerDimensionPatterns) {
   // Every grid coordinate appears.
   EXPECT_NE(out.find("coord 0:"), std::string::npos) << out;
   EXPECT_NE(out.find("coord 2:"), std::string::npos) << out;
+}
+
+TEST(Interp2D, ExplainReportsPackedStartsOfAlignedDimensions) {
+  // A non-identity-aligned dimension is stored packed, so explain reports
+  // its starts in packed storage through the two-application solver.
+  Machine machine;
+  machine.run_source(R"(
+processors G(2, 3)
+template T(24, 30)
+distribute T onto G cyclic(4) cyclic(5)
+array W(10, 30) align with T(2*i+1, j)
+explain W(1:9:2, 0:29:3)
+)");
+  const std::string& out = machine.output();
+  for (i64 c = 0; c < 2; ++c) {
+    const AlignedAccessPattern pat = compute_aligned_pattern(
+        BlockCyclic(2, 4), AffineAlignment{2, 1}, 10, RegularSection{1, 9, 2}, c);
+    ASSERT_FALSE(pat.empty());
+    std::string want = "coord " + std::to_string(c) + ": start index " +
+                       std::to_string(pat.start_array_index) + " local " +
+                       std::to_string(pat.start_packed_local) + ", period " +
+                       std::to_string(pat.length) + ", AM = [";
+    for (std::size_t i = 0; i < pat.gaps.size(); ++i)
+      want += (i ? ", " : "") + std::to_string(pat.gaps[i]);
+    EXPECT_NE(out.find(want + "]"), std::string::npos) << want << "\n" << out;
+  }
+  // The identity dimension keeps its template-cell report.
+  EXPECT_NE(out.find("dim 1 (0:29:3) over cyclic(5) x 3"), std::string::npos) << out;
+  EXPECT_NE(out.find(": start cell "), std::string::npos) << out;
+}
+
+TEST(Interp2D, TraceLinesMatchTheOneDimensionalForm) {
+  // N-D statements lower through the same evaluator as 1-D ones and print
+  // the same -v trace lines.
+  Machine machine;
+  machine.set_tier(Tier::kInterp);
+  machine.enable_trace();
+  machine.run_source(std::string(kPrologue) + R"(
+M(0:23, 0:29) = 2
+N(1:22, 1:28) = M(0:21, 1:28) + M(2:23, 1:28)
+N(0:3, 0:3) = M(4:7, 0:3)
+)");
+  const std::string& trace = machine.trace_log();
+  for (const char* line : {
+           "assign M(0:23:1, 0:29:1)\n  fill scalar\n",
+           "assign N(1:22:1, 1:28:1)\n  copy M(0:21:1, 1:28:1) -> temp@(1:22:1, 1:28:1)  "
+           "[messages=",
+           "  combine local '+' over (1:22:1, 1:28:1)\n  store local from temp\n",
+           "assign N(0:3:1, 0:3:1)\n  copy M(4:7:1, 0:3:1) -> N(0:3:1, 0:3:1)  [messages=",
+       })
+    EXPECT_NE(trace.find(line), std::string::npos) << line << "\n" << trace;
+  const auto image = machine.global_image("N");
+  EXPECT_EQ(image[static_cast<std::size_t>(5 * 30 + 5)], 4.0);
 }
 
 TEST(Interp2D, ShapeMismatchRejected) {

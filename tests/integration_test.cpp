@@ -9,6 +9,7 @@
 #include "cyclick/baselines/chatterjee.hpp"
 #include "cyclick/baselines/hiranandani.hpp"
 #include "cyclick/baselines/oracle.hpp"
+#include "cyclick/codegen/node_loop.hpp"
 #include "cyclick/compiler/interp.hpp"
 #include "cyclick/core/lattice_addresser.hpp"
 #include "cyclick/runtime/section_ops.hpp"

@@ -1,8 +1,10 @@
 // Tests for multidimensional distributed arrays and region operations.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "cyclick/runtime/multidim_array.hpp"
@@ -171,6 +173,93 @@ TEST(MultiDimArray, AlignedDimension) {
   fill_region(arr, Region{{1, 9, 3}}, 9.0, exec);
   for (i64 i = 0; i < 10; ++i)
     EXPECT_EQ(arr.get({i}), (i >= 1 && (i - 1) % 3 == 0) ? 9.0 : 5.0) << i;
+}
+
+
+// --- one array type: a 1-D array is a rank-1 region ---------------------------
+
+TEST(OneArrayType, Rank1StorageMatchesTheOneDimensionalLayout) {
+  // The 1-D constructor and a rank-1 MultiDimMapping build the same array,
+  // and both store exactly the 1-D layout: identity alignment at the
+  // distribution's local index over local_capacity(n) slots per rank, any
+  // other alignment packed through PackedLayout, one slot per owned element.
+  for (const i64 a : {1, 2, 3, -1, -2})
+    for (const i64 b0 : {0, 1, 5})
+      for (i64 p = 1; p <= 5; ++p)
+        for (const i64 k : {1, 3, 8})
+          for (const i64 n : {p * k + 1, 3 * p * k - 1, i64{17}}) {
+            // A negative coefficient needs an offset that keeps every cell
+            // inside the template.
+            const i64 b = b0 + (a < 0 ? -a * (n - 1) : 0);
+            const BlockCyclic dist(p, k);
+            const AffineAlignment al{a, b};
+            const std::string what = "a=" + std::to_string(a) + " b=" + std::to_string(b) +
+                                     " p=" + std::to_string(p) + " k=" + std::to_string(k) +
+                                     " n=" + std::to_string(n);
+            const DistributedArray<int> one(dist, n, al);
+            const DistributedArray<int> rank1(
+                MultiDimMapping({DimMapping(n, al, dist)}, ProcessorGrid({p})));
+            ASSERT_EQ(one.mapping(), rank1.mapping()) << what;
+            std::vector<i64> owned(static_cast<std::size_t>(p), 0);
+            for (i64 i = 0; i < n; ++i) {
+              const i64 cell = al.cell(i);
+              const i64 owner = dist.owner(cell);
+              const i64 addr = al.is_identity()
+                                   ? dist.local_index(cell)
+                                   : PackedLayout(dist, al, n, owner).rank(cell);
+              ++owned[static_cast<std::size_t>(owner)];
+              ASSERT_EQ(one.owner_of(i), owner) << what << " i=" << i;
+              ASSERT_EQ(rank1.mapping().owner_rank({i}), owner) << what << " i=" << i;
+              ASSERT_EQ(one.local_address(i), addr) << what << " i=" << i;
+              ASSERT_EQ(rank1.mapping().local_address({i}), addr) << what << " i=" << i;
+              if (!al.is_identity()) {
+                ASSERT_EQ(rank1.packed_layout(owner).rank(cell), addr) << what << " i=" << i;
+              }
+            }
+            for (i64 m = 0; m < p; ++m) {
+              const i64 want = al.is_identity() ? dist.local_capacity(n)
+                                                : owned[static_cast<std::size_t>(m)];
+              EXPECT_EQ(static_cast<i64>(one.local(m).size()), want) << what << " m=" << m;
+              EXPECT_EQ(static_cast<i64>(rank1.local(m).size()), want) << what << " m=" << m;
+              if (!al.is_identity()) {
+                EXPECT_EQ(PackedLayout(dist, al, n, m).size(), want) << what << " m=" << m;
+              }
+            }
+          }
+}
+
+TEST(OneArrayType, NonIdentityDimensionsArePacked) {
+  // N-D arrays pack every non-identity-aligned dimension to exactly its
+  // owned elements; every element sits at a distinct address below its
+  // rank's storage size.
+  std::vector<DimMapping> dims;
+  dims.emplace_back(10, AffineAlignment{2, 1}, BlockCyclic(2, 4));
+  dims.emplace_back(7, AffineAlignment::identity(), BlockCyclic(3, 2));
+  dims.emplace_back(9, AffineAlignment{-3, 30}, BlockCyclic(2, 5));
+  const MultiDimArray<int> arr(MultiDimMapping{std::move(dims), ProcessorGrid({2, 3, 2})});
+  const MultiDimMapping& map = arr.mapping();
+  std::map<i64, std::set<i64>> addrs;
+  for (i64 i = 0; i < 10; ++i)
+    for (i64 j = 0; j < 7; ++j)
+      for (i64 l = 0; l < 9; ++l) {
+        const std::vector<i64> idx{i, j, l};
+        const i64 addr = map.local_address(idx);
+        EXPECT_TRUE(addrs[map.owner_rank(idx)].insert(addr).second)
+            << i << "," << j << "," << l;
+      }
+  const i64 identity_extent = BlockCyclic(3, 2).local_capacity(7);
+  for (i64 r = 0; r < map.grid().rank_count(); ++r) {
+    const std::vector<i64> c = map.grid().coords_of(r);
+    // Packed dimensions hold exactly their owned count; the identity one
+    // keeps its template capacity.
+    const i64 want = map.packed_layout(0, c[0])->size() * identity_extent *
+                     map.packed_layout(2, c[2])->size();
+    ASSERT_EQ(static_cast<i64>(arr.local(r).size()), want) << r;
+    EXPECT_EQ(map.local_size(r), want) << r;
+    for (const i64 a : addrs[r]) EXPECT_LT(a, want) << r;
+    EXPECT_LE(want, map.local_capacity());
+  }
+  EXPECT_EQ(map.packed_layout(1, 0), nullptr);
 }
 
 }  // namespace

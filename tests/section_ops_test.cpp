@@ -3,7 +3,11 @@
 // sequential reference semantics on the gathered global image.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "cyclick/runtime/section_ops.hpp"
 #include "support/symmetric_copy.hpp"
@@ -257,6 +261,143 @@ TEST(SectionOps, SizeMismatchRejected) {
   DistributedArray<double> a(BlockCyclic(2, 4), 60), b(BlockCyclic(2, 4), 60);
   EXPECT_THROW(copy_section(a, RegularSection{0, 10, 1}, b, RegularSection{0, 20, 1}, exec),
                precondition_error);
+}
+
+
+// --- the one owned walk, at every rank ---------------------------------------
+
+MultiDimMapping mapping_of(std::vector<DimMapping> dims) {
+  std::vector<i64> grid;
+  for (const DimMapping& dm : dims) grid.push_back(dm.dist.procs());
+  return MultiDimMapping{std::move(dims), ProcessorGrid{grid}};
+}
+
+struct WalkCase {
+  std::string what;
+  MultiDimMapping map;
+  Region region;
+};
+
+std::vector<WalkCase> walk_cases() {
+  const AffineAlignment id = AffineAlignment::identity();
+  std::vector<WalkCase> cases;
+  // Rank 1: strided, descending and aligned (the paper's periodic-gap
+  // class, the reversed walk, and packed storage).
+  cases.push_back({"1-D strided", mapping_of({DimMapping(97, id, BlockCyclic(4, 5))}),
+                   {{3, 95, 7}}});
+  cases.push_back({"1-D descending", mapping_of({DimMapping(97, id, BlockCyclic(3, 4))}),
+                   {{90, 2, -3}}});
+  cases.push_back({"1-D aligned", mapping_of({DimMapping(60, {2, 1}, BlockCyclic(3, 4))}),
+                   {{1, 58, 3}}});
+  cases.push_back({"1-D aligned descending",
+                   mapping_of({DimMapping(50, {-1, 60}, BlockCyclic(2, 4))}), {{49, 0, -2}}});
+  // Rank 2: unit, strided and descending dimensions; one packed dimension.
+  cases.push_back({"2-D strided",
+                   mapping_of({DimMapping(14, id, BlockCyclic(3, 2)),
+                               DimMapping(17, id, BlockCyclic(2, 3))}),
+                   {{1, 13, 2}, {0, 16, 1}}});
+  cases.push_back({"2-D descending",
+                   mapping_of({DimMapping(14, id, BlockCyclic(3, 2)),
+                               DimMapping(17, id, BlockCyclic(2, 3))}),
+                   {{12, 0, -3}, {16, 1, -2}}});
+  cases.push_back({"2-D aligned",
+                   mapping_of({DimMapping(12, {3, 2}, BlockCyclic(2, 4)),
+                               DimMapping(11, {-2, 25}, BlockCyclic(3, 2))}),
+                   {{0, 11, 2}, {10, 0, -1}}});
+  // Rank 3: a packed middle dimension.
+  cases.push_back({"3-D mixed",
+                   mapping_of({DimMapping(6, id, BlockCyclic(2, 1)),
+                               DimMapping(9, {2, 3}, BlockCyclic(2, 3)),
+                               DimMapping(8, id, BlockCyclic(2, 2))}),
+                   {{5, 0, -2}, {1, 8, 3}, {0, 7, 1}}});
+  return cases;
+}
+
+/// The region's elements in row-major order, as subscript tuples.
+std::vector<std::vector<i64>> region_elements(const Region& region) {
+  std::vector<std::vector<i64>> out;
+  std::vector<i64> pos(region.size(), 0);
+  while (true) {
+    std::vector<i64> idx;
+    for (std::size_t d = 0; d < region.size(); ++d) idx.push_back(region[d].element(pos[d]));
+    out.push_back(idx);
+    std::size_t d = region.size();
+    while (d-- > 0) {
+      if (++pos[d] < region[d].size()) break;
+      pos[d] = 0;
+      if (d == 0) return out;
+    }
+  }
+}
+
+TEST(SharedWalk, RegionOpsMatchSerialReferenceAtEveryRank) {
+  // fill, transform, reduce (fold order included) and the same-mapping
+  // local copy, against a serial image; the rank-1 cases also run through
+  // the *_section spellings.
+  const auto fold = [](i64 acc, i64 v) { return (acc * 31 + v) % 1000003; };
+  for (const auto mode : {SpmdExecutor::Mode::kSequential, SpmdExecutor::Mode::kThreads}) {
+    for (const WalkCase& c : walk_cases()) {
+      const std::string what =
+          c.what + (mode == SpmdExecutor::Mode::kThreads ? " threads" : "");
+      const SpmdExecutor exec(c.map.grid().rank_count(), mode);
+      const i64 total = c.map.total_elements();
+      std::vector<i64> image(static_cast<std::size_t>(total));
+      std::iota(image.begin(), image.end(), i64{1});
+      const auto flat = [&](const std::vector<i64>& idx) {
+        i64 f = 0;
+        for (std::size_t d = 0; d < idx.size(); ++d) f = f * c.map.dim(d).extent + idx[d];
+        return static_cast<std::size_t>(f);
+      };
+      const std::vector<std::vector<i64>> elems = region_elements(c.region);
+
+      MultiDimArray<i64> arr(c.map);
+      arr.scatter(image);
+      transform_region(arr, c.region, [](i64 x) { return 2 * x + 1; }, exec);
+      std::vector<i64> want = image;
+      for (const auto& idx : elems) want[flat(idx)] = 2 * want[flat(idx)] + 1;
+      ASSERT_EQ(arr.gather(), want) << what << " transform";
+
+      // Reduce: each rank folds in ascending local-address order, then the
+      // partials fold in rank order.
+      std::map<i64, std::map<i64, i64>> by_rank;
+      for (const auto& idx : elems)
+        by_rank[c.map.owner_rank(idx)][c.map.local_address(idx)] = want[flat(idx)];
+      i64 want_fold = 7;
+      for (const auto& [rank, vals] : by_rank) {
+        i64 part = vals.begin()->second;
+        for (auto it = std::next(vals.begin()); it != vals.end(); ++it)
+          part = fold(part, it->second);
+        want_fold = fold(want_fold, part);
+      }
+      EXPECT_EQ(reduce_region(arr, c.region, i64{7}, fold, exec), want_fold) << what;
+
+      MultiDimArray<i64> copy(c.map);
+      copy_region(arr, c.region, copy, c.region, exec);
+      std::vector<i64> want_copy(static_cast<std::size_t>(total), 0);
+      for (const auto& idx : elems) want_copy[flat(idx)] = want[flat(idx)];
+      EXPECT_EQ(copy.gather(), want_copy) << what << " local copy";
+
+      fill_region(arr, c.region, i64{-5}, exec);
+      for (const auto& idx : elems) want[flat(idx)] = -5;
+      EXPECT_EQ(arr.gather(), want) << what << " fill";
+
+      if (c.region.size() != 1) continue;
+      const RegularSection& sec = c.region[0];
+      MultiDimArray<i64> one(c.map);
+      one.scatter(image);
+      transform_section(one, sec, [](i64 x) { return 2 * x + 1; }, exec);
+      EXPECT_EQ(reduce_section(one, sec, i64{7}, fold, exec), want_fold) << what;
+      fill_section(one, sec, i64{-5}, exec);
+      EXPECT_EQ(one.gather(), want) << what << " section ops";
+      i64 visits = 0;
+      for (i64 r = 0; r < exec.ranks(); ++r)
+        visits += for_each_owned(one, sec, r, [&](i64 t, i64 la) {
+          EXPECT_EQ(c.map.local_address({sec.element(t)}), la) << what;
+          EXPECT_EQ(c.map.owner_rank({sec.element(t)}), r) << what;
+        });
+      EXPECT_EQ(visits, sec.size()) << what;
+    }
+  }
 }
 
 }  // namespace
