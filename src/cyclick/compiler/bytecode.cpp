@@ -72,8 +72,7 @@ void format_instr(std::ostringstream& ss, const Instr& in,
       ss << "      s" << +in.a << " = " << opnd().array;
       break;
     case Op::kReduceSec:
-      ss << "    s" << +in.a << " = " << reduce_name(in.b) << ' ' << opnd().array
-         << opnd().sec.to_string();
+      ss << "    s" << +in.a << " = " << reduce_name(in.b) << ' ' << source_text(opnd());
       break;
     case Op::kScalarNeg:
       ss << "     s" << +in.a << " = -s" << +in.a;
@@ -103,7 +102,7 @@ void format_instr(std::ostringstream& ss, const Instr& in,
       break;
     case Op::kLaneShift: {
       ss << "   l" << +in.a << " = " << source_text(opnd()) << "  [";
-      if (!opnd().region.empty()) ss << "dim=" << opnd().halo.dim << ", ";
+      if (opnd().region.size() > 1) ss << "dim=" << opnd().halo.dim << ", ";
       ss << "delta=" << opnd().shift << ", halo h" << +in.b << " per rank:";
       for (const i64 c : opnd().halo.counts) ss << ' ' << c;
       ss << ", messages=" << opnd().plan->message_count()
@@ -153,12 +152,10 @@ void format_instr(std::ostringstream& ss, const Instr& in,
 }  // namespace
 
 std::string source_text(const Operand& o) {
-  return o.array + (o.region.empty() ? o.sec.to_string() : region_text(o.region));
+  return o.array + region_text(o.region);
 }
 
-std::string CompiledProgram::shape() const {
-  return nd() ? region_text(dregion) : dsec.to_string();
-}
+std::string CompiledProgram::shape() const { return region_text(region); }
 
 std::string CompiledProgram::listing() const {
   std::ostringstream ss;
@@ -167,20 +164,12 @@ std::string CompiledProgram::listing() const {
      << " on " << ranks << " ranks (" << lane_count << " lanes";
   if (store_fused) ss << ", store-fused";
   if (lanes_may_throw) ss << ", guarded";
-  ss << "):\n";
-  if (!kernels.empty()) {
-    ss << "  kernels:\n";
-    for (std::size_t r = 0; r < kernels.size(); ++r)
-      ss << "    rank " << r << ": " << access_class_name(kernels[r].cls())
-         << " count=" << kernels[r].count() << '\n';
-  }
-  if (nd()) {
-    ss << "  runs:\n";
-    for (std::size_t r = 0; r < runs.size(); ++r) {
-      i64 elems = 0;
-      for (const Run& run : runs[r]) elems += run.len;
-      ss << "    rank " << r << ": " << runs[r].size() << " runs, " << elems << " lanes\n";
-    }
+  ss << "):\n  shares:\n";
+  for (std::size_t r = 0; r < shares.size(); ++r) {
+    i64 elems = 0;
+    for (const Row& row : shares[r].rows) elems += row.len;
+    ss << "    rank " << r << ": " << access_class_name(shares[r].kernel.cls()) << ", "
+       << shares[r].rows.size() << " rows, " << elems << " lanes\n";
   }
   if (!prelude.empty()) {
     ss << "  prelude:\n";

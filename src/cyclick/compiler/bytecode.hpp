@@ -9,20 +9,22 @@
 //            before any array data moves (loop-invariant scalars are folded
 //            into sreg_init at compile time and never re-evaluated).
 //   loads    operand communication — each remote operand lands in a
-//            destination-shaped scratch array through a CommPlan (1-D) or
-//            region plan (N-D) resolved at compile time and shared with the
-//            interpreter's plan caches. An operand that is the target
+//            destination-shaped scratch array through a CommPlan (rank 1)
+//            or region plan (N-D) resolved at compile time and shared with
+//            the interpreter's plan caches. An operand that is the target
 //            section or region shifted by delta in one dimension (0 < |delta|
 //            < k of that dimension) under the target's mapping instead reads
 //            its own local span (lane.shift): only its block-boundary halo
 //            moves, through one plan, into a compact per-rank buffer.
-//   lanes    the per-rank dense phase — every rank walks its share of the
-//            statement section or region as a list of runs, materializes
-//            each run as contiguous "lane" vectors (zero-copy aliases of the
-//            local span in span mode) and applies straight-line arithmetic,
-//            ending in a store / masked store / reduction fold. A 1-D share
-//            is one run; an N-D share whose innermost dimension is one
-//            contiguous local run per rank is one run per local row.
+//   lanes    the per-rank phase — every rank walks its share of the
+//            target region (a 1-D section is the rank-1 region {sec}) row by
+//            row, materializes each row as contiguous "lane" vectors and
+//            applies straight-line arithmetic, ending in a store / masked
+//            store / reduction fold. The innermost dimension's kernel picks
+//            the mode at every rank: under the runs class the lanes alias
+//            the local span (address-adjacent rows merge into one run);
+//            under the other classes they are gathered and scattered
+//            through the kernel at the row base. A 1-D share is one row.
 //            A lane.shift along an outer dimension picks a base pointer per
 //            row (its own row at +delta rows, or the halo row at a block
 //            edge); one along the innermost dimension (or in 1-D) is staged:
@@ -104,18 +106,6 @@ inline constexpr u8 kMaskValScalar = 1;
 inline constexpr u8 kMaskLhsScalar = 2;
 inline constexpr u8 kMaskRhsScalar = 4;
 
-/// lane.shift read map of one local row (run) of a rank's share.
-struct HaloRun {
-  /// Staged (innermost) shifts: the local address of the row's local
-  /// index 0, so block L of the row starts at origin + L*k.
-  i64 origin = 0;
-  /// Staged: halo index of block 0's first boundary slot (block L's slots
-  /// start at halo + L*|delta|; may be negative, since blocks before the
-  /// share have no slots). Outer shifts: the row's offset in the halo, or
-  /// -1 when the whole row reads its own source row in place.
-  i64 halo = -1;
-};
-
 /// How a lane.shift operand reads its source: in place at local address
 /// la + offset, except where the shifted element sits in a neighbouring
 /// block, whose values the halo plan moves into a per-rank buffer.
@@ -125,8 +115,13 @@ struct Halo {
   i64 block = 1;        // block size k of the shifted dimension
   bool staged = false;  // innermost dimension or 1-D: copy, then patch
   i64 len = 0;          // per-rank halo buffer length (block(len) array)
-  std::vector<i64> counts;               // halo elements filled per rank
-  std::vector<std::vector<HaloRun>> runs;  // per rank, per run
+  std::vector<i64> counts;  // halo elements filled per rank
+  /// Per rank, per share row. Staged shifts: the halo index of the row's
+  /// block 0 boundary slots (block L's start L*|delta| later; may be
+  /// negative, since blocks before the share have no slots). Outer shifts:
+  /// the row's offset in the halo, or -1 when the whole row reads its own
+  /// source row in place.
+  std::vector<std::vector<i64>> rows;
 };
 
 /// Resolved operand: everything a load or lane-source instruction needs,
@@ -135,8 +130,7 @@ struct Halo {
 /// cache key pins, so a cached program's plans stay valid.
 struct Operand {
   std::string array;              // source array / scalar-variable name
-  RegularSection sec{0, 0, 1};    // source section (1-D)
-  Region region{};                // source region (N-D)
+  Region region{};                // source region (a 1-D section: rank 1)
   i64 shift = 0;                  // kLoadShift; kLaneShift: the constant delta
   bool circular = true;           // kLoadShift: cshift vs eoshift
   double boundary = 0.0;          // kLoadShift: eoshift boundary value
@@ -150,7 +144,7 @@ struct Operand {
   Halo halo{};                                              // kLaneShift
 };
 
-/// `A(section)` for 1-D operands, `A(region)` for N-D ones.
+/// `A(region)`; a rank-1 region prints as its section does.
 [[nodiscard]] std::string source_text(const Operand& o);
 
 struct Instr {
@@ -164,20 +158,30 @@ struct Instr {
   i32 line = 0;   // source line for runtime diagnostics
 };
 
-/// One contiguous stretch of a rank's destination share: `len` elements
-/// starting at local address `base`.
-struct Run {
+/// One local row of a rank's destination share: the local address `base`
+/// of the row's innermost local index 0, and its `len` elements. Under the
+/// runs class, address-adjacent rows merge into one longer row.
+struct Row {
   i64 base = 0;
   i64 len = 0;
+};
+
+/// One rank's share of the target region, from the runtime's owned walk
+/// (detail::owned_share): its rows, plus the innermost dimension's engine
+/// plan and kernel, whose local addresses are relative to a row base. A 1-D
+/// share is one row.
+struct Share {
+  std::vector<Row> rows;
+  SectionPlan plan;  // ramps walk it
+  KernelPlan kernel;
 };
 
 struct CompiledProgram {
   std::string target;         // array whose mapping shapes the lane phase
   std::string scalar_target;  // nonempty for reduction programs: result var
-  RegularSection dsec{0, 0, 1};  // 1-D target section
-  Region dregion;                // N-D target region (empty for 1-D)
+  Region region;              // target region; a 1-D section is {sec}
   i64 ranks = 0;
-  i64 lane_count = 0;  // elements in dsec / dregion
+  i64 lane_count = 0;  // elements in region
 
   std::vector<double> sreg_init;  // compile-time-folded scalar registers
   std::vector<Instr> prelude;
@@ -185,13 +189,10 @@ struct CompiledProgram {
   std::vector<Instr> lanes;  // includes the terminal instruction
   std::vector<Operand> operands;
 
-  std::vector<KernelPlan> kernels;  // per rank, dst mapping over dsec (1-D)
-  std::vector<SectionPlan> plans;   // per rank (ramps, scalar-class walks)
-  /// N-D statements: per rank, the destination share as runs; the lane
-  /// program executes once per run. (A 1-D share is its kernel's one run.)
-  /// Programs with lane.shift operands keep one run per local row.
-  std::vector<std::vector<Run>> runs;
-  /// Strip length the lane pass splits each run into (0: whole runs), set
+  /// Per rank; the lane program executes once per row. Programs with
+  /// lane.shift operands keep their rows unmerged.
+  std::vector<Share> shares;
+  /// Strip length the lane pass splits each row into (0: whole rows), set
   /// when a staged lane.shift copies its operand into a lane register.
   i64 strip = 0;
 
@@ -205,13 +206,12 @@ struct CompiledProgram {
   bool lanes_may_throw = false;  // a lane instruction can raise (div by 0)
   std::vector<std::string> notes;  // fusion decisions, for listings
 
-  [[nodiscard]] bool nd() const noexcept { return !dregion.empty(); }
-  /// The target section or region as text, e.g. "(1:30:1, 1:34:1)".
+  /// The target region as text, e.g. "(1:30:1, 1:34:1)".
   [[nodiscard]] std::string shape() const;
 
-  /// Human-readable disassembly: per-phase instructions, per-rank kernel
-  /// classes (1-D) or run counts (N-D), each lane.shift's dimension (N-D),
-  /// delta, per-rank halo counts and messages, and the fusion decisions.
+  /// Human-readable disassembly: per-phase instructions, each rank's share
+  /// (kernel class, rows, lanes), each lane.shift's dimension (N-D), delta,
+  /// per-rank halo counts and messages, and the fusion decisions.
   [[nodiscard]] std::string listing() const;
 };
 

@@ -282,9 +282,9 @@ struct JitCompiler {
         if (e.lhs) throw BailOut{};
         const DistributedArray<double>* a = find(e.section.array);
         if (a == nullptr || a->dims() != 1) throw BailOut{};
-        const RegularSection sec = Machine::make_region(e.section, *a)[0];
+        const Region sec = Machine::make_region(e.section, *a);
         const u8 r = new_sreg(0.0, false);
-        const i32 aux = add_operand(bc::Operand{.array = e.section.array, .sec = sec, .plan = nullptr});
+        const i32 aux = add_operand(bc::Operand{.array = e.section.array, .region = sec});
         p.prelude.push_back(bc::Instr{.op = bc::Op::kReduceSec,
                                       .a = r,
                                       .b = reduce_code(e.reduce_op),
@@ -336,77 +336,99 @@ struct JitCompiler {
 
   // -- vector subtree -> lane register --------------------------------------
 
+  /// The source region of an operand, validated against the target region.
+  /// Anything the interpreter would reject bails (or raises the same
+  /// dsl_error), so the interpreter reports it at run time.
+  Region operand_region(const SectionRef& ref, const DistributedArray<double>& src) const {
+    const Region sreg = Machine::make_region(ref, src);
+    for (std::size_t d = 0; d < sreg.size(); ++d)
+      if (sreg[d].size() != p.region[d].size()) throw BailOut{};
+    if (src.mapping().grid().rank_count() != p.ranks) throw BailOut{};
+    return sreg;
+  }
+
   u8 lane_from_section(const Expr& e) {
-    if (p.nd()) return lane_from_region(e);
     const DistributedArray<double>* src = find(e.section.array);
-    if (src == nullptr || src->dims() != 1) throw BailOut{};
-    const RegularSection ssec = Machine::make_region(e.section, *src)[0];
-    if (ssec.size() != p.dsec.size()) throw BailOut{};  // interp raises at run time
-    if (src->dist().procs() != dst->dist().procs()) throw BailOut{};
+    if (src == nullptr || src->dims() != dst->dims()) throw BailOut{};  // mixed dimensionality
+    const Region sreg = operand_region(e.section, *src);
     const u8 lane = alloc_lane();
-    if (src->mapping() == dst->mapping() && ssec == p.dsec) {
-      // Same mapping, same section: every element is already local at the
-      // destination address — the lane aliases the source span directly.
-      const i32 aux = add_operand(bc::Operand{.array = e.section.array, .sec = ssec, .plan = nullptr});
+    const i32 aux = add_operand(bc::Operand{.array = e.section.array, .region = sreg});
+    if (src->mapping() == dst->mapping() && sreg == p.region) {
+      // Same mapping, same region: every element already sits at the
+      // destination's local address — the lane aliases the source span.
       p.lanes.push_back(
           bc::Instr{.op = bc::Op::kLaneDirect, .a = lane, .aux = aux, .line = e.line});
       return lane;
     }
-    const i32 aux = add_operand(bc::Operand{.array = e.section.array, .sec = ssec});
-    const char* why = shift_blocker(*src, ssec);
+    std::size_t dim = sreg.size();
+    const char* why = shift_blocker(*src, sreg, dim);
     if (why == nullptr) {
       // Provisional: resolve_shifts keeps it (halo plans) or demotes it to a
       // scratch load once the whole statement is known.
-      p.operands.back().shift = ssec.lower - p.dsec.lower;
+      bc::Operand& o = p.operands.back();
+      o.shift = sreg[dim].lower - p.region[dim].lower;
+      o.halo.dim = static_cast<i64>(dim);
       p.lanes.push_back(
           bc::Instr{.op = bc::Op::kLaneShift, .a = lane, .aux = aux, .line = e.line});
       return lane;
     }
-    if (ssec.stride == p.dsec.stride && ssec.lower != p.dsec.lower)
-      note_shift_fallback(e.line, p.operands.back(), why);
-    p.lanes.push_back(load_section(lane, aux, *src, e.line));
+    if (dim < sreg.size()) note_shift_fallback(e.line, p.operands.back(), why);
+    p.lanes.push_back(load_operand(lane, aux, *src, e.line));
     return lane;
   }
 
-  /// A plan copy of 1-D operand `aux` into a destination-shaped scratch
-  /// slot; returns the lane instruction that reads the slot.
-  bc::Instr load_section(u8 lane, i32 aux, const DistributedArray<double>& src, int line) {
+  /// A plan copy of operand `aux` into a destination-mapped scratch slot;
+  /// returns the lane instruction that reads the slot. The interpreter
+  /// copies into the same kind of temporary, so the plan is the very cache
+  /// entry its copy replays: the PlanCache's for a rank-1 region (load),
+  /// the RegionPlanCache's for an N-D one (load.region).
+  bc::Instr load_operand(u8 lane, i32 aux, const DistributedArray<double>& src, int line) {
     if (p.n_scratch >= kMaxScratch) throw BailOut{};
     const u8 slot = static_cast<u8>(p.n_scratch++);
     bc::Operand& o = p.operands[static_cast<std::size_t>(aux)];
-    o.plan = cached_copy_plan(src, o.sec, *dst, p.dsec, *exec);
-    p.loads.push_back(bc::Instr{.op = bc::Op::kLoadSection, .a = slot, .aux = aux, .line = line});
+    bc::Op op = bc::Op::kLoadRegion;
+    if (o.region.size() == 1) {
+      op = bc::Op::kLoadSection;
+      o.plan = cached_copy_plan(src, o.region[0], *dst, p.region[0], *exec);
+    } else {
+      o.region_plan = cached_region_plan(src, o.region, *dst, p.region, *exec);
+    }
+    p.loads.push_back(bc::Instr{.op = op, .a = slot, .aux = aux, .line = line});
     return bc::Instr{.op = bc::Op::kLaneScratch, .a = lane, .b = slot, .line = line};
   }
 
   // -- target share ----------------------------------------------------------
 
-  /// The target region: the N-D region, or the 1-D section as a rank-1 one.
-  [[nodiscard]] Region target_region() const { return p.nd() ? p.dregion : Region{p.dsec}; }
+  /// Rank `rank`'s share of the target region, from the runtime's owned
+  /// walk: one row per local row, each holding the kernel's elements.
+  bc::Share share_of(i64 rank) const {
+    detail::OwnedShare sh = detail::owned_share(dst->mapping(), p.region, rank);
+    bc::Share share;
+    if (sh.empty) return share;
+    detail::for_each_row(sh, [&](i64 base, const std::vector<std::size_t>&) {
+      share.rows.push_back({base, sh.kernel.count()});
+    });
+    share.plan = std::move(sh.plan);
+    share.kernel = std::move(sh.kernel);
+    return share;
+  }
 
-  /// Rank `rank`'s share of `region` as runs, one per local row (the
-  /// runtime's owned walk, row by row); with `merge`, address-adjacent
-  /// rows merge into one run. Bails unless the innermost share is one
-  /// contiguous local run.
-  std::vector<bc::Run> region_runs(const Region& region, i64 rank, bool merge) const {
-    const detail::OwnedShare sh = detail::owned_share(dst->mapping(), region, rank);
-    if (sh.empty) return {};
-    const i64 first = sh.plan.first_local();
-    i64 len = 0;
-    sh.plan.for_each_run([&](i64, i64 la, i64 n) {
-      if (la != first + len) throw BailOut{};  // strided innermost share
-      len += n;
-    });
-    std::vector<bc::Run> runs;
-    detail::for_each_row(sh, [&](i64 row, const std::vector<std::size_t>&) {
-      const i64 base = row + first;
-      if (merge && !runs.empty() && runs.back().base + runs.back().len == base) {
-        runs.back().len += len;
-      } else {
-        runs.push_back({base, len});
+  /// Merge the address-adjacent rows of every dense share, so one lane pass
+  /// covers them. (A row's span starts at its base plus the kernel's first
+  /// local address, so rows touch when one's base + len is the next base.)
+  void merge_rows() {
+    for (bc::Share& sh : p.shares) {
+      if (sh.kernel.cls() != AccessClass::kRuns) continue;
+      std::vector<bc::Row> merged;
+      for (const bc::Row& row : sh.rows) {
+        if (!merged.empty() && merged.back().base + merged.back().len == row.base) {
+          merged.back().len += row.len;
+        } else {
+          merged.push_back(row);
+        }
       }
-    });
-    return runs;
+      sh.rows = std::move(merged);
+    }
   }
 
   // -- shifted operands (lane.shift) -----------------------------------------
@@ -422,92 +444,76 @@ struct JitCompiler {
   // innermost dimension (and in 1-D) they are |delta| elements per block of
   // every row, and the lane stages its strip and patches them in (run_lanes).
 
-  /// Why operand `ssec` of `src` cannot be a lane.shift source, or null.
-  const char* shift_blocker(const DistributedArray<double>& src, const RegularSection& ssec) {
-    if (ssec.stride != p.dsec.stride || (ssec.stride != 1 && ssec.stride != -1))
-      return "not unit stride";
-    const i64 delta = ssec.lower - p.dsec.lower;
-    if (delta == 0) return "same section under another mapping";
-    if (&src == dst) return "reads the target array";
-    if (src.dist() != dst->dist() || !src.alignment().is_identity())
-      return "mapping differs from the target's";
-    const i64 k = dst->dist().block_size();
-    if (delta <= -k || delta >= k) return "|delta| >= the block size";
-    return nullptr;
-  }
-
-  /// The N-D counterpart: why region operand `sreg` of `src` cannot be a
-  /// lane.shift source, or null. (Operand regions already match the target
-  /// region's extents.) `dim` is set only when `sreg` is the target region
-  /// moved along some dimension with the same strides — a shift, whose
-  /// demotion gets a note — to the (last) moved dimension.
-  const char* region_shift_blocker(const DistributedArray<double>& src, const Region& sreg,
-                                   std::size_t& dim) {
+  /// Why operand region `sreg` of `src` cannot be a lane.shift source, or
+  /// null. `dim` is set only when `sreg` is the target region moved along
+  /// some dimension with the same strides — a shift, whose demotion gets a
+  /// note — to the (last) moved dimension. The innermost stride must be
+  /// unit, so every rank's kernel is one dense run. The source needs the
+  /// target's distribution and identity alignment in every dimension, and
+  /// its extent in every dimension but the first: those set the local row
+  /// strides, while the first one's extent only bounds the source's local
+  /// span, which the staged read clips to.
+  const char* shift_blocker(const DistributedArray<double>& src, const Region& sreg,
+                            std::size_t& dim) {
     std::size_t moved = 0;
     std::size_t at = 0;
     for (std::size_t d = 0; d < sreg.size(); ++d) {
-      if (sreg[d].stride != p.dregion[d].stride) return "not the target's stride";
-      if (sreg[d].lower != p.dregion[d].lower) {
+      if (sreg[d].stride != p.region[d].stride) return "not the target's stride";
+      if (sreg[d].lower != p.region[d].lower) {
         ++moved;
         at = d;
       }
     }
     if (moved == 0) return "same region under another mapping";
     dim = at;
+    if (sreg.back().stride != 1 && sreg.back().stride != -1) return "not unit stride";
     if (moved > 1) return "shifted in more than one dimension";
     if (&src == dst) return "reads the target array";
-    if (src.mapping() != dst->mapping()) return "mapping differs from the target's";
-    const i64 delta = sreg[dim].lower - p.dregion[dim].lower;
-    const i64 k = dst->mapping().dim(dim).dist.block_size();
+    const MultiDimMapping& map = dst->mapping();
+    for (std::size_t d = 0; d < map.dims(); ++d) {
+      const DimMapping& sd = src.mapping().dim(d);
+      if (sd.dist != map.dim(d).dist || !sd.align.is_identity() ||
+          (d > 0 && sd.extent != map.dim(d).extent))
+        return "mapping differs from the target's";
+    }
+    const i64 delta = sreg[dim].lower - p.region[dim].lower;
+    const i64 k = map.dim(dim).dist.block_size();
     if (delta <= -k || delta >= k) return "|delta| >= the block size";
     return nullptr;
   }
 
   void note_shift_fallback(int line, const bc::Operand& o, const char* why) {
     std::string delta;
-    if (o.region.empty()) {
-      delta = std::to_string(o.sec.lower - p.dsec.lower);
-    } else {
-      for (std::size_t d = 0; d < o.region.size(); ++d)
-        delta += (d ? ", " : "") + std::to_string(o.region[d].lower - p.dregion[d].lower);
-    }
+    for (std::size_t d = 0; d < o.region.size(); ++d)
+      delta += (d ? ", " : "") + std::to_string(o.region[d].lower - p.region[d].lower);
     note_fusion(line, "shifted operand " + bc::source_text(o) + " (delta " + delta +
                           ") stays a scratch copy: " + why);
   }
 
   /// Keep every provisional lane.shift (why == null: build its halo plan)
-  /// or demote each to a scratch load, noting `why`.
+  /// or demote each to a scratch load, noting `why`. Without a kept
+  /// lane.shift, whose halo read maps are per row, the rows merge.
   void resolve_shifts(const char* why) {
-    if (why != nullptr) {
-      for (bc::Instr& in : p.lanes) {
-        if (in.op != bc::Op::kLaneShift) continue;
-        const bc::Operand& o = p.operands[static_cast<std::size_t>(in.aux)];
-        note_shift_fallback(in.line, o, why);
-        const DistributedArray<double>& src = *find(o.array);
-        in = p.nd() ? load_region(in.a, in.aux, src, in.line)
-                    : load_section(in.a, in.aux, src, in.line);
-      }
-      return;
-    }
-    const auto is_shift = [](const bc::Instr& in) { return in.op == bc::Op::kLaneShift; };
-    if (std::none_of(p.lanes.begin(), p.lanes.end(), is_shift)) return;
-    if (p.nd()) {
-      // The halo read maps are per local row: unmerge the runs.
-      for (i64 r = 0; r < p.ranks; ++r)
-        p.runs[static_cast<std::size_t>(r)] = region_runs(p.dregion, r, /*merge=*/false);
-    }
+    bool kept = false;
     for (bc::Instr& in : p.lanes) {
       if (in.op != bc::Op::kLaneShift) continue;
       bc::Operand& o = p.operands[static_cast<std::size_t>(in.aux)];
+      if (why != nullptr) {
+        note_shift_fallback(in.line, o, why);
+        in = load_operand(in.a, in.aux, *find(o.array), in.line);
+        continue;
+      }
       if (p.n_halo >= kMaxScratch) throw BailOut{};
       build_halo(o);
       if (o.halo.staged) p.strip = kStripElems;
       in.b = static_cast<u8>(p.n_halo++);
+      kept = true;
     }
+    if (!kept) merge_rows();
   }
 
   /// Why a store program may not read shifted operands through halos, or
-  /// null. The lane pass writes the target run by run while later runs
+  /// null. The lane pass writes the target row by row while later rows
   /// still read their sources, so nothing may read the target; guarded
   /// stores and strided kernels keep their own passes.
   const char* shift_statement_blocker() const {
@@ -518,8 +524,8 @@ struct JitCompiler {
         return "the statement reads its target";
       if (in.op == bc::Op::kLaneRamp) return "the statement has a forall index ramp";
     }
-    for (const KernelPlan& kp : p.kernels)
-      if (kp.count() > 0 && kp.cls() != AccessClass::kRuns)
+    for (const bc::Share& sh : p.shares)
+      if (sh.kernel.count() > 0 && sh.kernel.cls() != AccessClass::kRuns)
         return "a rank's share is not one dense run";
     return nullptr;
   }
@@ -533,7 +539,6 @@ struct JitCompiler {
   /// holds a boundary element of the share.
   void build_halo(bc::Operand& o) const {
     bc::Halo& h = o.halo;
-    const Region region = target_region();
     const MultiDimMapping& map = dst->mapping();
     const std::size_t nd = map.dims();
     const auto d = static_cast<std::size_t>(h.dim);
@@ -572,7 +577,7 @@ struct JitCompiler {
     std::vector<detail::OwnedShare> shares;
     std::vector<std::vector<Edge>> row_edges(static_cast<std::size_t>(p.ranks));
     for (i64 r = 0; r < p.ranks; ++r) {
-      shares.push_back(detail::owned_share(map, region, r));
+      shares.push_back(detail::owned_share(map, p.region, r));
       if (shares.back().empty || !h.staged) continue;
       shares.back().plan.for_each_run([&](i64 g, i64 la, i64 n) {
         for (i64 b = la - la % k; b < la + n; b += k)
@@ -586,28 +591,28 @@ struct JitCompiler {
     // out afresh; emit(channel, src, dst, n) adds n consecutive elements.
     const auto walk = [&](auto&& emit) {
       h.counts.assign(static_cast<std::size_t>(p.ranks), 0);
-      h.runs.assign(static_cast<std::size_t>(p.ranks), {});
+      h.rows.assign(static_cast<std::size_t>(p.ranks), {});
       i64 len = 1;
       for (i64 r = 0; r < p.ranks; ++r) {
         const detail::OwnedShare& sh = shares[static_cast<std::size_t>(r)];
         if (sh.empty) continue;
-        std::vector<bc::HaloRun>& runs = h.runs[static_cast<std::size_t>(r)];
+        std::vector<i64>& rows = h.rows[static_cast<std::size_t>(r)];
         i64& count = h.counts[static_cast<std::size_t>(r)];
-        const i64 first = sh.plan.first_local();
         i64 used = 0;  // this rank's halo length so far
         if (!h.staged) {
-          const i64 row_len = sh.plan.last_local() - first + 1;  // contiguous (region_runs)
+          const i64 first = sh.plan.first_local();
+          const i64 row_len = sh.kernel.count();  // one dense run (shift_statement_blocker)
           const detail::DimShare& sd = sh.outer[d];
           detail::for_each_row(sh, [&](i64 row, const std::vector<std::size_t>& pos) {
             const i64 base = row + first;
             const i64 l = sd.local_idx[pos[d]];
             if (!boundary(l)) {
-              runs.push_back({0, -1});
+              rows.push_back(-1);
               return;
             }
             const auto [dr, da] = source(sd.index[pos[d]], l);
             emit(r * p.ranks + r + dr, base + da, used, row_len);
-            runs.push_back({0, used});
+            rows.push_back(used);
             used += row_len;
           });
           count = used;
@@ -618,11 +623,10 @@ struct JitCompiler {
           const i64 first_block = edges.empty() ? 0 : edges.front().at / k;
           const i64 row_slots = edges.empty() ? 0 : (edges.back().at / k - first_block + 1) * w;
           detail::for_each_row(sh, [&](i64 row, const std::vector<std::size_t>&) {
-            const i64 base = row + first;
             for (const Edge& e : edges)
-              emit(r * p.ranks + e.rank, base + e.at - first + e.shift,
+              emit(r * p.ranks + e.rank, row + e.at + e.shift,
                    used + (e.at / k - first_block) * w + e.at % k - j0, i64{1});
-            runs.push_back({base - first, used - first_block * w});
+            rows.push_back(used - first_block * w);
             count += static_cast<i64>(edges.size());
             used += row_slots;
           });
@@ -639,78 +643,21 @@ struct JitCompiler {
     o.plan = std::make_shared<const CommPlan>(CommPlan::from_streams(p.ranks, streams));
   }
 
-  // -- N-D operands ------------------------------------------------------------
-
-  /// The source region of an N-D operand, validated against the target
-  /// region. Anything the interpreter would reject bails (or raises the
-  /// same dsl_error), so the interpreter reports it at run time.
-  Region operand_region(const SectionRef& ref, const DistributedArray<double>& src) const {
-    const Region sreg = Machine::make_region(ref, src);
-    if (sreg.size() != p.dregion.size()) throw BailOut{};
-    for (std::size_t d = 0; d < sreg.size(); ++d)
-      if (sreg[d].size() != p.dregion[d].size()) throw BailOut{};
-    if (src.mapping().grid().rank_count() != p.ranks) throw BailOut{};
-    return sreg;
-  }
-
-  u8 lane_from_region(const Expr& e) {
-    const DistributedArray<double>* src = find(e.section.array);
-    if (src == nullptr || src->dims() != dst->dims()) throw BailOut{};  // mixed dimensionality
-    const Region sreg = operand_region(e.section, *src);
-    const u8 lane = alloc_lane();
-    const i32 aux = add_operand(bc::Operand{.array = e.section.array, .region = sreg});
-    if (src->mapping() == dst->mapping() && sreg == p.dregion) {
-      // Same mapping, same region: the operand already sits at the
-      // destination's local addresses, run for run.
-      p.lanes.push_back(
-          bc::Instr{.op = bc::Op::kLaneDirect, .a = lane, .aux = aux, .line = e.line});
-      return lane;
-    }
-    std::size_t dim = sreg.size();
-    const char* why = region_shift_blocker(*src, sreg, dim);
-    if (why == nullptr) {
-      // Provisional, as in 1-D: resolve_shifts keeps or demotes it.
-      bc::Operand& o = p.operands.back();
-      o.shift = sreg[dim].lower - p.dregion[dim].lower;
-      o.halo.dim = static_cast<i64>(dim);
-      p.lanes.push_back(
-          bc::Instr{.op = bc::Op::kLaneShift, .a = lane, .aux = aux, .line = e.line});
-      return lane;
-    }
-    if (dim < sreg.size()) note_shift_fallback(e.line, p.operands.back(), why);
-    p.lanes.push_back(load_region(lane, aux, *src, e.line));
-    return lane;
-  }
-
-  /// A region-plan copy of N-D operand `aux` into a destination-mapped
-  /// scratch slot; returns the lane instruction that reads the slot. The
-  /// interpreter copies into the same kind of temporary, so the plan is the
-  /// very RegionPlanCache entry its copy_region replays.
-  bc::Instr load_region(u8 lane, i32 aux, const DistributedArray<double>& src, int line) {
-    if (p.n_scratch >= kMaxScratch) throw BailOut{};
-    const u8 slot = static_cast<u8>(p.n_scratch++);
-    bc::Operand& o = p.operands[static_cast<std::size_t>(aux)];
-    o.region_plan = cached_region_plan(src, o.region, *dst, p.dregion, *exec);
-    p.loads.push_back(
-        bc::Instr{.op = bc::Op::kLoadRegion, .a = slot, .aux = aux, .line = line});
-    return bc::Instr{.op = bc::Op::kLaneScratch, .a = lane, .b = slot, .line = line};
-  }
-
   u8 lane_from_shift(const Expr& e) {
-    if (p.nd()) throw BailOut{};  // the interpreter rejects N-D shifts
+    if (p.region.size() != 1) throw BailOut{};  // the interpreter rejects N-D shifts
     const DistributedArray<double>* src = find(e.name);
     if (src == nullptr || src->dims() != 1) throw BailOut{};
     const i64 n = src->size();
-    if (p.dsec.size() != n) throw BailOut{};  // interp raises at run time
+    if (p.region[0].size() != n) throw BailOut{};  // interp raises at run time
     if (src->dist().procs() != dst->dist().procs()) throw BailOut{};
     if (p.n_scratch >= kMaxScratch) throw BailOut{};
     const u8 slot = static_cast<u8>(p.n_scratch++);
     // The shift lands in an identity-aligned src-distributed temporary, then
-    // plan-copies whole-array -> dsec. Using a proxy with exactly the
+    // plan-copies whole-array -> the target section. Using a proxy with exactly the
     // interpreter's temporary mapping means both tiers share one PlanCache
     // entry for this copy.
     DistributedArray<double> proxy(src->dist(), n);
-    auto plan = cached_copy_plan(proxy, RegularSection{0, n - 1, 1}, *dst, p.dsec, *exec);
+    auto plan = cached_copy_plan(proxy, RegularSection{0, n - 1, 1}, *dst, p.region[0], *exec);
     const i32 aux = add_operand(bc::Operand{.array = e.name,
                                             .shift = e.shift,
                                             .circular = e.circular,
@@ -735,7 +682,7 @@ struct JitCompiler {
       case Expr::Kind::kShift:
         return lane_from_shift(e);
       case Expr::Kind::kRamp: {
-        if (p.nd()) throw BailOut{};  // the interpreter rejects N-D forall
+        if (p.region.size() != 1) throw BailOut{};  // the interpreter rejects N-D forall
         const u8 lane = alloc_lane();
         bc::Operand ramp;
         ramp.ramp_lower = e.ramp_lower;
@@ -839,36 +786,21 @@ struct JitCompiler {
   // -- statement entry points ------------------------------------------------
 
   /// Target dst(section): compiles only under identity alignment in every
-  /// dimension. A rank-1 target runs through its per-rank kernels; an N-D
-  /// one needs an innermost share that is one contiguous local run on each
-  /// rank (region_runs). Every other shape stays on the interpreter.
+  /// dimension, at any rank. Each rank's share is its local rows plus the
+  /// innermost dimension's plan and kernel; every other shape stays on the
+  /// interpreter.
   void open_target(const SectionRef& section) {
     dst = find(section.array);
     if (dst == nullptr) throw BailOut{};
     const MultiDimMapping& map = dst->mapping();
     for (std::size_t d = 0; d < map.dims(); ++d)
       if (!map.dim(d).align.is_identity()) throw BailOut{};
-    const Region region = Machine::make_region(section, *dst);
+    p.region = Machine::make_region(section, *dst);
     p.target = section.array;
     p.ranks = map.grid().rank_count();
-    p.lane_count = region_size(region);
+    p.lane_count = region_size(p.region);
     exec.emplace(p.ranks, m.mode_);
-    if (region.size() == 1) {
-      p.dsec = region[0];
-      return;
-    }
-    p.dregion = region;
-    for (i64 r = 0; r < p.ranks; ++r)
-      p.runs.push_back(region_runs(p.dregion, r, /*merge=*/true));
-  }
-
-  void build_kernels() {
-    if (p.nd()) return;  // open_target built the runs
-    for (i64 r = 0; r < p.ranks; ++r) {
-      SectionPlan sp = owned_plan(*dst, p.dsec, r);
-      p.kernels.push_back(compile_kernel(sp));
-      p.plans.push_back(std::move(sp));
-    }
+    for (i64 r = 0; r < p.ranks; ++r) p.shares.push_back(share_of(r));
   }
 
   /// True when `in` writes lane register `r`'s backing buffer. kLaneDirect
@@ -882,7 +814,6 @@ struct JitCompiler {
 
   void finalize_store(u8 store_reg) {
     p.store_reg = store_reg;
-    build_kernels();
     resolve_shifts(shift_statement_blocker());
     if (p.lanes_may_throw) return;
     // Store fusion redirects EVERY buffer write of the store register into
@@ -934,7 +865,7 @@ struct JitCompiler {
 
   std::shared_ptr<const bc::CompiledProgram> compile_where(const WhereStmt& s) {
     open_target(s.target);
-    if (p.nd()) throw BailOut{};  // the interpreter rejects N-D where
+    if (p.region.size() != 1) throw BailOut{};  // the interpreter rejects N-D where
     u8 flags = 0;
     u8 ml = 0, mr = 0, v = 0;
     if (scalar_shape(*s.mask_lhs)) {
@@ -963,7 +894,6 @@ struct JitCompiler {
                                 .aux = relop_code(s.relop),
                                 .line = s.line});
     p.store_reg = v;
-    build_kernels();
     resolve_shifts("masked store");
     return take();
   }
@@ -976,7 +906,7 @@ struct JitCompiler {
     const SectionRef* anchor = find_reduce_anchor(*root.lhs);
     if (anchor == nullptr) throw BailOut{};
     open_target(*anchor);
-    if (p.nd()) throw BailOut{};  // the interpreter rejects N-D anchors
+    if (p.region.size() != 1) throw BailOut{};  // the interpreter rejects N-D anchors
     const u8 r = compile_vec(*root.lhs);
     const u8 out = new_sreg(0.0, false);
     p.lanes.push_back(bc::Instr{.op = bc::Op::kReduceLanes,
@@ -987,7 +917,6 @@ struct JitCompiler {
     p.result_sreg = out;
     p.scalar_target = s.name;
     p.store_reg = r;
-    build_kernels();
     resolve_shifts("reduction terminal");
     note_fusion(root.line, "fused transform+reduce: no materialized temporary array");
     return take();
@@ -1009,29 +938,26 @@ enum class Phase { kAll, kArith, kTerminal };
 void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>& s,
                const double* const* src, const i64* len, double* dloc,
                std::vector<double>& arena, double* partial, char* seen, Phase phase) {
-  // A 1-D share is its kernel's one run: span mode when the kernel is a
-  // dense run, else gathered and scattered through the kernel. An N-D
-  // share is its compile-time run list, always in span mode, where lane
-  // sources alias the local spans run by run.
-  const KernelPlan* kp = p.nd() ? nullptr : &p.kernels[static_cast<std::size_t>(rank)];
-  const bc::Run one{kp != nullptr ? kp->first_local() : 0, kp != nullptr ? kp->count() : 0};
-  const std::span<const bc::Run> runs =
-      kp != nullptr ? std::span<const bc::Run>(&one, one.len > 0 ? 1 : 0)
-                    : std::span<const bc::Run>(p.runs[static_cast<std::size_t>(rank)]);
-  if (runs.empty()) return;
-  const bool span_mode = kp == nullptr || kp->cls() == AccessClass::kRuns;
+  // The innermost kernel picks the mode at every rank: under the runs class
+  // each row is one span the lane sources alias (span mode); under the
+  // others they are gathered, and the store scattered, through the kernel
+  // at the row base.
+  const bc::Share& share = p.shares[static_cast<std::size_t>(rank)];
+  if (share.rows.empty()) return;
+  const KernelPlan& kp = share.kernel;
+  const bool span_mode = kp.cls() == AccessClass::kRuns;
   const std::size_t scratch0 = p.operands.size();  // src index of scratch slot 0
   const std::size_t halo0 = scratch0 + static_cast<std::size_t>(p.n_scratch);
   std::size_t widest = 0;
   std::size_t total = 0;
-  for (const bc::Run& run : runs) {
-    widest = std::max(widest, static_cast<std::size_t>(run.len));
-    total += static_cast<std::size_t>(run.len);
+  for (const bc::Row& row : share.rows) {
+    widest = std::max(widest, static_cast<std::size_t>(row.len));
+    total += static_cast<std::size_t>(row.len);
   }
   if (p.strip > 0) widest = std::min(widest, static_cast<std::size_t>(p.strip));
-  // Guarded store programs keep the store register of every run in one
+  // Guarded store programs keep the store register of every row in one
   // full-share stash, so kTerminal stores exactly what kArith computed.
-  // (Masked stores and reductions are 1-D: one run, whose registers stay
+  // (Masked stores and reductions are 1-D: one row, whose registers stay
   // in their arena slots between the phases.)
   const bool stash_store = phase != Phase::kAll && p.lanes.back().op == bc::Op::kStoreLanes;
   arena.resize(static_cast<std::size_t>(p.n_lanes) * widest + (stash_store ? total : 0));
@@ -1051,18 +977,20 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
     }
   };
 
-  // One pass of the lane program per run (a 1-D share is a single run),
+  // One pass of the lane program per row (a 1-D share is a single row),
   // or per strip of it when a staged lane.shift copies into a register.
   // Every pass dispatches its instructions through one switch; the
   // terminal is the program's last instruction and ends the pass.
   const bc::Instr* const first = phase == Phase::kTerminal ? &p.lanes.back() : p.lanes.data();
   const bc::Instr* const last = p.lanes.data() + p.lanes.size();
   std::size_t off = 0;  // current pass's offset in the stash
-  for (std::size_t ri = 0; ri < runs.size(); ++ri) {
-    const i64 run_end = runs[ri].base + runs[ri].len;
-    for (i64 base = runs[ri].base; base < run_end; base += static_cast<i64>(cnt)) {
-      cnt = static_cast<std::size_t>(p.strip > 0 ? std::min(run_end - base, p.strip)
-                                                 : run_end - base);
+  for (std::size_t ri = 0; ri < share.rows.size(); ++ri) {
+    const bc::Row& row = share.rows[ri];
+    const i64 span = row.base + kp.first_local();  // span mode: the row's first address
+    const i64 span_end = span + row.len;
+    for (i64 base = span; base < span_end; base += static_cast<i64>(cnt)) {
+      cnt = static_cast<std::size_t>(p.strip > 0 ? std::min(span_end - base, p.strip)
+                                                 : span_end - base);
       double* const dspan = dloc + base;  // this pass's destination span
       for (int i = 0; i < p.n_lanes; ++i) {
         regs[i].buf = arena.data() + static_cast<std::size_t>(i) * widest;
@@ -1085,7 +1013,7 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
             if (span_mode) {
               r.cur = sl + base;
             } else {
-              kernel_gather(*kp, sl, r.buf);
+              kernel_gather(kp, sl + row.base, r.buf);
               r.cur = r.buf;
             }
             break;
@@ -1096,7 +1024,7 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
             if (span_mode) {
               r.cur = sl + base;
             } else {
-              kernel_gather(*kp, sl, r.buf);
+              kernel_gather(kp, sl + row.base, r.buf);
               r.cur = r.buf;
             }
             break;
@@ -1105,20 +1033,20 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
             Reg& r = regs[ip->a];
             const bc::Operand& o = p.operands[static_cast<std::size_t>(ip->aux)];
             const bc::Halo& h = o.halo;
-            const bc::HaloRun& hr = h.runs[static_cast<std::size_t>(rank)][ri];
+            const i64 hr = h.rows[static_cast<std::size_t>(rank)][ri];
             const double* sl = src[ip->aux];
             const double* hl = src[halo0 + ip->b];
             if (!h.staged) {
               // Outer dimension: the row reads its own source row in place,
               // or its halo row at a block edge.
-              r.cur = hr.halo < 0 ? sl + base + h.offset : hl + hr.halo + (base - runs[ri].base);
+              r.cur = hr < 0 ? sl + base + h.offset : hl + hr + (base - span);
               break;
             }
             // Innermost dimension: stage the strip from base + offset,
             // clipped to this source's own local span (every clipped
             // position is a boundary position, whatever the source's
             // length), then patch boundary offset j0 + jj of every block
-            // from its halo slot (block L's slots start at halo + L*w): one
+            // from its halo slot (block L's slots start at hr + L*w): one
             // strided loop per offset. The stage is the register's own
             // arena slot, even when store fusion points its writes at the
             // destination span: copying into the cold destination first is
@@ -1133,11 +1061,11 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
                           static_cast<std::size_t>(hi - lo) * sizeof(double));
             const i64 k = h.block;
             const i64 w = o.shift < 0 ? -o.shift : o.shift;
-            const i64 blk = (base - hr.origin) / k;  // the block holding base
-            const i64 at = hr.origin + blk * k + (o.shift < 0 ? 0 : k - o.shift);
+            const i64 blk = (base - row.base) / k;  // the block holding base
+            const i64 at = row.base + blk * k + (o.shift < 0 ? 0 : k - o.shift);
             for (i64 jj = 0; jj < w; ++jj) {
               i64 a = at + jj;
-              i64 slot = hr.halo + blk * w + jj;
+              i64 slot = hr + blk * w + jj;
               if (a < base) {
                 a += k;
                 slot += w;
@@ -1152,8 +1080,9 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
             Reg& r = regs[ip->a];
             double* out = r.buf;
             std::size_t i = 0;
-            p.plans[static_cast<std::size_t>(rank)].for_each([&](i64 cell, i64) {
-              const i64 t = (cell - p.dsec.lower) / p.dsec.stride;
+            const RegularSection& sec = p.region[0];  // forall ramps are rank-1
+            share.plan.for_each([&](i64 cell, i64) {
+              const i64 t = (cell - sec.lower) / sec.stride;
               out[i++] = static_cast<double>(o.ramp_lower + t * o.ramp_stride);
             });
             r.cur = r.buf;
@@ -1290,7 +1219,7 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
             if (span_mode) {
               if (x != dspan) std::memcpy(dspan, x, cnt * sizeof(double));
             } else {
-              kernel_scatter(*kp, dloc, x);
+              kernel_scatter(kp, dloc + row.base, x);
             }
             break;
           }
@@ -1313,7 +1242,7 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
             const double rsv = rsc ? s[ip->c] : 0.0;
             const i32 rel = ip->aux;
             std::size_t i = 0;
-            kernel_for_each_local(*kp, [&](i64 la) {
+            kernel_for_each_local(kp, [&](i64 la) {
               const double x = lsc ? lsv : lv[i];
               const double y = rsc ? rsv : rv[i];
               bool h = false;
@@ -1325,7 +1254,7 @@ void run_lanes(const bc::CompiledProgram& p, i64 rank, const std::vector<double>
                 case bc::kEQ: h = x == y; break;
                 default: h = x != y; break;
               }
-              if (h) dloc[la] = vs ? xs : xv[i];
+              if (h) dloc[row.base + la] = vs ? xs : xv[i];
               ++i;
             });
             break;
@@ -1420,16 +1349,16 @@ void JitEngine::execute(const bc::CompiledProgram& p) {
         switch (in.b) {
           case bc::kRedSum:
             s[in.a] = reduce_section(
-                arr, o.sec, 0.0, [](double a, double b) { return a + b; }, rexec);
+                arr, o.region[0], 0.0, [](double a, double b) { return a + b; }, rexec);
             break;
           case bc::kRedMin:
             s[in.a] = reduce_section(
-                arr, o.sec, std::numeric_limits<double>::infinity(),
+                arr, o.region[0], std::numeric_limits<double>::infinity(),
                 [](double a, double b) { return a < b ? a : b; }, rexec);
             break;
           default:
             s[in.a] = reduce_section(
-                arr, o.sec, -std::numeric_limits<double>::infinity(),
+                arr, o.region[0], -std::numeric_limits<double>::infinity(),
                 [](double a, double b) { return a > b ? a : b; }, rexec);
             break;
         }

@@ -9,12 +9,14 @@
 // their own local rows (lane.shift); only the block-boundary halo moves,
 // and the lane pass takes it in the same single pass over each row.
 //
+// Every statement compiles over one target region (a 1-D section is the
+// rank-1 region {sec}) and runs one lane pass per row of each rank's share.
 // The engine is deliberately conservative: any statement shape it cannot
 // prove equivalent to the interpreter (non-identity-aligned targets, N-D
-// targets with a strided innermost share, N-D reductions, mismatched
-// processor arrangements, invalid sections, ...) makes try_* return false
-// and the caller falls back to the tree walker, so the bytecode tier never
-// changes results — only the number of passes taken to produce them.
+// reductions, mismatched processor arrangements, invalid sections, ...)
+// makes try_* return false and the caller falls back to the tree walker, so
+// the bytecode tier never changes results — only the number of passes taken
+// to produce them.
 #pragma once
 
 #include <memory>

@@ -1,5 +1,6 @@
 #include "cyclick/net/socket_transport.hpp"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -23,6 +24,25 @@ namespace {
 
 /// How often the reader re-checks its stop flag while polling.
 constexpr int kReaderPollMs = 50;
+
+/// First read size of a payload. Later reads at most double the buffer, so
+/// a corrupt length prefix costs about twice the bytes that actually
+/// arrive, not the length it claims.
+constexpr u64 kPayloadChunk = u64{1} << 20;
+
+/// Read a `bytes`-byte payload, growing the buffer as the data arrives.
+/// Throws TransportError if the peer closes first.
+std::vector<std::byte> read_payload(int fd, u64 bytes) {
+  std::vector<std::byte> payload;
+  for (u64 got = 0; got < bytes;) {
+    const u64 n = std::min(bytes - got, std::max(got, kPayloadChunk));
+    payload.resize(static_cast<std::size_t>(got + n));
+    if (!read_fully(fd, payload.data() + got, static_cast<std::size_t>(n)))
+      throw TransportError("peer closed mid-payload");
+    got += n;
+  }
+  return payload;
+}
 
 }  // namespace
 
@@ -540,9 +560,7 @@ void SocketTransport::reader_loop(Endpoint& ep) {
             fail_channel(ep, q,
                          "misrouted frame (claims " + channel_name(h->from, h->to) + ")");
           } else {
-            std::vector<std::byte> payload(h->payload_bytes);
-            if (!payload.empty() && !read_fully(fd, payload.data(), payload.size()))
-              throw TransportError("peer closed mid-payload");
+            std::vector<std::byte> payload = read_payload(fd, h->payload_bytes);
             const u64 sum = fnv1a64(payload.data(), payload.size());
             if (sum != h->checksum) {
               CYCLICK_COUNT("net.checksum_errors", ep.rank, 1);

@@ -15,6 +15,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cyclick/compiler/interp.hpp"
@@ -276,10 +277,10 @@ TEST(CompilerFuzz, RandomProgramsMatchReference) {
 
 // ---------------------------------------------------------------------------
 // 2-D programs on G(p1, p2) grids. The bytecode tier compiles an N-D
-// statement when its target is identity aligned and each rank's innermost
-// share is one contiguous local run; the stream also draws strided regions
-// and a non-identity-aligned array W, whose statements fall back. Either
-// way every tier on every executor must match the reference bit for bit.
+// statement when its target is identity aligned, at any innermost stride;
+// the stream also draws a non-identity-aligned array W, whose statements
+// fall back. Either way every tier on every executor must match the
+// reference bit for bit.
 
 std::vector<u64> bits(const std::vector<double>& v) {
   std::vector<u64> out(v.size());
@@ -366,10 +367,40 @@ class GridFuzzer {
     }
   }
 
+  /// How many statements with an identity-aligned target and a strided
+  /// innermost section the bytecode tier compiles, and how many such
+  /// statements there are. Each is explained after the program, under its
+  /// final mappings; a compiled one lists a rank whose share is gathered
+  /// through a fixed-step or periodic kernel.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> strided_programs() const {
+    std::string program = src_.str();
+    for (const std::string& stmt : strided_) program += "explain " + stmt;
+    Machine machine;
+    machine.set_tier(Tier::kBytecode);
+    machine.run_source(program);
+    const std::string& out = machine.output();
+    std::size_t compiled = 0;
+    for (std::size_t at = out.find("bytecode program for"); at != std::string::npos;) {
+      const std::size_t next = out.find("bytecode program for", at + 1);
+      const std::string listing = out.substr(at, next - at);
+      if (listing.find(": fixed-step, ") != std::string::npos ||
+          listing.find(": periodic, ") != std::string::npos)
+        ++compiled;
+      at = next;
+    }
+    return {compiled, strided_.size()};
+  }
+
  private:
   struct Box {
     Sec r, c;
   };
+
+  /// Record the statement written since `start` when its target is U or V
+  /// and its innermost section is strided.
+  void note_strided(int dst, const Box& d, std::size_t start) {
+    if (dst != 2 && d.c.st > 1) strided_.push_back(src_.str().substr(start));
+  }
 
   i64 pick(i64 n) { return static_cast<i64>(rng_() % static_cast<u64>(n)); }
   int pick_array() { return static_cast<int>(pick(3)); }
@@ -485,6 +516,7 @@ class GridFuzzer {
     const i64 c = 1 + pick(9);
     const auto cd = static_cast<double>(c);
     const std::string lhs = box_text(dst, d);
+    const std::size_t start = src_.str().size();
     switch (pick(4)) {
       case 0:
         src_ << lhs << " = " << box_text(y, s1) << " * " << c << " - " << box_text(z, s2)
@@ -522,6 +554,7 @@ class GridFuzzer {
         break;
       }
     }
+    note_strided(dst, d, start);
   }
 
   /// Array arithmetic with a scalar variable, which the compiler cannot
@@ -537,6 +570,7 @@ class GridFuzzer {
     const i64 c = pick(21) - 10;
     const auto cd = static_cast<double>(c);
     src_ << "s = " << v << '\n';
+    const std::size_t start = src_.str().size();
     if (pick(2) == 0) {
       src_ << box_text(dst, d) << " = " << box_text(y, s1) << " * s + " << c << '\n';
       assign(dst, d, [&](i64 t, i64 u) { return get(y, s1, t, u) * vd + cd; });
@@ -544,6 +578,7 @@ class GridFuzzer {
       src_ << box_text(dst, d) << " = " << c << " - " << box_text(y, s1) << " / s\n";
       assign(dst, d, [&](i64 t, i64 u) { return cd - get(y, s1, t, u) / vd; });
     }
+    note_strided(dst, d, start);
   }
 
   /// U = U(shift) + U: the target is both a shifted (loaded) operand and a
@@ -568,9 +603,11 @@ class GridFuzzer {
   i64 cols_ = 0;
   std::vector<double> ref_[3];
   std::ostringstream src_;
+  std::vector<std::string> strided_;
 };
 
 TEST(CompilerFuzz, RandomGridProgramsMatchAcrossTiers) {
+  std::size_t strided = 0;
   for (u64 seed = 1; seed <= 30; ++seed) {
     GridFuzzer fuzzer(seed * 0xD1B54A32D192ED03ULL);
     for (int stmt = 0; stmt < 20; ++stmt) fuzzer.add_random_statement();
@@ -578,7 +615,13 @@ TEST(CompilerFuzz, RandomGridProgramsMatchAcrossTiers) {
     if (HasFatalFailure()) return;
     fuzzer.check_division_by_zero();
     if (HasFatalFailure()) return;
+    // Parity must not hold only because strided targets fall back: every
+    // one of them runs on the bytecode tier.
+    const auto [compiled, total] = fuzzer.strided_programs();
+    EXPECT_EQ(compiled, total) << "seed " << seed;
+    strided += compiled;
   }
+  EXPECT_GT(strided, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1072,6 +1115,7 @@ class RegionShiftFuzzer {
   struct Box {
     Sec r, c;
   };
+
   /// An operand: array `a` over the target box shifted by (dr, dc).
   struct Opnd {
     int a;
@@ -1266,9 +1310,82 @@ TEST(CompilerFuzz, ShiftedRegionGridMatchesAcrossTiers) {
   EXPECT_EQ(programs, 24);
 }
 
+TEST(CompilerFuzz, ShiftedRegionOfAnotherRowCountMatchesAcrossTiers) {
+  // A shifted operand reads its own rows (lane.shift) when its array has the
+  // target's distribution and alignment, and its extent in every dimension
+  // but the first, which sets no local row stride. N has more rows than the
+  // target M and Q fewer, so their shifts along either dimension take
+  // lane.shift; R has one column fewer, so its shifts stay region loads.
+  // Both tiers on both executors must agree bit for bit.
+  std::mt19937_64 rng(0x0DD5EED5ULL);
+  const i64 grids[][2] = {{2, 2}, {3, 2}, {1, 4}, {4, 1}};
+  for (const auto& g : grids) {
+    for (int rep = 0; rep < 3; ++rep) {
+      const i64 rows = 10 + static_cast<i64>(rng() % 10);
+      const i64 cols = 10 + static_cast<i64>(rng() % 10);
+      const i64 extent[] = {rows, rows + 1 + static_cast<i64>(rng() % 6),
+                            rows - 1 - static_cast<i64>(rng() % 3), rows};
+      const char* names[] = {"M", "N", "Q", "R"};
+      std::ostringstream src;
+      src << "processors G(" << g[0] << ", " << g[1] << ")\n"
+          << "template T(" << extent[1] << ", " << cols << ")\n"
+          << "distribute T onto G cyclic(" << 2 + rng() % 4 << ") cyclic(" << 2 + rng() % 4
+          << ")\n";
+      for (int a = 0; a < 4; ++a) {
+        const i64 c = a == 3 ? cols - 1 : cols;
+        src << "array " << names[a] << '(' << extent[a] << ", " << c << ") align with T(i, j)\n";
+        // Distinct values: column 0 row by row, then doubled rightwards.
+        for (i64 i = 0; i < extent[a]; ++i)
+          src << names[a] << '(' << i << ':' << i << ", 0:0) = " << i * 101 + a * 10007 << '\n';
+        for (i64 s = 1; s < c; s *= 2)
+          src << names[a] << "(0:" << extent[a] - 1 << ", " << s << ':' << s + std::min(s, c - s) - 1
+              << ") = " << names[a] << "(0:" << extent[a] - 1 << ", 0:" << std::min(s, c - s) - 1
+              << ") + " << s << '\n';
+      }
+      // The target box leaves one row and column of Q and R around it.
+      const std::string h = std::to_string(extent[2] - 2);
+      const std::string hm = std::to_string(extent[2] - 3);
+      const std::string hp = std::to_string(extent[2] - 1);
+      const std::string w = std::to_string(cols - 3);
+      const std::string wm = std::to_string(cols - 4);
+      const std::string wp = std::to_string(cols - 2);
+      const std::string box = "M(1:" + h + ", 1:" + w + ")";
+      const std::string stmts[] = {
+          box + " = (N(0:" + hm + ", 1:" + w + ") + Q(2:" + hp + ", 1:" + w + ")) / 2\n",
+          box + " = N(1:" + h + ", 0:" + wm + ") - Q(1:" + h + ", 2:" + wp + ")\n",
+          box + " = " + box + " + R(0:" + hm + ", 1:" + w + ") * R(1:" + h + ", 2:" + wp + ")\n"};
+      for (const std::string& stmt : stmts) src << "explain " << stmt << stmt;
+      const std::string program = src.str();
+      std::vector<u64> first;
+      for (const auto mode : {SpmdExecutor::Mode::kSequential, SpmdExecutor::Mode::kThreads}) {
+        for (const Tier tier : {Tier::kInterp, Tier::kBytecode}) {
+          Machine machine(mode);
+          machine.set_tier(tier);
+          machine.run_source(program);
+          const std::vector<u64> image = bits(machine.global_image("M"));
+          if (first.empty()) first = image;
+          ASSERT_EQ(image, first) << tier_name(tier) << '\n' << program;
+          const std::string& out = machine.output();
+          i64 shifts = 0;
+          for (std::size_t at = out.find("lane.shift "); at != std::string::npos;
+               at = out.find("lane.shift ", at + 1))
+            ++shifts;
+          ASSERT_EQ(shifts, 4) << out << '\n' << program;
+          ASSERT_NE(out.find("stays a scratch copy: mapping differs from the target's"),
+                    std::string::npos)
+              << out;
+        }
+      }
+    }
+  }
+}
+
 TEST(CompilerFuzz, GridShapesOutsideTheTierFallBack) {
   // cyclic(2) over two columns of ranks: a stride-2 innermost section puts
-  // every other local slot in a rank's share, so it is not one run.
+  // every other local slot in a rank's share. It compiles like any other
+  // identity-aligned target, its lanes gathered and scattered through the
+  // fixed-step kernel at each row; only the non-identity-aligned target W
+  // falls back.
   Machine machine;
   machine.run_source(R"(
 processors G(2, 2)
@@ -1281,8 +1398,19 @@ explain W(0:11, 0:15) = U(0:11, 0:15) + 1
 explain U(1:10, 1:14) = (U(0:9, 1:14) + W(2:11, 1:14)) / 2
 )");
   const std::string& out = machine.output();
-  const auto first = out.find("explain U: statement falls back to the interpreter tier");
-  EXPECT_NE(first, std::string::npos) << out;
+  EXPECT_EQ(out.find("explain U: statement falls back to the interpreter tier"),
+            std::string::npos)
+      << out;
+  const std::string strided = out.substr(0, out.find("explain W"));
+  EXPECT_NE(strided.find("bytecode program for U(0:11:1, 0:15:2) on 4 ranks (96 lanes"),
+            std::string::npos)
+      << out;
+  // Every rank owns six rows of four columns two local slots apart.
+  for (int r = 0; r < 4; ++r)
+    EXPECT_NE(strided.find("rank " + std::to_string(r) + ": fixed-step, 6 rows, 24 lanes"),
+              std::string::npos)
+        << out;
+  EXPECT_NE(strided.find("load.region t0 = U(0:11:1, 1:15:2)"), std::string::npos) << out;
   EXPECT_NE(out.find("explain W: statement falls back to the interpreter tier"),
             std::string::npos)
       << out;

@@ -567,7 +567,10 @@ TEST(Tier, ExplainListsCompiledBytecode) {
   ASSERT_NE(mul, std::string::npos) << out;
   EXPECT_NE(out.find("add.vs", mul), std::string::npos) << out;
   EXPECT_NE(out.find("lanes:"), std::string::npos) << out;
-  EXPECT_NE(out.find("kernels:"), std::string::npos) << out;
+  // One share line per rank: B(0:318:2) under cyclic(8) on four ranks is a
+  // periodic kernel over one row of 40 elements.
+  EXPECT_NE(out.find("shares:\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("rank 0: periodic, 1 rows, 40 lanes"), std::string::npos) << out;
   EXPECT_NE(out.find("fusion:"), std::string::npos) << out;
 }
 
@@ -673,8 +676,8 @@ explain M(1:6, 1:6) = (N(0:5, 0:5) + N(2:7, 2:7)) / 3
       << out;
   // Under cyclic(2) on two ranks per axis, rank 0 owns rows {1, 4, 5} and
   // columns {1, 4, 5} (local columns 1..3): three local rows of one run.
-  EXPECT_NE(out.find("runs:"), std::string::npos) << out;
-  EXPECT_NE(out.find("rank 0: 3 runs, 9 lanes"), std::string::npos) << out;
+  EXPECT_NE(out.find("shares:\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("rank 0: runs, 3 rows, 9 lanes"), std::string::npos) << out;
   // Diagonal shifts stay region loads, and say why.
   EXPECT_NE(out.find("load.region t0 = N(0:5:1, 0:5:1)"), std::string::npos) << out;
   EXPECT_NE(out.find("load.region t1 = N(2:7:1, 2:7:1)"), std::string::npos) << out;
